@@ -4,13 +4,10 @@ exponential closed forms in k, and conjectured forms uniform in b."""
 
 from .closedform import (
     ExponentialForm,
-    PolyTermForm,
     Verdict,
     candidate_bases,
     closed_form,
     fit_closed_form,
-    fit_recurrence_form,
-    minimal_recurrence,
     state_dimension_bound,
     verify,
 )
@@ -68,14 +65,11 @@ __all__ = [
     "build_table",
     "moment_value",
     "ExponentialForm",
-    "PolyTermForm",
     "Verdict",
     "candidate_bases",
     "fit_closed_form",
     "verify",
     "closed_form",
-    "minimal_recurrence",
-    "fit_recurrence_form",
     "state_dimension_bound",
     "GeneralForm",
     "PolyInB",

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from . import digits, oeis
-from .closedform import ExponentialForm, PolyTermForm, closed_form
+from .closedform import ExponentialForm, closed_form
 from .errors import (
     EnumerationCapError,
     ExcludedBaseError,
@@ -85,11 +85,9 @@ def _enum_cap() -> int:
         raise ValueError(f"RABOT_ENUM_CAP must be an integer, got {raw!r}") from None
 
 
-def _form_terms_json(form: ExponentialForm | PolyTermForm) -> list[dict]:
-    if isinstance(form, ExponentialForm):
-        return [
-            {"coefficient": str(c), "base": str(lam)} for c, lam in form.terms
-        ]
+def _form_terms_json(form: ExponentialForm) -> list[dict]:
+    if form.is_constant():
+        return [{"coefficient": str(poly[0]), "base": str(lam)} for poly, lam in form.terms]
     return [
         {"coefficient_poly": [str(c) for c in poly], "base": str(lam)}
         for poly, lam in form.terms

@@ -1,20 +1,29 @@
 """Exponential closed forms in k for the moment sums, with rigorous verification.
 
 The coupled recurrences on the quantities S(l, q, .) and S(q, .) form a
-linear constant-coefficient system of dimension (p+1)*(b+1) whose
+linear constant-coefficient system of dimension D = (p+1)*(b+1) whose
 transition matrix is triangular in q, with self-coupling coefficients
 b**q - 1 (per last digit) and b**q + b - 1 (totals) on the diagonal plus
-the digit-count eigenvalue b.  Hence S(p, .) satisfies a linear recurrence
-of order at most D = (p+1)*(b+1) with characteristic roots among those
-integers, and a candidate form that matches the table at k = 1..D is not
-merely consistent but proven: both sides satisfy the same order-D
-recurrence and agree on D initial values.
+the digit-count eigenvalue b.  S(p, .) is annihilated by
+
+    (x - b) * prod_{q=1..p} (x - (b**q - 1)) * (x - (b**q + b - 1)),
+
+and candidate_bases lists the roots of that product as a multiset, so two
+families that collide at a particular base (2b - 1 = b**2 - 1 = 3 at b = 2)
+give a root of multiplicity two.  The fitter reads a base listed m times as
+a coefficient polynomial in k of degree < m and solves the confluent
+Vandermonde system exactly.
+
+A form whose terms fit inside that multiset and which matches the table at
+k = 1..D is not merely consistent but proven: the multiset is part of the
+spectrum of the D-dimensional system, so form and table both satisfy its
+order-D characteristic recurrence and agree on D initial values.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .digits import check_base
@@ -30,53 +39,43 @@ def state_dimension_bound(base: int, power: int) -> int:
 
 @dataclass(frozen=True)
 class ExponentialForm:
-    """A finite sum of terms alpha * lam**k with exact rational alpha and
-    distinct integer growth bases lam >= 1, stored in ascending base order
-    with zero coefficients dropped."""
+    """A finite sum of terms P(k) * lam**k with distinct integer growth bases
+    lam >= 1 in ascending order.  Each P is a tuple of exact rational
+    coefficients, constant term first, with no trailing zero; zero
+    polynomials are dropped."""
 
     base: int
     power: int
-    terms: tuple[tuple[Fraction, int], ...]
+    terms: tuple[tuple[tuple[Fraction, ...], int], ...]
 
     def __post_init__(self) -> None:
-        for coeff, lam in self.terms:
-            if coeff == 0:
-                raise ValueError("zero coefficients must not be stored")
+        for poly, lam in self.terms:
+            if not isinstance(poly, tuple) or not poly or poly[-1] == 0:
+                raise ValueError("coefficient polynomials must be non-empty, with no trailing zero")
             if not isinstance(lam, int) or lam < 1:
                 raise ValueError(f"growth base must be an integer >= 1, got {lam!r}")
         bases = [lam for _, lam in self.terms]
         if any(a >= b for a, b in zip(bases, bases[1:])):
             raise ValueError("growth bases must be strictly increasing")
 
-    def eval_at(self, k: int) -> Fraction:
-        return sum((coeff * lam**k for coeff, lam in self.terms), Fraction(0))
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({coeff})*{lam}^k" for coeff, lam in self.terms)
-
-
-@dataclass(frozen=True)
-class PolyTermForm:
-    """Fallback shape: a sum of (polynomial in k) * lam**k terms, used when
-    a repeated characteristic root forces k-multipliers.  Coefficient
-    polynomials are stored constant-first."""
-
-    base: int
-    power: int
-    terms: tuple[tuple[tuple[Fraction, ...], int], ...]
+    def is_constant(self) -> bool:
+        """True when no coefficient depends on k."""
+        return all(len(poly) == 1 for poly, _ in self.terms)
 
     def eval_at(self, k: int) -> Fraction:
         total = Fraction(0)
         for poly, lam in self.terms:
-            value = sum((c * k**e for e, c in enumerate(poly)), Fraction(0))
-            total += value * lam**k
+            coeff = poly[-1]
+            for c in reversed(poly[:-1]):
+                coeff = coeff * k + c
+            total += coeff * lam**k
         return total
 
     def render(self) -> str:
         if not self.terms:
             return "0"
+        if self.is_constant():
+            return " + ".join(f"({poly[0]})*{lam}^k" for poly, lam in self.terms)
         parts = []
         for poly, lam in self.terms:
             monomials = []
@@ -92,8 +91,11 @@ class PolyTermForm:
 class Verdict:
     """Outcome of checking a form against exact table values.
 
-    proven:     matched at every k up to at least D(b, p)
+    proven:     matched at every k up to at least D(b, p), and every term's
+                coefficient polynomial fits its base's multiplicity in
+                candidate_bases(b, p)
     consistent: matched at every checked k, but fewer than D(b, p) of them
+                or with a term outside that multiset
     refuted:    mismatch, with witness (k, table value, form value)
     """
 
@@ -103,61 +105,71 @@ class Verdict:
 
 
 def candidate_bases(base: int, power: int) -> list[int]:
-    """Candidate growth bases {b} | {b**q - 1} | {b**q + b - 1}, q = 1..p.
+    """Candidate growth bases b, b**q - 1 and b**q + b - 1 for q = 1..p, as a
+    sorted multiset with one entry per factor of the annihilating product.
 
-    These are the eigenvalues of the triangular transition system, so every
+    These are eigenvalues of the triangular transition system, so every
     characteristic root of S(p, .) lies among them (possibly with zero
-    coefficient in the fitted form).
+    coefficient in the fitted form); a base listed m times may carry a
+    coefficient polynomial in k of degree < m.
     """
     check_base(base)
     if not isinstance(power, int) or power < 1:
         raise ValueError(f"power must be a positive integer, got {power!r}")
-    bases = {base}
+    bases = [base]
     for q in range(1, power + 1):
-        bases.add(base**q - 1)
-        bases.add(base**q + base - 1)
+        bases.append(base**q - 1)
+        bases.append(base**q + base - 1)
     return sorted(bases)
 
 
 def fit_closed_form(
     values: Sequence[int], bases: Sequence[int], *, base: int, power: int
 ) -> ExponentialForm:
-    """Solve sum_j alpha_j * lam_j**k = values[k-1] exactly over the rationals.
+    """Solve sum_lam P_lam(k) * lam**k = values[k-1] exactly over the rationals,
+    where a base listed m times in `bases` gets a polynomial P_lam of degree < m.
 
     The first len(bases) values determine the coefficients; the remaining
     values are residual checks and any mismatch raises NoFitError carrying
-    the first failing k.  Zero coefficients are dropped.
+    the first failing k.  An unsolvable system raises NoFitError too.
+    Trailing zero coefficients and zero polynomials are dropped.
     """
-    lams = sorted(set(bases))
-    t = len(lams)
+    multiplicity = Counter(bases)
+    slots = [(lam, e) for lam in sorted(multiplicity) for e in range(multiplicity[lam])]
+    t = len(slots)
     if len(values) < t:
         raise ValueError(f"need at least {t} values to fit {t} bases, got {len(values)}")
-    rows = [[Fraction(lam) ** k for lam in lams] for k in range(1, t + 1)]
+    rows = [
+        [Fraction(lam) ** k if e == 0 else k**e * Fraction(lam) ** k for lam, e in slots]
+        for k in range(1, t + 1)
+    ]
     solution = solve_linear(rows, values[:t])
     if solution is None:
-        raise RuntimeError("fit system is singular; bases were not distinct")
-    form = ExponentialForm(
-        base,
-        power,
-        tuple((c, lam) for c, lam in zip(solution, lams) if c != 0),
-    )
+        raise NoFitError(f"no combination of the bases {sorted(bases)} fits the values")
+    terms = []
+    for lam in sorted(multiplicity):
+        poly = [c for (l, _), c in zip(slots, solution) if l == lam]
+        while poly and poly[-1] == 0:
+            poly.pop()
+        if poly:
+            terms.append((tuple(poly), lam))
+    form = ExponentialForm(base, power, tuple(terms))
     for k in range(t + 1, len(values) + 1):
         if form.eval_at(k) != values[k - 1]:
             raise NoFitError(
-                f"candidate bases {lams} cannot reproduce value at k={k}",
+                f"candidate bases {sorted(bases)} cannot reproduce value at k={k}",
                 failing_k=k,
             )
     return form
 
 
-def verify(
-    form: ExponentialForm | PolyTermForm, table: MomentTable, depth: int | None = None
-) -> Verdict:
+def verify(form: ExponentialForm, table: MomentTable, depth: int | None = None) -> Verdict:
     """Compare a form against exact table values at k = 1..depth.
 
-    depth defaults to D(b, p); agreement at that depth constitutes proof
-    (see module docstring), agreement at a smaller requested depth is only
-    reported as consistent.
+    depth defaults to D(b, p).  Agreement at that depth constitutes proof
+    (see module docstring) when every term fits inside candidate_bases(b, p);
+    agreement at a smaller requested depth, or by a form outside that
+    multiset, is only reported as consistent.
     """
     if table.base != form.base:
         raise ValueError(f"table is for base {table.base}, form for base {form.base}")
@@ -176,124 +188,19 @@ def verify(
         actual = form.eval_at(k)
         if actual != expected:
             return Verdict("refuted", checked_depth=k, witness=(k, expected, actual))
-    status = "proven" if checked >= required else "consistent"
+    multiplicity = Counter(candidate_bases(form.base, form.power))
+    in_spectrum = all(len(poly) <= multiplicity[lam] for poly, lam in form.terms)
+    status = "proven" if checked >= required and in_spectrum else "consistent"
     return Verdict(status, checked_depth=checked)
-
-
-def minimal_recurrence(
-    values: Sequence[int], max_order: int | None = None
-) -> list[Fraction] | None:
-    """Smallest-order linear recurrence a(i) = sum_j c_j * a(i-j) fitting the
-    whole sequence, found by exact elimination on the Hankel-style system;
-    None when no order up to max_order works.
-
-    The default max_order keeps every candidate system overdetermined by at
-    least two rows, so a spurious recurrence cannot be read off a square
-    solve that had no values left to verify against.
-    """
-    if max_order is None:
-        max_order = max((len(values) - 2) // 2, 0)
-    for order in range(1, max_order + 1):
-        rows = [
-            [Fraction(values[i - j]) for j in range(1, order + 1)]
-            for i in range(order, len(values))
-        ]
-        rhs = [Fraction(values[i]) for i in range(order, len(values))]
-        solution = solve_linear(rows, rhs)
-        if solution is not None:
-            return solution
-    return None
-
-
-def _integer_root_multiplicities(coeffs: list[Fraction]) -> dict[int, int] | None:
-    """Integer roots (with multiplicity) of the polynomial with the given
-    ascending coefficients; None when a non-linear factor remains, i.e. the
-    roots are not all integers."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    scale = lcm(*(c.denominator for c in coeffs))
-    poly = sympy.Poly([int(c * scale) for c in reversed(coeffs)], x)
-    _, factors = poly.factor_list()
-    roots: dict[int, int] = {}
-    for factor, mult in factors:
-        if factor.degree() == 0:
-            continue
-        if factor.degree() > 1:
-            return None
-        lead, const = (int(c) for c in factor.all_coeffs())
-        root = Fraction(-const, lead)
-        if root.denominator != 1:
-            return None
-        roots[int(root)] = roots.get(int(root), 0) + mult
-    return roots
-
-
-def fit_recurrence_form(
-    values: Sequence[int], *, base: int, power: int
-) -> ExponentialForm | PolyTermForm:
-    """Fallback fit: guess the minimal recurrence of the sequence, factor its
-    characteristic polynomial over the integers, and fit coefficients that
-    may be polynomials in k when roots repeat.
-
-    Returns a plain ExponentialForm when every root is simple and >= 1.
-    """
-    if all(v == 0 for v in values):
-        return ExponentialForm(base, power, ())
-    rec = minimal_recurrence(values)
-    if rec is None:
-        raise NoFitError(
-            f"no linear recurrence of order <= {max((len(values) - 2) // 2, 0)} "
-            "fits the sequence"
-        )
-    # characteristic polynomial x**d - c1*x**(d-1) - ... - cd, ascending
-    char = [-c for c in reversed(rec)] + [Fraction(1)]
-    roots = _integer_root_multiplicities(char)
-    if roots is None:
-        raise NoFitError("characteristic polynomial does not split over the integers")
-    # a root 0 contributes nothing at k >= 1
-    roots.pop(0, None)
-    slots = [(lam, e) for lam in sorted(roots) for e in range(roots[lam])]
-    t = len(slots)
-    if t > len(values):
-        raise NoFitError("sequence too short to determine the fallback coefficients")
-    rows = [
-        [Fraction(k) ** e * Fraction(lam) ** k for lam, e in slots]
-        for k in range(1, t + 1)
-    ]
-    solution = solve_linear(rows, values[:t])
-    if solution is None:
-        raise NoFitError("fallback coefficient system is singular")
-    terms = []
-    for lam in sorted(roots):
-        poly = [c for (l, _), c in zip(slots, solution) if l == lam]
-        while poly and poly[-1] == 0:
-            poly.pop()
-        if poly:
-            terms.append((tuple(poly), lam))
-    if all(len(poly) == 1 for poly, _ in terms) and all(lam >= 1 for _, lam in terms):
-        form: ExponentialForm | PolyTermForm = ExponentialForm(
-            base, power, tuple((poly[0], lam) for poly, lam in terms)
-        )
-    else:
-        form = PolyTermForm(base, power, tuple(terms))
-    for k in range(t + 1, len(values) + 1):
-        if form.eval_at(k) != values[k - 1]:
-            raise NoFitError(
-                f"guessed recurrence form fails the residual check at k={k}",
-                failing_k=k,
-            )
-    return form
 
 
 def closed_form(
     base: int, power: int, *, table: MomentTable | None = None, depth: int | None = None
-) -> tuple[ExponentialForm | PolyTermForm, Verdict]:
-    """Conjecture and verify the closed form of S(power, .) for a fixed base.
+) -> tuple[ExponentialForm, Verdict]:
+    """Fit and verify the closed form of S(power, .) for a fixed base.
 
-    Fits the candidate-base form to exact table values and verifies it to
-    depth max(D(b, p), depth).  If the simple-root fit fails its residual
-    checks, falls back to minimal-recurrence guessing on a deeper table.
+    Fits the candidate-base multiset to exact table values and verifies the
+    form to depth max(D(b, p), depth).
     """
     check_base(base)
     if not isinstance(power, int) or power < 1:
@@ -308,12 +215,5 @@ def closed_form(
         if table.max_k < checked:
             table = extend(table, checked)
     values = [moment_value(table, power, k) for k in range(1, checked + 1)]
-    try:
-        form: ExponentialForm | PolyTermForm = fit_closed_form(
-            values, candidate_bases(base, power), base=base, power=power
-        )
-    except NoFitError:
-        deep = extend(table, 2 * checked + 4)
-        deep_values = [moment_value(deep, power, k) for k in range(1, deep.max_k + 1)]
-        form = fit_recurrence_form(deep_values, base=base, power=power)
+    form = fit_closed_form(values, candidate_bases(base, power), base=base, power=power)
     return form, verify(form, table, depth=checked)

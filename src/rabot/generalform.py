@@ -297,11 +297,9 @@ def guess_general_form(power: int, b_range: Iterable[int]) -> GeneralForm:
     coeff_by_base: dict[int, dict[int, tuple[Fraction, ...]]] = {}
     for b in bs:
         form, verdict = closed_form(b, power)
-        assert verdict.status == "proven"
-        if isinstance(form, ExponentialForm):
-            coeff_by_base[b] = {lam: (c,) for c, lam in form.terms}
-        else:
-            coeff_by_base[b] = {lam: poly for poly, lam in form.terms}
+        if verdict.status != "proven":
+            raise NoFitError(f"the closed form at b={b} is {verdict.status}, not proven")
+        coeff_by_base[b] = {lam: poly for poly, lam in form.terms}
     terms = []
     for fam in families:
         points = []
@@ -346,5 +344,5 @@ def specialize(g: GeneralForm, b: int) -> ExponentialForm:
         if lam.denominator != 1 or lam < 1:
             raise ValueError(f"growth base {fam.render()} is not a positive integer at b={b}")
         merged[int(lam)] = merged.get(int(lam), Fraction(0)) + c
-    terms = tuple((c, lam) for lam, c in sorted(merged.items()) if c != 0)
+    terms = tuple(((c,), lam) for lam, c in sorted(merged.items()) if c != 0)
     return ExponentialForm(b, g.power, terms)

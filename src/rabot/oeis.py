@@ -29,12 +29,15 @@ class LookupResult:
     fetched: bool
 
 
-def _requests_get(url: str, timeout: float) -> str:
-    import requests
+def _urllib_get(url: str, timeout: float) -> str:
+    # imported here: urllib.request pulls in ssl and http.client, which
+    # every other subcommand would pay for at startup
+    from urllib.request import urlopen
 
-    response = requests.get(url, timeout=timeout)
-    response.raise_for_status()
-    return response.text
+    # urlopen raises HTTPError, an OSError, on any non-2xx status
+    with urlopen(url, timeout=timeout) as response:
+        charset = response.headers.get_content_charset() or "utf-8"
+        return response.read().decode(charset)
 
 
 def _parse_matches(payload: object, limit: int) -> tuple[tuple[str, str], ...]:
@@ -75,7 +78,7 @@ def lookup(
     query = tuple(values[:MAX_QUERY_TERMS])
     terms = ",".join(str(v) for v in query)
     url = f"{SEARCH_URL}?q={quote(terms, safe=',-')}&fmt=json"
-    get = _requests_get if http_get is None else http_get
+    get = _urllib_get if http_get is None else http_get
     for _ in range(2):
         try:
             payload = json.loads(get(url, timeout))

@@ -71,8 +71,8 @@ def test_criterion_2_first_moment_closed_form_all_bases(capsys):
         form, verdict = closed_form(b, 1)
         ok = ok and verdict.status == "proven"
         ok = ok and form.terms == (
-            (F(-(b - 1), 2), b),
-            (F(b * (b - 1), 2 * b - 1), 2 * b - 1),
+            ((F(-(b - 1), 2),), b),
+            ((F(b * (b - 1), 2 * b - 1),), 2 * b - 1),
         )
     _report(
         "2. closed-form --power 1 equals b(b-1)/(2b-1)*(2b-1)^k - (b-1)/2*b^k, proven, b = 2..10",

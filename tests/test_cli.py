@@ -1,6 +1,9 @@
 """Command-line interface: goldens, JSON records, and exit codes."""
 import json
+import os
 import re
+import subprocess
+import sys
 
 import rabot.cli as cli
 import rabot.oeis as oeis_module
@@ -122,6 +125,42 @@ def test_closed_form_golden(capsys):
     assert lines[1].startswith("status: proven")
 
 
+def test_closed_form_repeated_root_golden(capsys):
+    # at b = 2 the bases 2b - 1 and b^2 - 1 collide, and p = 3 needs a k*3^k term
+    code, out, _ = run(capsys, "closed-form", "--base", "2", "--power", "3")
+    assert code == 0
+    assert out == (
+        "((1/2))*2^k + ((-1/9) + (-4/9)*k)*3^k + ((-1))*5^k + ((20/27))*9^k\n"
+        "status: proven (checked to k=12)\n"
+    )
+    code, out, _ = run(capsys, "closed-form", "--base", "2", "--power", "3", "--json")
+    assert code == 0
+    assert out == (
+        '{"command": "closed-form", "inputs": {"base": "2", "power": "3"}, '
+        '"result": {"formula": "((1/2))*2^k + ((-1/9) + (-4/9)*k)*3^k + ((-1))*5^k'
+        ' + ((20/27))*9^k", "terms": [{"base": "2", "coefficient_poly": ["1/2"]}, '
+        '{"base": "3", "coefficient_poly": ["-1/9", "-4/9"]}, '
+        '{"base": "5", "coefficient_poly": ["-1"]}, '
+        '{"base": "9", "coefficient_poly": ["20/27"]}], '
+        '"verdict": {"checked_depth": "12", "status": "proven"}}, "status": "proven"}\n'
+    )
+
+
+def test_closed_form_outside_spectrum_exits_4(capsys, monkeypatch):
+    import rabot.closedform as cf
+
+    real_fit = cf.fit_closed_form
+
+    def bogus_fit(values, bases, *, base, power):
+        # matches k = 1..6, but none of these bases is an eigenvalue
+        return real_fit(values[:6], [11, 13, 15, 17, 19, 21], base=base, power=power)
+
+    monkeypatch.setattr(cf, "fit_closed_form", bogus_fit)
+    code, out, _ = run(capsys, "closed-form", "--base", "2", "--power", "1")
+    assert code == 4
+    assert out.splitlines()[1] == "status: consistent (checked to k=6)"
+
+
 def test_closed_form_first_moment(capsys):
     code, out, _ = run(capsys, "closed-form", "--base", "2", "--power", "1")
     assert code == 0
@@ -154,6 +193,22 @@ def test_general_form_underdetermined_exits_4(capsys):
     code, _, err = run(capsys, "general-form", "--power", "1", "--b-min", "2", "--b-max", "3")
     assert code == 4
     assert "insufficient" in err
+
+
+def test_general_form_unproven_input_exits_4(capsys, monkeypatch):
+    import rabot.generalform as gf
+    from rabot import Verdict
+
+    real_closed_form = gf.closed_form
+
+    def unproven(b, p):
+        form, verdict = real_closed_form(b, p)
+        return form, Verdict("consistent", verdict.checked_depth)
+
+    monkeypatch.setattr(gf, "closed_form", unproven)
+    code, _, err = run(capsys, "general-form", "--power", "1")
+    assert code == 4
+    assert "not proven" in err
 
 
 def test_seq_golden(capsys):
@@ -264,12 +319,31 @@ def test_no_floats_anywhere(capsys):
 def test_form_terms_json_poly_fallback_shape():
     from fractions import Fraction
 
-    from rabot import PolyTermForm
+    from rabot import ExponentialForm
 
-    form = PolyTermForm(2, 1, (((Fraction(1), Fraction(2)), 2),))
+    form = ExponentialForm(2, 1, (((Fraction(1, 2),), 1), ((Fraction(1), Fraction(2)), 2)))
     assert cli._form_terms_json(form) == [
-        {"coefficient_poly": ["1", "2"], "base": "2"}
+        {"coefficient_poly": ["1/2"], "base": "1"},
+        {"coefficient_poly": ["1", "2"], "base": "2"},
     ]
+    constant = ExponentialForm(2, 1, (((Fraction(1, 2),), 1),))
+    assert cli._form_terms_json(constant) == [{"coefficient": "1/2", "base": "1"}]
+
+
+def test_standard_library_only():
+    # the CLI and the repeated-root fit import neither sympy nor requests
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, rabot.cli\n"
+        "from rabot import closed_form\n"
+        "closed_form(2, 3)\n"
+        "print(sorted({'sympy', 'requests'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 def test_record_json_shape_is_stable():

@@ -1,19 +1,18 @@
-"""Closed-form fitting, verification, and the minimal-recurrence fallback."""
+"""Closed-form fitting over the candidate-base multiset, and verification."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabot import (
     DepthError,
     ExponentialForm,
     NoFitError,
-    PolyTermForm,
     build_table,
     candidate_bases,
     closed_form,
     fit_closed_form,
-    fit_recurrence_form,
-    minimal_recurrence,
     moment_value,
     state_dimension_bound,
     verify,
@@ -30,7 +29,7 @@ def test_state_dimension_bound():
 
 def test_candidate_bases():
     assert candidate_bases(2, 1) == [1, 2, 3]
-    assert candidate_bases(2, 2) == [1, 2, 3, 5]
+    assert candidate_bases(2, 2) == [1, 2, 3, 3, 5]
     assert candidate_bases(3, 1) == [2, 3, 5]
     assert candidate_bases(3, 2) == [2, 3, 5, 8, 11]
 
@@ -42,14 +41,14 @@ def test_candidate_bases_validation():
 
 def test_fit_binary_first_moment():
     form = fit_closed_form([1, 4, 14], [1, 2, 3], base=2, power=1)
-    assert form.terms == ((F(-1, 2), 2), (F(2, 3), 3))
+    assert form.terms == (((F(-1, 2),), 2), ((F(2, 3),), 3))
 
 
 def test_fit_binary_second_moment():
     t = build_table(2, 2, 9)
     values = [moment_value(t, 2, k) for k in range(1, 10)]
     form = fit_closed_form(values, candidate_bases(2, 2), base=2, power=2)
-    assert form.terms == ((F(-1, 6), 2), (F(-2, 3), 3), (F(2, 3), 5))
+    assert form.terms == (((F(-1, 6),), 2), ((F(-2, 3),), 3), ((F(2, 3),), 5))
 
 
 def test_fit_zero_sequence():
@@ -63,6 +62,12 @@ def test_fit_residual_mismatch():
     assert err.value.failing_k == 4
 
 
+def test_fit_unsolvable_system_is_no_fit():
+    # 0**1 = 0, so no coefficient on base 0 reproduces the value 1
+    with pytest.raises(NoFitError):
+        fit_closed_form([1], [0], base=2, power=1)
+
+
 def test_fit_needs_enough_values():
     with pytest.raises(ValueError):
         fit_closed_form([1, 4], [1, 2, 3], base=2, power=1)
@@ -70,11 +75,13 @@ def test_fit_needs_enough_values():
 
 def test_form_invariants_enforced():
     with pytest.raises(ValueError):
-        ExponentialForm(2, 1, ((F(0), 2),))
+        ExponentialForm(2, 1, (((F(0),), 2),))
     with pytest.raises(ValueError):
-        ExponentialForm(2, 1, ((F(1), 3), (F(1), 2)))
+        ExponentialForm(2, 1, (((F(1), F(0)), 2),))
     with pytest.raises(ValueError):
-        ExponentialForm(2, 1, ((F(1), 0),))
+        ExponentialForm(2, 1, (((F(1),), 3), ((F(1),), 2)))
+    with pytest.raises(ValueError):
+        ExponentialForm(2, 1, (((F(1),), 0),))
 
 
 def test_form_evaluates_to_integers():
@@ -86,9 +93,9 @@ def test_form_evaluates_to_integers():
 
 def test_verify_proven_and_refuted():
     t = build_table(2, 2, 12)
-    good = ExponentialForm(2, 2, ((F(-1, 6), 2), (F(-2, 3), 3), (F(2, 3), 5)))
+    good = ExponentialForm(2, 2, (((F(-1, 6),), 2), ((F(-2, 3),), 3), ((F(2, 3),), 5)))
     assert verify(good, t).status == "proven"
-    bad = ExponentialForm(2, 2, ((F(-1, 6) + 1, 2), (F(-2, 3), 3), (F(2, 3), 5)))
+    bad = ExponentialForm(2, 2, (((F(-1, 6) + 1,), 2), ((F(-2, 3),), 3), ((F(2, 3),), 5)))
     verdict = verify(bad, t)
     assert verdict.status == "refuted"
     assert verdict.witness is not None
@@ -99,7 +106,7 @@ def test_verify_proven_and_refuted():
 
 def test_verify_depth_semantics():
     t = build_table(2, 1, 12)
-    form = ExponentialForm(2, 1, ((F(-1, 2), 2), (F(2, 3), 3)))
+    form = ExponentialForm(2, 1, (((F(-1, 2),), 2), ((F(2, 3),), 3)))
     assert verify(form, t).checked_depth == 6
     assert verify(form, t, depth=3).status == "consistent"
     assert verify(form, t, depth=12).status == "proven"
@@ -109,6 +116,26 @@ def test_verify_depth_semantics():
         verify(form, build_table(2, 1, 5))
     with pytest.raises(ValueError):
         verify(form, build_table(3, 1, 12))
+
+
+def test_verify_requires_bases_in_spectrum():
+    # none of these bases is an eigenvalue, yet the form matches k = 1..D
+    t = build_table(2, 1, 7)
+    values = [moment_value(t, 1, k) for k in range(1, 7)]
+    bogus = fit_closed_form(values, [11, 13, 15, 17, 19, 21], base=2, power=1)
+    assert verify(bogus, t).status == "consistent"
+    assert bogus.eval_at(7) == -1504531
+    assert moment_value(t, 1, 7) == 1394
+
+
+def test_verify_requires_k_degree_within_multiplicity():
+    # 3 is listed once at b = 3, so a k-polynomial on 3^k lies outside the
+    # multiset even though it matches the table at k = 1..D
+    t = build_table(3, 1, 8)
+    values = [moment_value(t, 1, k) for k in range(1, 9)]
+    wide = fit_closed_form(values, [3] * 8, base=3, power=1)
+    assert len(wide.terms) == 1 and len(wide.terms[0][0]) > 1
+    assert verify(wide, t).status == "consistent"
 
 
 def test_pipeline_proves_and_reproduces():
@@ -121,13 +148,24 @@ def test_pipeline_proves_and_reproduces():
                 assert form.eval_at(k) == moment_value(t, p, k), (b, p, k)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 4))
+def test_closed_form_is_proven_and_matches_table_to_three_depths(b, p):
+    form, verdict = closed_form(b, p)
+    assert verdict.status == "proven"
+    depth = 3 * state_dimension_bound(b, p)
+    t = build_table(b, p, depth)
+    for k in range(1, depth + 1):
+        assert form.eval_at(k) == moment_value(t, p, k), k
+
+
 def test_pipeline_first_moment_matches_direct_formula():
     for b in range(2, 11):
         form, verdict = closed_form(b, 1)
         assert verdict.status == "proven"
         expected = (
-            (F(-(b - 1), 2), b),
-            (F(b * (b - 1), 2 * b - 1), 2 * b - 1),
+            ((F(-(b - 1), 2),), b),
+            ((F(b * (b - 1), 2 * b - 1),), 2 * b - 1),
         )
         assert form.terms == expected
 
@@ -137,30 +175,19 @@ def test_refutation_sensitivity():
     good, _ = closed_form(2, 2, table=t)
     for i in range(len(good.terms)):
         coeff_bumped = list(good.terms)
-        c, lam = coeff_bumped[i]
-        coeff_bumped[i] = (c + 1, lam)
+        poly, lam = coeff_bumped[i]
+        coeff_bumped[i] = ((poly[0] + 1,) + poly[1:], lam)
         assert verify(ExponentialForm(2, 2, tuple(coeff_bumped)), t).status == "refuted"
         base_bumped = list(good.terms)
-        base_bumped[i] = (c, lam + 100)
+        base_bumped[i] = (poly, lam + 100)
         base_bumped.sort(key=lambda term: term[1])
         assert verify(ExponentialForm(2, 2, tuple(base_bumped)), t).status == "refuted"
 
 
-def test_minimal_recurrence_known_orders():
-    # 2*3^(k-1) - 2^(k-1) satisfies a(k) = 5 a(k-1) - 6 a(k-2)
-    assert minimal_recurrence([1, 4, 14, 46, 146, 454, 1394, 4246]) == [F(5), F(-6)]
-    assert minimal_recurrence([3, 9, 27, 81, 243, 729]) == [F(3)]
-    assert minimal_recurrence([1, 1, 2, 3, 5, 8, 13, 21]) == [F(1), F(1)]
-
-
-def test_minimal_recurrence_rejects_noise():
-    assert minimal_recurrence([1, 0, 0, 1, 7, 3, 1, 9, 4, 2]) is None
-
-
 def test_fallback_repeated_root():
     values = [(1 + 2 * k) * 2**k for k in range(1, 13)]
-    form = fit_recurrence_form(values, base=2, power=1)
-    assert isinstance(form, PolyTermForm)
+    form = fit_closed_form(values, [2, 2], base=2, power=1)
+    assert not form.is_constant()
     assert form.terms == (((F(1), F(2)), 2),)
     for k, v in enumerate(values, start=1):
         assert form.eval_at(k) == v
@@ -168,11 +195,12 @@ def test_fallback_repeated_root():
 
 def test_binary_third_moment_needs_k_multiplier():
     """At b = 2 the candidate eigenvalues 2b-1 and b^2-1 collide at 3, and
-    the third moment genuinely picks up a k*3^k term there; the pipeline
-    must route through the fallback and still prove the result."""
+    the third moment genuinely picks up a k*3^k term there; the multiset
+    lists 3 twice, so the one fitter finds it and the result is proven."""
+    assert candidate_bases(2, 3) == [1, 2, 3, 3, 5, 7, 9]
     form, verdict = closed_form(2, 3)
     assert verdict.status == "proven"
-    assert isinstance(form, PolyTermForm)
+    assert not form.is_constant()
     assert form.terms == (
         ((F(1, 2),), 2),
         ((F(-1, 9), F(-4, 9)), 3),
@@ -186,21 +214,21 @@ def test_binary_third_moment_needs_k_multiplier():
 
 def test_fallback_simple_roots_gives_plain_form():
     values = [7 * 3**k - 2 * 4**k for k in range(1, 12)]
-    form = fit_recurrence_form(values, base=2, power=1)
-    assert isinstance(form, ExponentialForm)
-    assert form.terms == ((F(7), 3), (F(-2), 4))
+    form = fit_closed_form(values, [3, 4], base=2, power=1)
+    assert form.is_constant()
+    assert form.terms == (((F(7),), 3), ((F(-2),), 4))
 
 
 def test_fallback_zero_sequence():
-    form = fit_recurrence_form([0] * 8, base=2, power=1)
-    assert isinstance(form, ExponentialForm)
+    form = fit_closed_form([0] * 8, [2, 2, 3], base=2, power=1)
     assert form.terms == ()
 
 
 def test_fallback_rejects_irrational_roots():
     # Fibonacci: characteristic x^2 - x - 1 has no integer roots
-    with pytest.raises(NoFitError):
-        fit_recurrence_form([1, 1, 2, 3, 5, 8, 13, 21, 34, 55], base=2, power=1)
+    with pytest.raises(NoFitError) as err:
+        fit_closed_form([1, 1, 2, 3, 5, 8, 13, 21, 34, 55], [1, 2, 2], base=2, power=1)
+    assert err.value.failing_k == 4
 
 
 def test_pipeline_depth_request():
@@ -212,16 +240,15 @@ def test_pipeline_depth_request():
     assert verdict.checked_depth == 6
 
 
-def test_pipeline_falls_back_to_recurrence_guess(monkeypatch):
+def test_pipeline_fit_failure_propagates(monkeypatch):
     import rabot.closedform as cf
 
     def refuse(*args, **kwargs):
         raise NoFitError("forced")
 
     monkeypatch.setattr(cf, "fit_closed_form", refuse)
-    form, verdict = cf.closed_form(2, 1)
-    assert verdict.status == "proven"
-    assert form.terms == ((F(-1, 2), 2), (F(2, 3), 3))
+    with pytest.raises(NoFitError):
+        cf.closed_form(2, 1)
 
 
 def test_pipeline_accepts_existing_table():
@@ -237,3 +264,5 @@ def test_render_is_canonical():
     form, _ = closed_form(2, 2)
     assert form.render() == "(-1/6)*2^k + (-2/3)*3^k + (2/3)*5^k"
     assert ExponentialForm(2, 1, ()).render() == "0"
+    poly = ExponentialForm(2, 1, (((F(1, 2),), 2), ((F(0), F(-4, 9)), 3)))
+    assert poly.render() == "((1/2))*2^k + ((-4/9)*k)*3^k"

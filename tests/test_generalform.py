@@ -160,6 +160,22 @@ def test_guess_insufficient_points():
     assert err.value.family is not None
 
 
+def test_guess_rejects_unproven_per_base_form(monkeypatch):
+    import rabot.generalform as gf
+    from rabot import Verdict
+
+    real_closed_form = gf.closed_form
+
+    def unproven(b, p):
+        form, verdict = real_closed_form(b, p)
+        return form, Verdict("consistent", verdict.checked_depth)
+
+    monkeypatch.setattr(gf, "closed_form", unproven)
+    with pytest.raises(NoFitError) as err:
+        guess_general_form(1, range(2, 9))
+    assert "b=2" in str(err.value)
+
+
 def test_guess_validation():
     with pytest.raises(ValueError):
         guess_general_form(0, range(2, 9))
@@ -170,13 +186,13 @@ def test_guess_validation():
 def test_specialize_second_moment_at_two_merges_to_three_terms():
     g = guess_general_form(2, range(2, 13))
     s = specialize(g, 2)
-    assert s.terms == ((F(-1, 6), 2), (F(-2, 3), 3), (F(2, 3), 5))
+    assert s.terms == (((F(-1, 6),), 2), ((F(-2, 3),), 3), ((F(2, 3),), 5))
 
 
 def test_specialize_first_moment_at_three():
     g = guess_general_form(1, range(2, 9))
     s = specialize(g, 3)
-    assert s.terms == ((F(-1), 3), (F(6, 5), 5))
+    assert s.terms == (((F(-1),), 3), ((F(6, 5),), 5))
 
 
 def test_specialize_agrees_with_proven_forms():
@@ -198,9 +214,9 @@ def test_specialize_merges_colliding_bases():
         ),
     )
     merged = specialize(g, 2)
-    assert merged.terms == ((F(3), 3),)
+    assert merged.terms == (((F(3),), 3),)
     apart = specialize(g, 3)
-    assert apart.terms == ((F(1), 5), (F(2), 8))
+    assert apart.terms == (((F(1),), 5), ((F(2),), 8))
 
 
 def test_specialize_drops_cancelling_terms():
@@ -218,7 +234,7 @@ def test_specialize_excluded_base():
     g = GeneralForm(1, ((RationalFnInB(poly(1), poly(-3, 1)), B),))
     with pytest.raises(ExcludedBaseError):
         specialize(g, 3)
-    assert specialize(g, 4).terms == ((F(1), 4),)
+    assert specialize(g, 4).terms == (((F(1),), 4),)
 
 
 def test_general_form_invariants():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from rabot.oeis import MAX_QUERY_TERMS, LookupResult, lookup
+from rabot.oeis import DEFAULT_TIMEOUT, MAX_QUERY_TERMS, LookupResult, _urllib_get, lookup
 
 FIXTURE = {
     "greeting": "Greetings from The On-Line Encyclopedia of Integer Sequences!",
@@ -135,3 +135,12 @@ def test_input_validation():
         lookup([], http_get=get)
     with pytest.raises(ValueError):
         lookup([1, 2], limit=0, http_get=get)
+
+
+def test_urllib_transport_reads_file_url(tmp_path):
+    path = tmp_path / "search.json"
+    path.write_text(json.dumps(FIXTURE), encoding="utf-8")
+    body = _urllib_get(path.as_uri(), DEFAULT_TIMEOUT)
+    assert lookup([1, 4, 14], http_get=lambda url, timeout: body).matches[0][0] == "A027649"
+    with pytest.raises(OSError):
+        _urllib_get((tmp_path / "missing.json").as_uri(), DEFAULT_TIMEOUT)
