@@ -43,7 +43,7 @@ from .oracle import (
     brute_moment,
     brute_moment_parallel,
 )
-from .recurrence import MomentTable, build_table, extend, moment_value, seed_base_case
+from .recurrence import MomentTable, build_table, extend, moment_value
 
 __version__ = "0.1.0"
 
@@ -60,7 +60,6 @@ __all__ = [
     "brute_moment_parallel",
     "DEFAULT_ENUM_CAP",
     "MomentTable",
-    "seed_base_case",
     "extend",
     "build_table",
     "moment_value",

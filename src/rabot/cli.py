@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 from . import digits, oeis
 from .closedform import ExponentialForm, closed_form
-from .errors import (
-    EnumerationCapError,
-    ExcludedBaseError,
-    InvalidBaseError,
-    InvalidDigitError,
-    NoFitError,
-)
+from .errors import EnumerationCapError, NoFitError
 from .generalform import guess_general_form
 from .oracle import DEFAULT_ENUM_CAP, MomentQuery, brute_moment
 from .recurrence import build_table, moment_value
@@ -346,21 +340,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (
-        InvalidBaseError,
-        InvalidDigitError,
-        EnumerationCapError,
-        ExcludedBaseError,
-        ValueError,
-    ) as e:
+    except (EnumerationCapError, ValueError, IndexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except NoFitError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NO_FIT
-    except IndexError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def entry() -> None:

@@ -1,23 +1,20 @@
 """Exponential closed forms in k for the moment sums, with rigorous verification.
 
-The coupled recurrences on the quantities S(l, q, .) and S(q, .) form a
-linear constant-coefficient system of dimension D = (p+1)*(b+1) whose
-transition matrix is triangular in q, with self-coupling coefficients
-b**q - 1 (per last digit) and b**q + b - 1 (totals) on the diagonal plus
-the digit-count eigenvalue b.  S(p, .) is annihilated by
-
-    (x - b) * prod_{q=1..p} (x - (b**q - 1)) * (x - (b**q + b - 1)),
-
-and candidate_bases lists the roots of that product as a multiset, so two
-families that collide at a particular base (2b - 1 = b**2 - 1 = 3 at b = 2)
-give a root of multiplicity two.  The fitter reads a base listed m times as
-a coefficient polynomial in k of degree < m and solves the confluent
+The moment state of rabot.recurrence, T(j, q, .) for j + q <= p, is a
+linear constant-coefficient system of dimension D = (p+1)(p+2)/2, the
+same for every base.  Its update is triangular, and its nonzero diagonal
+entries b, b**q + b - 1 (q = 1..p) and b**q - 1 (p - q times, q = 1..p-1)
+are listed by candidate_bases as a multiset, so two families that collide
+at a particular base (2b - 1 = b**2 - 1 = 3 at b = 2) give a root of
+multiplicity two.  The fitter reads a base listed m times as a
+coefficient polynomial in k of degree < m and solves the confluent
 Vandermonde system exactly.
 
 A form whose terms fit inside that multiset and which matches the table at
-k = 1..D is not merely consistent but proven: the multiset is part of the
-spectrum of the D-dimensional system, so form and table both satisfy its
-order-D characteristic recurrence and agree on D initial values.
+k = 1..D is not merely consistent but proven: by Cayley-Hamilton, S(p, .)
+satisfies the order-D recurrence of the system's characteristic
+polynomial, the form satisfies it too, and the two agree on D initial
+values.
 """
 from __future__ import annotations
 
@@ -29,12 +26,14 @@ from typing import Sequence
 from .digits import check_base
 from .errors import DepthError, NoFitError
 from .linalg import solve_linear
-from .recurrence import MomentTable, build_table, extend, moment_value
-
-
-def state_dimension_bound(base: int, power: int) -> int:
-    """Order bound D(b, p) = (p+1)(b+1) on the recurrence for S(p, .)."""
-    return (power + 1) * (base + 1)
+from .recurrence import (
+    MomentTable,
+    build_table,
+    candidate_bases,
+    extend,
+    moment_value,
+    state_dimension_bound,
+)
 
 
 @dataclass(frozen=True)
@@ -102,25 +101,6 @@ class Verdict:
     status: str
     checked_depth: int
     witness: tuple[int, int, Fraction] | None = None
-
-
-def candidate_bases(base: int, power: int) -> list[int]:
-    """Candidate growth bases b, b**q - 1 and b**q + b - 1 for q = 1..p, as a
-    sorted multiset with one entry per factor of the annihilating product.
-
-    These are eigenvalues of the triangular transition system, so every
-    characteristic root of S(p, .) lies among them (possibly with zero
-    coefficient in the fitted form); a base listed m times may carry a
-    coefficient polynomial in k of degree < m.
-    """
-    check_base(base)
-    if not isinstance(power, int) or power < 1:
-        raise ValueError(f"power must be a positive integer, got {power!r}")
-    bases = [base]
-    for q in range(1, power + 1):
-        bases.append(base**q - 1)
-        bases.append(base**q + base - 1)
-    return sorted(bases)
 
 
 def fit_closed_form(
@@ -205,6 +185,8 @@ def closed_form(
     check_base(base)
     if not isinstance(power, int) or power < 1:
         raise ValueError(f"power must be a positive integer, got {power!r}")
+    if depth is not None and depth < 1:
+        raise ValueError("verification depth must be at least 1")
     required = state_dimension_bound(base, power)
     checked = required if depth is None else max(depth, required)
     if table is None:

@@ -1,11 +1,11 @@
 """Conjectured expressions for the moment sums uniform in the base b.
 
 For fixed p the proven per-base closed forms share a visible structure:
-their growth bases trace the polynomial families b, b**q - 1 and
-b**q + b - 1, and the coefficients vary with b like rational functions.
-This module fits those rational functions exactly from a sweep of proven
-per-base forms and emits the result as a conjecture (the per-base inputs
-are proven; the uniformity in b is not).
+their growth bases trace the eigenvalue families of the moment state
+(b, b**q + b - 1, and b**q - 1 for q < p), and the coefficients vary with
+b like rational functions.  This module fits those rational functions
+exactly from a sweep of proven per-base forms and emits the result as a
+conjecture (the per-base inputs are proven; the uniformity in b is not).
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from .closedform import ExponentialForm, closed_form
 from .digits import check_base
 from .errors import ExcludedBaseError, NoFitError
 from .linalg import solve_linear
+from .recurrence import eigenvalue_families
 
 _HELD_OUT = 3
 
@@ -211,20 +212,9 @@ def _family_sort_key(fam: PolyInB) -> tuple:
 
 
 def base_families(power: int) -> list[PolyInB]:
-    """Growth-base polynomial families {b} | {b^q - 1} | {b^q + b - 1} for
-    q = 1..power, deduplicated, in canonical order (degree, then leading
-    coefficients)."""
-    if not isinstance(power, int) or power < 1:
-        raise ValueError(f"power must be a positive integer, got {power!r}")
-    families = {PolyInB((Fraction(0), Fraction(1)))}
-    for q in range(1, power + 1):
-        minus = [Fraction(-1)] + [Fraction(0)] * (q - 1) + [Fraction(1)]
-        families.add(PolyInB(tuple(minus)))
-        if q == 1:
-            families.add(PolyInB((Fraction(-1), Fraction(2))))
-        else:
-            plus = [Fraction(-1), Fraction(1)] + [Fraction(0)] * (q - 2) + [Fraction(1)]
-            families.add(PolyInB(tuple(plus)))
+    """The distinct growth-base families of eigenvalue_families(power), in
+    canonical order (degree, then leading coefficients)."""
+    families = {PolyInB(tuple(map(Fraction, fam))) for fam in eigenvalue_families(power)}
     return sorted(families, key=_family_sort_key)
 
 

@@ -1,4 +1,4 @@
-"""Exact dynamic-programming engine for the moment sums.
+"""Exact recurrence engine for the moment sums, and the spectrum it implies.
 
 Write S(q, k) for the sum of r(b, n)**q over all n with exactly k+1 base-b
 digits, and S(l, q, k) for its restriction to numbers whose last digit is
@@ -9,17 +9,21 @@ which case the raboter value picks up d as a new last digit:
     r(b, b*A + d)  =  r(b, A)            if d != last digit of A
     r(b, b*A + d)  =  b*r(b, A) + d      if d == last digit of A
 
-Expanding (b*r + l)**q binomially turns this into coupled linear
-recurrences over exact integers:
+Expanding (b*r + l)**q binomially gives, for every last digit l,
 
     S(l, q, k) = (b**q - 1)*S(l, q, k-1) + S(q, k-1)
                  + sum_{i=1..q} C(q, i) * l**i * b**(q-i) * S(l, q-i, k-1)
 
-    S(q, k)    = (b**q + b - 1)*S(q, k-1)
-                 + sum_{l} sum_{i=1..q} C(q, i) * l**i * b**(q-i) * S(l, q-i, k-1)
+Weighting by l**j and summing over l closes the system on the
+power-weighted digit moments T(j, q, k) = sum_l l**j * S(l, q, k), j + q <= p,
+whose size does not depend on b:
 
-The q = 0 layer is materialized as pure counts, S(0, k) = (b-1)*b**k and
-S(l, 0, k) = (b-1)*b**(k-1), so the i = q term above needs no special case.
+    T(j, q, k) = (b**q - 1)*T(j, q, k-1) + F_j*T(0, q, k-1)
+                 + sum_{i=1..q} C(q, i) * b**(q-i) * T(j+i, q-i, k-1)
+
+with F_j = sum_{l<b} l**j (0**0 = 1) and S(q, k) = T(0, q, k).  Both chains
+start from the one-digit numbers at k = 0, whose raboter value is 0:
+T(j, 0, 0) = sum_{l=1..b-1} l**j, S(l, 0, 0) = [l >= 1], all else 0.
 """
 from __future__ import annotations
 
@@ -28,90 +32,121 @@ from math import comb
 
 from .digits import check_base
 
-
-@dataclass
+@dataclass(frozen=True)
 class MomentTable:
-    """Dense table of S(q, k) and S(l, q, k) for q <= max_power, k <= max_k.
+    """The moment state for k = 0..max_k and q <= max_power.
 
-    total[q][k] holds S(q, k) and by_last[l][q][k] holds S(l, q, k); the
-    k = 0 slot of every row is unused padding.  Tables are built by
-    seed_base_case/extend and treated as immutable afterwards, so a
-    completed table is safe to read concurrently.
+    moments[k][q][j] holds T(j, q, k) for j + q <= max_power, so
+    moments[k][q][0] is S(q, k).  Tables are immutable, and extending one
+    shares its columns with the result, so any table is safe to read
+    concurrently.
     """
 
     base: int
     max_power: int
     max_k: int
-    total: list[list[int]]
-    by_last: list[list[list[int]]]
+    moments: tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def seed_base_case(base: int, max_power: int) -> MomentTable:
-    """Table for k = 1, i.e. the two-digit numbers d1 d0 with d1 >= 1.
+def state_dimension_bound(base: int, power: int) -> int:
+    """Order bound D(b, p) = (p+1)(p+2)/2 on the recurrence for S(p, .): the
+    number of sequences T(j, q, .) with j + q <= p."""
+    return (power + 1) * (power + 2) // 2
 
-    r of two distinct digits is 0 and r(b, ll) = l, so for q >= 1 only the
-    repdigits ll with l >= 1 contribute: S(l, q, 1) = l**q and
-    S(q, 1) = sum_{l=1..b-1} l**q (which is b(b-1)/2 at q = 1).  The q = 0
-    layer counts: S(l, 0, 1) = b-1 and S(0, 1) = (b-1)*b.
+
+def eigenvalue_families(power: int) -> list[tuple[int, ...]]:
+    """The nonzero diagonal of the update for S(power, .), one entry per
+    eigenvalue with multiplicity, each a polynomial in b (integer
+    coefficients, constant term first).
+
+    Ordered by q with T(0, q) before T(j >= 1, q), the update is triangular:
+    T(0, 0) gives b, T(0, q) gives b**q + b - 1, and the p - q sequences
+    T(j >= 1, q) give b**q - 1 each.  The T(j >= 1, 0) rows give 0, which
+    adds no term to a closed form, and b**p - 1 never occurs because
+    T(j >= 1, p) does not exist.
     """
+    if not isinstance(power, int) or power < 1:
+        raise ValueError(f"power must be a positive integer, got {power!r}")
+    families = [(0, 1)]
+    for q in range(1, power + 1):
+        minus = (-1,) + (0,) * (q - 1) + (1,)
+        families.append(tuple(c + (e == 1) for e, c in enumerate(minus)))
+        families.extend([minus] * (power - q))
+    return families
+
+
+def candidate_bases(base: int, power: int) -> list[int]:
+    """The nonzero spectrum of the update for S(power, .) at a given base, as
+    a sorted multiset: b, b**q + b - 1 for q = 1..p, and b**q - 1 listed
+    p - q times for q = 1..p-1.  Families that collide at this base are
+    listed once per family, and a base listed m times may carry a
+    coefficient polynomial in k of degree < m."""
     check_base(base)
-    if not isinstance(max_power, int) or max_power < 0:
-        raise ValueError(f"max_power must be a non-negative integer, got {max_power!r}")
-    total = [[0, 0] for _ in range(max_power + 1)]
-    by_last = [[[0, 0] for _ in range(max_power + 1)] for _ in range(base)]
-    total[0][1] = (base - 1) * base
-    for l in range(base):
-        by_last[l][0][1] = base - 1
-    for q in range(1, max_power + 1):
-        for l in range(1, base):
-            by_last[l][q][1] = l**q
-        total[q][1] = sum(l**q for l in range(1, base))
-    return MomentTable(base, max_power, 1, total, by_last)
+    return sorted(
+        sum(c * base**e for e, c in enumerate(fam)) for fam in eigenvalue_families(power)
+    )
 
 
 def extend(t: MomentTable, new_max_k: int) -> MomentTable:
-    """Extend a table to new_max_k digits-minus-one via the recurrences."""
+    """Extend a table to new_max_k digits-minus-one via the update."""
     if not isinstance(new_max_k, int) or new_max_k < t.max_k:
         raise ValueError(f"new_max_k must be an integer >= {t.max_k}, got {new_max_k!r}")
     b, p = t.base, t.max_power
-    total = [row[:] for row in t.total]
-    by_last = [[row[:] for row in rows] for rows in t.by_last]
-    choose = [[comb(q, i) for i in range(q + 1)] for q in range(p + 1)]
-    bpow = [b**q for q in range(p + 1)]
-    for k in range(t.max_k + 1, new_max_k + 1):
-        total[0].append((b - 1) * b**k)
-        for l in range(b):
-            by_last[l][0].append((b - 1) * b ** (k - 1))
-        for q in range(1, p + 1):
-            cross_total = 0
-            for l in range(b):
-                cross = sum(
-                    choose[q][i] * l**i * bpow[q - i] * by_last[l][q - i][k - 1]
-                    for i in range(1, q + 1)
+    faulhaber = [sum(l**j for l in range(b)) for j in range(p + 1)]
+    columns = list(t.moments)
+    for _ in range(t.max_k, new_max_k):
+        prev = columns[-1]
+        columns.append(
+            tuple(
+                tuple(
+                    (b**q - 1) * prev[q][j]
+                    + faulhaber[j] * prev[q][0]
+                    + sum(comb(q, i) * b ** (q - i) * prev[q - i][j + i] for i in range(1, q + 1))
+                    for j in range(p - q + 1)
                 )
-                cross_total += cross
-                by_last[l][q].append(
-                    (bpow[q] - 1) * by_last[l][q][k - 1] + total[q][k - 1] + cross
-                )
-            total[q].append((bpow[q] + b - 1) * total[q][k - 1] + cross_total)
-    return MomentTable(b, p, new_max_k, total, by_last)
+                for q in range(p + 1)
+            )
+        )
+    return MomentTable(b, p, new_max_k, tuple(columns))
 
 
 def build_table(base: int, max_power: int, max_k: int) -> MomentTable:
-    """Seed and extend in one call."""
-    return extend(seed_base_case(base, max_power), max_k)
+    """The moment state of every (k+1)-digit length up to k = max_k >= 1."""
+    check_base(base)
+    if not isinstance(max_power, int) or max_power < 0:
+        raise ValueError(f"max_power must be a non-negative integer, got {max_power!r}")
+    if not isinstance(max_k, int) or max_k < 1:
+        raise ValueError(f"max_k must be an integer >= 1, got {max_k!r}")
+    one_digit = tuple(sum(l**j for l in range(1, base)) for j in range(max_power + 1))
+    seed = (one_digit,) + tuple((0,) * (max_power - q + 1) for q in range(1, max_power + 1))
+    return extend(MomentTable(base, max_power, 0, (seed,)), max_k)
 
 
 def moment_value(
     t: MomentTable, power: int, k: int, last_digit: int | None = None
 ) -> int:
-    """Look up S(power, k), or S(last_digit, power, k) when a digit is given."""
+    """Look up S(power, k), or S(last_digit, power, k) when a digit is given.
+
+    A last-digit value runs the per-digit chain from k = 0 on demand and
+    stores nothing in the table.
+    """
     if not 0 <= power <= t.max_power:
         raise IndexError(f"power {power} outside table range [0, {t.max_power}]")
     if not 1 <= k <= t.max_k:
         raise IndexError(f"k {k} outside table range [1, {t.max_k}]")
     if last_digit is None:
-        return t.total[power][k]
-    if not (isinstance(last_digit, int) and 0 <= last_digit < t.base):
-        raise IndexError(f"last digit {last_digit!r} out of range [0, {t.base - 1}]")
-    return t.by_last[last_digit][power][k]
+        return t.moments[k][power][0]
+    l = last_digit
+    if not (isinstance(l, int) and 0 <= l < t.base):
+        raise IndexError(f"last digit {l!r} out of range [0, {t.base - 1}]")
+    b = t.base
+    chain = [int(q == 0 and l >= 1) for q in range(power + 1)]
+    for kk in range(1, k + 1):
+        sums = t.moments[kk - 1]
+        chain = [
+            (b**q - 1) * chain[q]
+            + sums[q][0]
+            + sum(comb(q, i) * l**i * b ** (q - i) * chain[q - i] for i in range(1, q + 1))
+            for q in range(power + 1)
+        ]
+    return chain[power]

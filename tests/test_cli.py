@@ -131,7 +131,7 @@ def test_closed_form_repeated_root_golden(capsys):
     assert code == 0
     assert out == (
         "((1/2))*2^k + ((-1/9) + (-4/9)*k)*3^k + ((-1))*5^k + ((20/27))*9^k\n"
-        "status: proven (checked to k=12)\n"
+        "status: proven (checked to k=10)\n"
     )
     code, out, _ = run(capsys, "closed-form", "--base", "2", "--power", "3", "--json")
     assert code == 0
@@ -142,7 +142,7 @@ def test_closed_form_repeated_root_golden(capsys):
         '{"base": "3", "coefficient_poly": ["-1/9", "-4/9"]}, '
         '{"base": "5", "coefficient_poly": ["-1"]}, '
         '{"base": "9", "coefficient_poly": ["20/27"]}], '
-        '"verdict": {"checked_depth": "12", "status": "proven"}}, "status": "proven"}\n'
+        '"verdict": {"checked_depth": "10", "status": "proven"}}, "status": "proven"}\n'
     )
 
 
@@ -152,13 +152,13 @@ def test_closed_form_outside_spectrum_exits_4(capsys, monkeypatch):
     real_fit = cf.fit_closed_form
 
     def bogus_fit(values, bases, *, base, power):
-        # matches k = 1..6, but none of these bases is an eigenvalue
-        return real_fit(values[:6], [11, 13, 15, 17, 19, 21], base=base, power=power)
+        # matches k = 1..3, but none of these bases is an eigenvalue
+        return real_fit(values[:3], [11, 13, 15], base=base, power=power)
 
     monkeypatch.setattr(cf, "fit_closed_form", bogus_fit)
     code, out, _ = run(capsys, "closed-form", "--base", "2", "--power", "1")
     assert code == 4
-    assert out.splitlines()[1] == "status: consistent (checked to k=6)"
+    assert out.splitlines()[1] == "status: consistent (checked to k=3)"
 
 
 def test_closed_form_first_moment(capsys):
@@ -177,6 +177,16 @@ def test_closed_form_depth_flag(capsys):
     assert code == 0
     record = OutputRecord.from_json(out)
     assert record.result["verdict"] == {"status": "proven", "checked_depth": "25"}
+
+
+def test_closed_form_depth_below_one_exits_2(capsys):
+    for depth in ("0", "-3"):
+        code, out, err = run(
+            capsys, "closed-form", "--base", "2", "--power", "1", "--depth", depth
+        )
+        assert code == 2
+        assert out == ""
+        assert "depth" in err
 
 
 def test_general_form_golden(capsys):
@@ -243,6 +253,18 @@ def test_seq_oeis_unavailable_still_exits_0(capsys, monkeypatch):
     assert code == 0
     assert out.splitlines()[0] == "1,4,14,46,146"
     assert "unavailable" in out
+
+
+def test_k_max_below_one_exits_2(capsys):
+    for argv in (
+        ("seq", "--base", "2", "--power", "1", "--kmax", "0"),
+        ("check", "--k-max", "0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "max_k must be an integer >= 1" in err
+        assert "new_max_k" not in err
 
 
 def test_check_sweep_passes(capsys):

@@ -22,16 +22,18 @@ F = Fraction
 
 
 def test_state_dimension_bound():
-    assert state_dimension_bound(2, 1) == 6
-    assert state_dimension_bound(2, 2) == 9
-    assert state_dimension_bound(10, 3) == 44
+    assert state_dimension_bound(2, 1) == 3
+    assert state_dimension_bound(2, 2) == 6
+    assert state_dimension_bound(10, 3) == 10
 
 
 def test_candidate_bases():
-    assert candidate_bases(2, 1) == [1, 2, 3]
-    assert candidate_bases(2, 2) == [1, 2, 3, 3, 5]
-    assert candidate_bases(3, 1) == [2, 3, 5]
-    assert candidate_bases(3, 2) == [2, 3, 5, 8, 11]
+    assert candidate_bases(2, 1) == [2, 3]
+    assert candidate_bases(2, 2) == [1, 2, 3, 5]
+    assert candidate_bases(3, 1) == [3, 5]
+    assert candidate_bases(3, 2) == [2, 3, 5, 11]
+    # b^p - 1 is not an eigenvalue, so it never gets a term
+    assert candidate_bases(3, 3) == [2, 2, 3, 5, 8, 11, 29]
 
 
 def test_candidate_bases_validation():
@@ -107,13 +109,13 @@ def test_verify_proven_and_refuted():
 def test_verify_depth_semantics():
     t = build_table(2, 1, 12)
     form = ExponentialForm(2, 1, (((F(-1, 2),), 2), ((F(2, 3),), 3)))
-    assert verify(form, t).checked_depth == 6
-    assert verify(form, t, depth=3).status == "consistent"
+    assert verify(form, t).checked_depth == 3
+    assert verify(form, t, depth=2).status == "consistent"
     assert verify(form, t, depth=12).status == "proven"
     with pytest.raises(DepthError):
         verify(form, t, depth=13)
     with pytest.raises(DepthError):
-        verify(form, build_table(2, 1, 5))
+        verify(form, build_table(2, 1, 2))
     with pytest.raises(ValueError):
         verify(form, build_table(3, 1, 12))
 
@@ -153,7 +155,8 @@ def test_pipeline_proves_and_reproduces():
 def test_closed_form_is_proven_and_matches_table_to_three_depths(b, p):
     form, verdict = closed_form(b, p)
     assert verdict.status == "proven"
-    depth = 3 * state_dimension_bound(b, p)
+    # a reach of 3·(p+1)(b+1), far past the proof depth (p+1)(p+2)/2
+    depth = 3 * (p + 1) * (b + 1)
     t = build_table(b, p, depth)
     for k in range(1, depth + 1):
         assert form.eval_at(k) == moment_value(t, p, k), k
@@ -197,7 +200,7 @@ def test_binary_third_moment_needs_k_multiplier():
     """At b = 2 the candidate eigenvalues 2b-1 and b^2-1 collide at 3, and
     the third moment genuinely picks up a k*3^k term there; the multiset
     lists 3 twice, so the one fitter finds it and the result is proven."""
-    assert candidate_bases(2, 3) == [1, 2, 3, 3, 5, 7, 9]
+    assert candidate_bases(2, 3) == [1, 1, 2, 3, 3, 5, 9]
     form, verdict = closed_form(2, 3)
     assert verdict.status == "proven"
     assert not form.is_constant()
@@ -237,7 +240,10 @@ def test_pipeline_depth_request():
     assert verdict.checked_depth == 15
     # a depth below the proof bound is raised, never lowered
     _, verdict = closed_form(2, 1, depth=2)
-    assert verdict.checked_depth == 6
+    assert verdict.checked_depth == 3
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            closed_form(2, 1, depth=bad)
 
 
 def test_pipeline_fit_failure_propagates(monkeypatch):

@@ -2,6 +2,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabot import (
     ExcludedBaseError,
@@ -92,10 +94,11 @@ def test_rational_fn_render():
 
 
 def test_base_families():
-    assert base_families(1) == [B_MINUS_1, B, TWO_B_MINUS_1]
-    assert base_families(2) == [B_MINUS_1, B, TWO_B_MINUS_1, B2_MINUS_1, B2_PLUS_B_MINUS_1]
+    assert base_families(1) == [B, TWO_B_MINUS_1]
+    assert base_families(2) == [B_MINUS_1, B, TWO_B_MINUS_1, B2_PLUS_B_MINUS_1]
     fams3 = base_families(3)
-    assert poly(-1, 0, 0, 1) in fams3  # b^3 - 1
+    assert B2_MINUS_1 in fams3
+    assert poly(-1, 0, 0, 1) not in fams3  # b^3 - 1 is not an eigenvalue at p = 3
     assert poly(-1, 1, 0, 1) in fams3  # b^3 + b - 1
     with pytest.raises(ValueError):
         base_families(0)
@@ -122,7 +125,7 @@ def test_guess_second_moment_matches_displayed_conjecture():
         ),
     }
     assert got == expected
-    # the b^2 - 1 family carries a zero coefficient and is dropped
+    # b^2 - 1 is not an eigenvalue of the p = 2 moment state
     assert B2_MINUS_1 not in got
 
 
@@ -202,6 +205,19 @@ def test_specialize_agrees_with_proven_forms():
             proven, verdict = closed_form(b, p)
             assert verdict.status == "proven"
             assert specialize(g, b).terms == proven.terms, (p, b)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(1, 2), st.integers(2, 6), st.integers(0, 2))
+def test_specialize_equals_closed_form_at_every_base_in_range(p, lo, extra):
+    hi = lo + (7 if p == 1 else 9) - 1 + extra
+    g = guess_general_form(p, range(lo, hi + 1))
+    for b in range(lo, hi + 1):
+        try:
+            spec = specialize(g, b)
+        except ExcludedBaseError:
+            continue
+        assert spec.terms == closed_form(b, p)[0].terms, b
 
 
 def test_specialize_merges_colliding_bases():

@@ -10,12 +10,12 @@ from rabot import (
     build_table,
     extend,
     moment_value,
-    seed_base_case,
+    state_dimension_bound,
 )
 
 
 def test_seed_binary_first_moment():
-    t = seed_base_case(2, 1)
+    t = build_table(2, 1, 1)
     assert moment_value(t, 1, 1) == 1
     assert moment_value(t, 1, 1, last_digit=0) == 0
     assert moment_value(t, 1, 1, last_digit=1) == 1
@@ -23,13 +23,13 @@ def test_seed_binary_first_moment():
 
 def test_seed_base_three_second_moment():
     # two-digit base-3 numbers with nonzero r are 11 and 22: 1 + 4
-    t = seed_base_case(3, 2)
+    t = build_table(3, 2, 1)
     assert moment_value(t, 2, 1) == 5
 
 
 def test_seed_counting_layer():
     for b in range(2, 8):
-        t = seed_base_case(b, 3)
+        t = build_table(b, 3, 1)
         assert moment_value(t, 0, 1) == (b - 1) * b
         for l in range(b):
             assert moment_value(t, 0, 1, last_digit=l) == b - 1
@@ -37,7 +37,7 @@ def test_seed_counting_layer():
 
 def test_seed_first_moment_is_triangular():
     for b in range(2, 11):
-        t = seed_base_case(b, 1)
+        t = build_table(b, 1, 1)
         assert moment_value(t, 1, 1) == b * (b - 1) // 2
 
 
@@ -129,6 +129,8 @@ def test_lookup_examples_and_errors():
     with pytest.raises(IndexError):
         moment_value(t, 1, 0)
     with pytest.raises(IndexError):
+        moment_value(t, 1, 0, last_digit=1)
+    with pytest.raises(IndexError):
         moment_value(t, 1, 2, last_digit=2)
 
 
@@ -137,15 +139,29 @@ def test_extend_is_incremental_and_pure():
     t2 = extend(t1, 9)
     assert t1.max_k == 4
     assert t2.max_k == 9
+    assert len(t1.moments) == 5
     fresh = build_table(3, 2, 9)
-    assert t2.total == fresh.total
-    assert t2.by_last == fresh.by_last
+    assert t2.moments == fresh.moments
+    for q in range(3):
+        for k in range(1, 10):
+            for last in [None, *range(3)]:
+                assert moment_value(t2, q, k, last) == moment_value(fresh, q, k, last)
     with pytest.raises(ValueError):
         extend(t2, 3)
 
 
+def test_table_holds_state_dimension_bound_sequences():
+    for b in (2, 16, 200):
+        for p in range(5):
+            t = build_table(b, p, 1)
+            for column in t.moments:
+                assert sum(len(row) for row in column) == state_dimension_bound(b, p)
+
+
 def test_seed_validation():
     with pytest.raises(InvalidBaseError):
-        seed_base_case(1, 2)
+        build_table(1, 2, 1)
     with pytest.raises(ValueError):
-        seed_base_case(2, -1)
+        build_table(2, -1, 1)
+    with pytest.raises(ValueError, match="max_k"):
+        build_table(2, 1, 0)
