@@ -1,6 +1,6 @@
 """Exact arithmetic for the run-shortening (raboter) operation on base-b
 digit strings: moment sums by brute force and by recurrence, proven
-exponential closed forms in k, and conjectured forms uniform in b."""
+exponential closed forms in k, and forms uniform in b derived exactly."""
 
 from .closedform import (
     ExponentialForm,

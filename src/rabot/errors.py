@@ -14,18 +14,15 @@ class EnumerationCapError(RuntimeError):
 
 
 class NoFitError(RuntimeError):
-    """Raised when no candidate closed form reproduces the given values.
+    """Raised when no candidate closed form reproduces the given values, or
+    when a general form disagrees with a per-base closed form it is checked on.
 
-    failing_k carries the first index where a residual check broke down;
-    family names the base family a general-form fit gave up on.
+    failing_k carries the first index where a residual check broke down.
     """
 
-    def __init__(
-        self, message: str, *, failing_k: int | None = None, family: str | None = None
-    ):
+    def __init__(self, message: str, *, failing_k: int | None = None):
         super().__init__(message)
         self.failing_k = failing_k
-        self.family = family
 
 
 class DepthError(ValueError):

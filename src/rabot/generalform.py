@@ -1,26 +1,35 @@
-"""Conjectured expressions for the moment sums uniform in the base b.
+"""Expressions for the moment sums uniform in the base b, derived exactly
+over Q(b).
 
-For fixed p the proven per-base closed forms share a visible structure:
-their growth bases trace the eigenvalue families of the moment state
-(b, b**q + b - 1, and b**q - 1 for q < p), and the coefficients vary with
-b like rational functions.  This module fits those rational functions
-exactly from a sweep of proven per-base forms and emits the result as a
-conjecture (the per-base inputs are proven; the uniformity in b is not).
+guess_general_form interpolates S(p, k), k = 1..2p, as polynomials in b
+(moment_polynomials), solves the Vandermonde system over Q(b) in closed form
+for the coefficient c_f of each of the 2p distinct eigenvalue families lam_f
+of the moment update (eigenvalue_families), and cross-checks the result
+against the proven per-base closed forms.  The result is a theorem:
+
+- Where the families are pairwise distinct, the update is diagonalizable on
+  its nonzero spectrum.  A row T(j, q) depends only on itself, T(0, q) and
+  rows with smaller q, so no path leads from one T(j >= 1, q) row to
+  another; the eigenvalue-0 rows T(j >= 1, 0) depend only on T(0, 0), so
+  they only affect k = 0.  Hence S(p, k) = sum_f c_f * lam_f**k, k >= 1.
+- For each k both sides are rational functions of b that agree at all but
+  finitely many b, so the identity holds in Q(b).
+- It therefore holds at every b >= 2 where no coefficient denominator
+  vanishes; GeneralForm.excluded_bases lists the bases where one does.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .closedform import ExponentialForm, closed_form
 from .digits import check_base
 from .errors import ExcludedBaseError, NoFitError
-from .linalg import solve_linear
-from .recurrence import eigenvalue_families
-
-_HELD_OUT = 3
+from .recurrence import build_table, eigenvalue_families, moment_value
 
 
 def _frac_str(f: Fraction) -> str:
@@ -57,10 +66,8 @@ class PolyInB:
         return PolyInB(tuple(c * factor for c in self.coefficients))
 
     def __add__(self, other: PolyInB) -> PolyInB:
-        n = max(len(self.coefficients), len(other.coefficients))
-        a = self.coefficients + (Fraction(0),) * (n - len(self.coefficients))
-        b = other.coefficients + (Fraction(0),) * (n - len(other.coefficients))
-        return PolyInB(tuple(x + y for x, y in zip(a, b)))
+        pairs = zip_longest(self.coefficients, other.coefficients, fillvalue=0)
+        return PolyInB(tuple(x + y for x, y in pairs))
 
     def __sub__(self, other: PolyInB) -> PolyInB:
         return self + other.scale(-1)
@@ -184,13 +191,11 @@ class RationalFnInB:
 
 @dataclass(frozen=True)
 class GeneralForm:
-    """A sum of (rational function of b) * (polynomial in b)**k terms meant
-    to hold for every base b >= 2.  Always labeled a conjecture: each
-    per-base specialization is proven, the uniformity in b is not."""
+    """A sum of (rational function of b) * (polynomial in b)**k terms equal
+    to S(power, k) for every k >= 1 and every b >= 2 outside excluded_bases()."""
 
     power: int
     terms: tuple[tuple[RationalFnInB, PolyInB], ...]
-    status: str = "conjecture"
 
     def __post_init__(self) -> None:
         bases = [fam for _, fam in self.terms]
@@ -198,6 +203,16 @@ class GeneralForm:
             raise ValueError("growth-base polynomials must be pairwise distinct")
         if any(fn.is_zero() for fn, _ in self.terms):
             raise ValueError("zero coefficients must not be stored")
+
+    def excluded_bases(self) -> frozenset[int]:
+        """The bases b >= 2 where a coefficient denominator vanishes, found by
+        scanning up to its Cauchy root bound 1 + max|a_i / a_n|."""
+        excluded = set()
+        for fn, _ in self.terms:
+            den = fn.denominator
+            bound = 1 + max(abs(c / den.coefficients[-1]) for c in den.coefficients)
+            excluded.update(b for b in range(2, int(bound) + 1) if den.eval(b) == 0)
+        return frozenset(excluded)
 
     def render(self, var: str = "b") -> str:
         if not self.terms:
@@ -207,111 +222,88 @@ class GeneralForm:
         )
 
 
-def _family_sort_key(fam: PolyInB) -> tuple:
-    return (fam.degree(), tuple(reversed(fam.coefficients)))
-
-
 def base_families(power: int) -> list[PolyInB]:
     """The distinct growth-base families of eigenvalue_families(power), in
     canonical order (degree, then leading coefficients)."""
     families = {PolyInB(tuple(map(Fraction, fam))) for fam in eigenvalue_families(power)}
-    return sorted(families, key=_family_sort_key)
+    return sorted(families, key=lambda fam: (fam.degree(), fam.coefficients[::-1]))
 
 
-def _fit_rational_function(
-    points: Sequence[tuple[int, Fraction]], degree_cap: int, family: PolyInB
-) -> RationalFnInB:
-    """Exact rational function through the given (b, value) samples, trying
-    ascending degree pairs; every sample, including at least _HELD_OUT
-    points unused by the solve, must be reproduced."""
-    pairs = sorted(
-        ((dn, dd) for dn in range(degree_cap + 1) for dd in range(degree_cap + 1)),
-        key=lambda t: (max(t), t[0] + t[1], t[1]),
-    )
-    skipped_short = False
-    for dn, dd in pairs:
-        unknowns = dn + dd + 1
-        if len(points) < unknowns + _HELD_OUT:
-            skipped_short = True
-            continue
-        rows = []
-        rhs = []
-        for b, c in points[:unknowns]:
-            rows.append(
-                [Fraction(b) ** i for i in range(dn + 1)]
-                + [-c * Fraction(b) ** j for j in range(dd)]
-            )
-            rhs.append(c * Fraction(b) ** dd)
-        solution = solve_linear(rows, rhs)
-        if solution is None:
-            continue
-        num = PolyInB(tuple(solution[: dn + 1]))
-        den = PolyInB(tuple(solution[dn + 1 :]) + (Fraction(1),))
-        if all(
-            den.eval(b) != 0 and num.eval(b) == c * den.eval(b) for b, c in points
-        ):
-            return RationalFnInB(num, den)
-    name = family.render()
-    if skipped_short:
-        raise NoFitError(
-            f"insufficient sample points to fit base family {name}: "
-            f"{len(points)} usable bases, while degree pairs up to "
-            f"({degree_cap}, {degree_cap}) need up to {2 * degree_cap + 1 + _HELD_OUT}; "
-            "widen the base range",
-            family=name,
-        )
-    raise NoFitError(
-        f"no rational function of degree <= {degree_cap} fits base family {name}",
-        family=name,
-    )
+def _interpolate(ys: Sequence[int]) -> PolyInB:
+    """The polynomial of degree < len(ys) with value ys[i] at b = 2 + i, by
+    Newton's divided differences (on unit steps, forward differences / i!)."""
+    diffs = list(ys)
+    for level in range(1, len(ys)):
+        for i in range(len(ys) - 1, level - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    # Horner on the Newton form, times (len(ys) - 1)! to stay in integers
+    coeffs, weight = [diffs[-1]], 1
+    for i in range(len(ys) - 2, -1, -1):
+        weight *= i + 1
+        coeffs = [hi - (2 + i) * lo for hi, lo in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += diffs[i] * weight
+    return PolyInB(tuple(Fraction(c, weight) for c in coeffs))
+
+
+def moment_polynomials(power: int, count: int) -> list[PolyInB]:
+    """S(power, k) for k = 1..count as polynomials in b, interpolated from the
+    recurrence at b = 2..(k+1)(power+1)+2.
+
+    Exact because deg_b T(j, q, k) <= (k+1)(q+1) + j, by induction on k over
+    the update: the seed T(j, 0, 0) = sum_{l<b} l**j has degree j + 1
+    (T(j, q >= 1, 0) = 0), and for k >= 1 the terms (b**q - 1)*T(j, q, k-1),
+    F_j*T(0, q, k-1) and b**(q-i)*T(j+i, q-i, k-1) have degree at most
+    q + k(q+1) + j, j + 1 + k(q+1) and q + k(q-i+1) + j.
+    """
+    tables = [build_table(b, power, count) for b in range(2, (count + 1) * (power + 1) + 3)]
+    return [
+        _interpolate([moment_value(t, power, k) for t in tables[: (k + 1) * (power + 1) + 1]])
+        for k in range(1, count + 1)
+    ]
+
+
+@lru_cache(maxsize=8)
+def _derive(power: int) -> GeneralForm:
+    """The general form of S(power, .) over Q(b), without zero terms; cached,
+    as it depends on power alone and is immutable."""
+    families = base_families(power)
+    sums = moment_polynomials(power, len(families))
+    terms = []
+    for fam in families:
+        # prod_{g != f}(x - lam_g) = sum_m a_m x**m kills every other family, so
+        # sum_m a_m * S(p, m+1), which is prod_{g != f}(E - lam_g) S(p, .) at k = 1
+        # for the shift E, equals c_f * lam_f * prod_{g != f}(lam_f - lam_g).
+        shifted, den = sums, fam
+        for other in families:
+            if other != fam:
+                shifted = [nxt - other * cur for cur, nxt in zip(shifted, shifted[1:])]
+                den = den * (fam - other)
+        fn = RationalFnInB(shifted[0], den)
+        if not fn.is_zero():
+            terms.append((fn, fam))
+    return GeneralForm(power, tuple(terms))
 
 
 def guess_general_form(power: int, b_range: Iterable[int]) -> GeneralForm:
-    """Conjecture an expression for the power-th moment sum valid in (b, k).
+    """The expression for the power-th moment sum valid in (b, k), derived
+    exactly over Q(b); b_range only selects the bases it is checked at.
 
-    Computes the proven per-base closed form for every b in b_range, then
-    fits each base family's coefficient as an exact rational function of b.
-    Sample bases where two families collide numerically are excluded from
-    both families' fits, since the per-base form only shows the merged
-    coefficient there.  Families whose coefficient is identically zero are
-    dropped.
+    Every base in the range must have a proven closed form, and at each one
+    outside excluded_bases() the general form must specialize to it, or
+    NoFitError is raised.
     """
-    if not isinstance(power, int) or power < 1:
-        raise ValueError(f"power must be a positive integer, got {power!r}")
     bs = sorted(set(b_range))
-    for b in bs:
-        check_base(b)
-    families = base_families(power)
-    # per base: growth base -> coefficient polynomial in k (constants for the
-    # simple forms; genuine k-polynomials only ever sit on collided bases)
-    coeff_by_base: dict[int, dict[int, tuple[Fraction, ...]]] = {}
+    if not bs:
+        raise ValueError("the base range is empty")
+    g = _derive(power)
+    excluded = g.excluded_bases()
     for b in bs:
         form, verdict = closed_form(b, power)
         if verdict.status != "proven":
             raise NoFitError(f"the closed form at b={b} is {verdict.status}, not proven")
-        coeff_by_base[b] = {lam: poly for poly, lam in form.terms}
-    terms = []
-    for fam in families:
-        points = []
-        for b in bs:
-            value = fam.eval(b)
-            if any(other != fam and other.eval(b) == value for other in families):
-                continue
-            poly = coeff_by_base[b].get(int(value), (Fraction(0),))
-            if len(poly) > 1:
-                raise NoFitError(
-                    f"coefficient of {value}^k at b={b} is polynomial in k and "
-                    f"cannot be attributed to base family {fam.render()}",
-                    family=fam.render(),
-                )
-            points.append((b, poly[0]))
-        # the minimal-degree fit is unique whenever one exists, so the cap
-        # only bounds the search; 2p+2 covers the dominant family's observed
-        # (2p, 2p-1) worst case with headroom
-        fn = _fit_rational_function(points, 2 * power + 2, fam)
-        if not fn.is_zero():
-            terms.append((fn, fam))
-    return GeneralForm(power, tuple(terms))
+        if b not in excluded and specialize(g, b).terms != form.terms:
+            raise NoFitError(f"the general form disagrees with the proven closed form at b={b}")
+    return g
 
 
 def specialize(g: GeneralForm, b: int) -> ExponentialForm:

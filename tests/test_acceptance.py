@@ -122,16 +122,17 @@ def test_criterion_4_second_moment_general_form(capsys):
         ),
     )
     g = guess_general_form(2, range(2, 13))
-    ok = g == expected and g.status == "conjecture"
+    ok = g == expected and g.excluded_bases() == frozenset()
     code, out = _run_cli(capsys, "general-form", "--power", "2", "--json")
     record = OutputRecord.from_json(out)
-    ok = ok and code == 0 and record.status == "conjecture"
+    ok = ok and code == 0 and record.status == "proven"
+    ok = ok and record.result["excluded_bases"] == []
     ok = ok and {
         "coefficient": "(2*b^3 + 3*b^2 - 3*b - 2)/(6*(b^2 + b - 1))",
         "base": "b^2 + b - 1",
     } in record.result["terms"]
     _report(
-        "4. general-form --power 2 over b = 2..12 reproduces the four-term conjecture",
+        "4. general-form --power 2 over b = 2..12 derives the four-term general form",
         ok,
         time.perf_counter() - start,
         30,

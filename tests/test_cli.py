@@ -117,6 +117,18 @@ def test_sum_cap_from_environment(capsys, monkeypatch):
     assert "RABOT_ENUM_CAP" in err
 
 
+def test_enum_cap_below_one_exits_2(capsys, monkeypatch):
+    for raw in ("0", "-5"):
+        monkeypatch.setenv("RABOT_ENUM_CAP", raw)
+        code, out, err = run(
+            capsys, "sum", "--base", "2", "--power", "1", "--k", "3", "--engine", "brute"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"RABOT_ENUM_CAP must be an integer >= 1, got '{raw}'" in err
+        assert "above the cap" not in err
+
+
 def test_closed_form_golden(capsys):
     code, out, _ = run(capsys, "closed-form", "--base", "2", "--power", "2")
     assert code == 0
@@ -195,14 +207,34 @@ def test_general_form_golden(capsys):
     assert (
         "((-b + 1)/2)*(b)^k + ((b^2 - b)/(2*b - 1))*(2*b - 1)^k" in out.splitlines()[0]
     )
-    assert out.splitlines()[0].startswith("conjecture:")
-    assert "b = 2..12" in out
+    assert out.splitlines()[0].startswith("proven:")
+    assert out.splitlines()[1] == (
+        "valid for every b >= 2; checked against closed-form at b = 2..12"
+    )
 
 
-def test_general_form_underdetermined_exits_4(capsys):
-    code, _, err = run(capsys, "general-form", "--power", "1", "--b-min", "2", "--b-max", "3")
-    assert code == 4
-    assert "insufficient" in err
+def test_general_form_third_and_fourth_moments_over_default_range(capsys):
+    for power in ("3", "4"):
+        code, out, _ = run(capsys, "general-form", "--power", power)
+        assert code == 0, power
+        assert out.splitlines()[0].startswith("proven:")
+        assert out.splitlines()[1] == (
+            "valid for every b >= 2 except 2; checked against closed-form at b = 2..12"
+        )
+    code, out, _ = run(capsys, "general-form", "--power", "3", "--json")
+    record = OutputRecord.from_json(out)
+    assert code == 0
+    assert record.status == "proven"
+    assert record.result["excluded_bases"] == ["2"]
+    assert len(record.result["terms"]) == 6
+
+
+def test_empty_base_range_exits_2(capsys):
+    for command in (["check"], ["general-form", "--power", "1"]):
+        code, out, err = run(capsys, *command, "--b-min", "5", "--b-max", "3")
+        assert code == 2, command
+        assert out == ""
+        assert "empty base range" in err
 
 
 def test_general_form_unproven_input_exits_4(capsys, monkeypatch):

@@ -1,4 +1,5 @@
-"""Polynomials and rational functions of the base, and the general-form fit."""
+"""Polynomials and rational functions of the base, and the exact general-form
+derivation."""
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,12 @@ from rabot import (
     PolyInB,
     RationalFnInB,
     base_families,
+    build_table,
     closed_form,
     guess_general_form,
     specialize,
 )
+from rabot.generalform import moment_polynomials
 
 F = Fraction
 
@@ -106,7 +109,7 @@ def test_base_families():
 
 def test_guess_first_moment_coefficients():
     g = guess_general_form(1, range(2, 9))
-    assert g.status == "conjecture"
+    assert g.excluded_bases() == frozenset()
     got = {fam: fn for fn, fam in g.terms}
     assert set(got) == {B, TWO_B_MINUS_1}
     assert got[TWO_B_MINUS_1] == RationalFnInB(poly(0, -1, 1), TWO_B_MINUS_1)
@@ -129,17 +132,25 @@ def test_guess_second_moment_matches_displayed_conjecture():
     assert B2_MINUS_1 not in got
 
 
-def test_guess_third_moment_needs_wider_range():
-    with pytest.raises(NoFitError) as err:
-        guess_general_form(3, range(2, 13))
-    assert "widen" in str(err.value)
+def test_guess_does_not_depend_on_the_checked_range():
+    assert guess_general_form(2, range(5, 8)) == guess_general_form(2, range(2, 13))
+    assert guess_general_form(1, [3]) == guess_general_form(1, range(2, 9))
+
+
+def test_guess_third_and_fourth_moments_over_default_range():
+    # the third moment is the form the old fit found over b = 2..16
+    assert guess_general_form(3, range(2, 13)) == guess_general_form(3, range(2, 17))
+    g = guess_general_form(4, range(2, 13))
+    assert len(g.terms) == len(base_families(4)) == 8
+    assert g.excluded_bases() == {2}
+    for b in range(3, 13):
+        assert specialize(g, b).terms == closed_form(b, 4)[0].terms, b
 
 
 def test_guess_third_moment():
-    """The third moment fits over b = 2..16 even though b = 2 itself takes
-    the polynomial-multiplier fallback: constant coefficients at b = 2 are
-    usable samples, and the k-multiplier only rides on the collided base 3,
-    which every family's fit excludes there anyway."""
+    """At b = 2 the proven form needs a k*3^k term, because 2b - 1 and
+    b^2 - 1 collide there; the derived coefficients have a pole at b = 2,
+    so the general form excludes that base and holds at every other."""
     g = guess_general_form(3, range(2, 17))
     assert len(g.terms) == 6
     for b in (3, 4, 5, 6):
@@ -154,13 +165,59 @@ def test_guess_third_moment():
     assert got[TWO_B_MINUS_1] == RationalFnInB(
         poly(0, 1, -2, 1), poly(2, -5, 2)
     )
+    # golden: `rabot general-form --power 3`, line 1
+    assert g.render() == (
+        "((-b^2 + b + 2)/4)*(b - 1)^k"
+        " + ((b^2 - b)/4)*(b)^k"
+        " + ((b^3 - 2*b^2 + b)/(2*b^2 - 5*b + 2))*(2*b - 1)^k"
+        " + ((-b^4 + 2*b^2)/(4*(b^3 - 3*b^2 + 3*b - 2)))*(b^2 - 1)^k"
+        " + ((-2*b^3 - 3*b^2 + 3*b + 2)/(4*(b^2 + b - 1)))*(b^2 + b - 1)^k"
+        " + ((b^6 + 2*b^4 - 2*b^3 + b^2 - 2*b)/(4*(b^5 - b^4 + 2*b^3 - 2*b^2 + 2*b - 1)))*(b^3 + b - 1)^k"
+    )
 
 
-def test_guess_insufficient_points():
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_moment_polynomials_match_table_outside_interpolation_set(p):
+    # the largest interpolation base is (2p+1)(p+1) + 2 <= 30, so agreement
+    # at b = 97 and 200 checks the degree bound, not the interpolation
+    count = len(base_families(p))
+    polys = moment_polynomials(p, count)
+    for b in (97, 200):
+        table = build_table(b, p, count)
+        for k, s in enumerate(polys, 1):
+            assert s.eval(b) == table.moments[k][p][0], (b, k)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_excluded_bases_are_the_poles(p):
+    g = guess_general_form(p, [3])
+    poles = set()
+    for b in range(2, 41):
+        try:
+            specialize(g, b)
+        except ExcludedBaseError:
+            poles.add(b)
+    assert g.excluded_bases() == poles
+    assert poles == (set() if p <= 2 else {2})
+
+
+def test_guess_rejects_form_that_disagrees_with_proven_form(monkeypatch):
+    import rabot.generalform as gf
+    from rabot import ExponentialForm
+
+    real_closed_form = gf.closed_form
+
+    def shifted(b, p):
+        form, verdict = real_closed_form(b, p)
+        if b != 4:
+            return form, verdict
+        (c, *rest), lam = form.terms[0]
+        return ExponentialForm(b, p, (((c + 1, *rest), lam),) + form.terms[1:]), verdict
+
+    monkeypatch.setattr(gf, "closed_form", shifted)
     with pytest.raises(NoFitError) as err:
-        guess_general_form(1, range(2, 4))
-    assert "insufficient" in str(err.value)
-    assert err.value.family is not None
+        guess_general_form(2, range(2, 7))
+    assert "b=4" in str(err.value)
 
 
 def test_guess_rejects_unproven_per_base_form(monkeypatch):
@@ -184,6 +241,8 @@ def test_guess_validation():
         guess_general_form(0, range(2, 9))
     with pytest.raises(ValueError):
         guess_general_form(1, [1, 2, 3])
+    with pytest.raises(ValueError):
+        guess_general_form(1, range(5, 3))
 
 
 def test_specialize_second_moment_at_two_merges_to_three_terms():
@@ -208,9 +267,9 @@ def test_specialize_agrees_with_proven_forms():
 
 
 @settings(max_examples=8, deadline=None)
-@given(st.integers(1, 2), st.integers(2, 6), st.integers(0, 2))
+@given(st.integers(1, 4), st.integers(2, 6), st.integers(0, 8))
 def test_specialize_equals_closed_form_at_every_base_in_range(p, lo, extra):
-    hi = lo + (7 if p == 1 else 9) - 1 + extra
+    hi = lo + extra
     g = guess_general_form(p, range(lo, hi + 1))
     for b in range(lo, hi + 1):
         try:
