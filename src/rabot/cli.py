@@ -2,9 +2,10 @@
 forms uniform in b, sequence export, and recurrence-vs-brute-force sweeps.
 
 Exit codes are fixed so CI can tell failure modes apart: 2 for usage or
-invalid input (including a refused over-cap enumeration or an empty base
-range), 3 when the two engines disagree (the bug-detection signal), 4 when
-fitting or verification fails.  All numeric output is exact; big integers are printed
+invalid input (including a refused over-cap enumeration, an empty base
+range or a general-form power above MAX_GENERAL_FORM_POWER), 3 when the
+two engines disagree (the bug-detection signal), 4 when fitting or
+verification fails.  All numeric output is exact; big integers are printed
 as decimal strings and rationals as numerator/denominator, never floats.
 """
 from __future__ import annotations
@@ -26,6 +27,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DISAGREEMENT = 3
 EXIT_NO_FIT = 4
+
+# The general-form derivation's time grows about 2.8-fold per power (the
+# command takes about 8 s at p = 7), so larger powers are refused rather than
+# left to run for minutes.
+MAX_GENERAL_FORM_POWER = 7
 
 
 @dataclass
@@ -174,6 +180,10 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
 
 
 def cmd_general_form(args: argparse.Namespace) -> int:
+    if args.power > MAX_GENERAL_FORM_POWER:
+        raise ValueError(
+            f"--power {args.power} is above the general-form limit of {MAX_GENERAL_FORM_POWER}"
+        )
     g = guess_general_form(args.power, _base_range(args))
     excluded = sorted(g.excluded_bases())
     inputs = {

@@ -1,10 +1,13 @@
 """Brute-force moment sums by direct enumeration.
 
 This is the independent ground truth the recurrence engine is checked
-against, so it stays deliberately naive: digit strings are enumerated by
-odometer increment and the raboter value is recomputed from scratch for
-every number.  A configurable cap refuses enumerations that are too large
-to finish at desk scale.
+against.  Every number of the range is visited once, in ascending order
+by odometer increment, and its own r(b, n)**power is added: no values are
+counted or summed in closed form.  The value follows the definition of r
+over a prefix array (a digit survives shortening iff it equals the digit
+before it), which an increment updates only from the changed digit on.
+Nothing is shared with the recurrence engine.  A configurable cap refuses
+enumerations that are too large to finish at desk scale.
 """
 from __future__ import annotations
 
@@ -58,47 +61,65 @@ class MomentQuery:
         return (self.base - 1) * self.base ** (self.k - 1)
 
 
-def _raboter_value(base: int, digits: list[int]) -> int:
-    """Value after shortening every run of `digits` by one; Horner on the fly."""
-    value = 0
-    i = 0
-    n = len(digits)
-    while i < n:
-        d = digits[i]
-        j = i + 1
-        while j < n and digits[j] == d:
-            j += 1
-        for _ in range(i + 1, j):
-            value = value * base + d
-        i = j
-    return value
-
-
 def _sum_range(
     base: int, power: int, k: int, last_digit: int | None, start: int, stop: int
 ) -> int:
     """Sum r(b, n)**power over the contiguous slice [start, stop) of the
-    enumeration order (ascending n within the query's range)."""
+    enumeration order (ascending n within the query's range).
+
+    pre[i] is the raboter value of digits[:i+1]: pre[0] = 0, and
+    pre[i] = pre[i-1]*b + digits[i] if digits[i] == digits[i-1], else
+    pre[i-1].  The innermost variable digit is swept in a tight loop that
+    evaluates each number from pre of the digits before it; a carry
+    recomputes pre only from the carried position on.
+    """
     if stop <= start:
         return 0
     if last_digit is None:
         digits = list(from_value(base, base**k + start).digits)
-        n_var = k + 1
     else:
         digits = list(from_value(base, base ** (k - 1) + start).digits)
-        digits.append(last_digit)
-        n_var = k
+    m = len(digits) - 1  # position of the innermost variable digit
+    pre = [0] * m
     total = 0
-    for _ in range(stop - start):
-        total += _raboter_value(base, digits) ** power
-        pos = n_var - 1
-        while pos >= 0:
-            digits[pos] += 1
-            if digits[pos] < base:
-                break
+    remaining = stop - start
+    pos = 1
+    while True:
+        for i in range(pos, m):
+            d = digits[i]
+            pre[i] = pre[i - 1] * base + d if d == digits[i - 1] else pre[i - 1]
+        # the digit at m survives iff it equals prev; the leading digit never does
+        if m:
+            low = pre[m - 1]
+            prev = digits[m - 1]
+        else:
+            low = 0
+            prev = -1
+        high = low * base + prev
+        x0 = digits[m]
+        x1 = x0 + remaining
+        if x1 > base:
+            x1 = base
+        if last_digit is None:
+            for x in range(x0, x1):
+                total += (high if x == prev else low) ** power
+        else:
+            for x in range(x0, x1):
+                value = high if x == prev else low
+                if x == last_digit:
+                    value = value * base + last_digit
+                total += value**power
+        remaining -= x1 - x0
+        if not remaining:
+            return total
+        digits[m] = 0
+        pos = m - 1
+        while digits[pos] == base - 1:
             digits[pos] = 0
             pos -= 1
-    return total
+        digits[pos] += 1
+        if not pos:
+            pos = 1
 
 
 def _check_cap(q: MomentQuery, cap: int | None) -> None:

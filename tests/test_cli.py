@@ -8,6 +8,7 @@ import sys
 import rabot.cli as cli
 import rabot.oeis as oeis_module
 from rabot.cli import OutputRecord, main
+from rabot.errors import NoFitError
 from rabot.oeis import LookupResult
 
 
@@ -235,6 +236,26 @@ def test_empty_base_range_exits_2(capsys):
         assert code == 2, command
         assert out == ""
         assert "empty base range" in err
+
+
+def test_general_form_power_above_limit_exits_2(capsys, monkeypatch):
+    calls = []
+
+    def stub(power, b_range):
+        calls.append(power)
+        raise NoFitError("stub")
+
+    monkeypatch.setattr(cli, "guess_general_form", stub)
+    limit = cli.MAX_GENERAL_FORM_POWER
+    code, out, err = run(capsys, "general-form", "--power", str(limit + 1))
+    assert code == 2
+    assert out == ""
+    assert f"limit of {limit}" in err
+    assert calls == []
+    # at the limit the derivation starts (and the stub's NoFitError exits 4)
+    code, _, _ = run(capsys, "general-form", "--power", str(limit))
+    assert code == 4
+    assert calls == [limit]
 
 
 def test_general_form_unproven_input_exits_4(capsys, monkeypatch):

@@ -2,6 +2,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rabot import (
     EnumerationCapError,
@@ -12,6 +14,7 @@ from rabot import (
     brute_moment_parallel,
     raboter,
 )
+from rabot.oracle import _sum_range
 
 
 def test_first_moment_two_digit_binary():
@@ -122,3 +125,48 @@ def test_query_validation():
         MomentQuery(2, 1, 1, last_digit=2)
     with pytest.raises(ValueError):
         brute_moment_parallel(MomentQuery(2, 1, 1), 0)
+
+
+@st.composite
+def queries(draw):
+    b = draw(st.integers(2, 9))
+    return MomentQuery(
+        b,
+        draw(st.integers(0, 4)),
+        draw(st.integers(1, 4)),
+        draw(st.none() | st.integers(0, b - 1)),
+    )
+
+
+@st.composite
+def slices(draw):
+    q = draw(queries())
+    start = draw(st.integers(0, q.count()))
+    return q, start, draw(st.integers(start, q.count()))
+
+
+def _enumerated(q, start, stop):
+    """The numbers at positions [start, stop) of the query's ascending order."""
+    if q.last_digit is None:
+        return [q.base**q.k + i for i in range(start, stop)]
+    return [(q.base ** (q.k - 1) + i) * q.base + q.last_digit for i in range(start, stop)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(slices())
+@example((MomentQuery(3, 2, 2), 4, 4))  # empty slice inside the range
+@example((MomentQuery(3, 2, 2), 18, 18))  # empty slice at the end
+@example((MomentQuery(3, 2, 3), 1, 53))  # starts and stops inside a sweep
+@example((MomentQuery(5, 3, 3, 2), 7, 93))
+@example((MomentQuery(4, 1, 1, 3), 1, 2))  # one variable digit, the leading one
+@example((MomentQuery(2, 4, 4, 0), 0, 8))  # a whole last-digit range
+def test_sum_range_matches_direct_sum(case):
+    q, start, stop = case
+    expected = sum(raboter(q.base, n) ** q.power for n in _enumerated(q, start, stop))
+    assert _sum_range(q.base, q.power, q.k, q.last_digit, start, stop) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(queries(), st.sampled_from([3, 5, 7]))
+def test_unaligned_partitions_match_serial(q, partitions):
+    assert brute_moment_parallel(q, partitions) == brute_moment(q)
