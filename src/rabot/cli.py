@@ -2,11 +2,12 @@
 forms uniform in b, sequence export, and recurrence-vs-brute-force sweeps.
 
 Exit codes are fixed so CI can tell failure modes apart: 2 for usage or
-invalid input (including a refused over-cap enumeration, an empty base
-range or a general-form power above MAX_GENERAL_FORM_POWER), 3 when the
-two engines disagree (the bug-detection signal), 4 when fitting or
-verification fails.  All numeric output is exact; big integers are printed
-as decimal strings and rationals as numerator/denominator, never floats.
+invalid input (including a refused over-cap enumeration or check sweep, an
+empty base range, a k above MAX_K or a general-form power above
+MAX_GENERAL_FORM_POWER), 3 when the two engines disagree (the
+bug-detection signal), 4 when fitting or verification fails.  All numeric
+output is exact; big integers are printed as decimal strings and rationals
+as numerator/denominator, never floats.
 """
 from __future__ import annotations
 
@@ -29,9 +30,14 @@ EXIT_DISAGREEMENT = 3
 EXIT_NO_FIT = 4
 
 # The general-form derivation's time grows about 2.8-fold per power (the
-# command takes about 8 s at p = 7), so larger powers are refused rather than
+# command takes about 6 s at p = 7), so larger powers are refused rather than
 # left to run for minutes.
 MAX_GENERAL_FORM_POWER = 7
+
+# Values grow linearly in k and their decimal printing more than linearly, so
+# `sum --k`, `seq --kmax` and `closed-form --depth` above this are refused:
+# `seq --base 10 --power 3 --kmax 3000` builds and prints in about 3.5 s.
+MAX_K = 3000
 
 
 @dataclass
@@ -86,6 +92,33 @@ def _enum_cap() -> int:
     return cap
 
 
+def _check_k(flag: str, k: int) -> None:
+    if k > MAX_K:
+        raise ValueError(f"{flag} {k} is above the limit of {MAX_K}")
+
+
+def _check_sweep_size(args: argparse.Namespace, cap: int) -> None:
+    """Refuse a check sweep that enumerates more than cap numbers in total.
+
+    Each (b, p, k) enumerates (b-1)*b**k numbers for the whole sum and as
+    many again over the last digits.  The total is summed with k outermost
+    and only until it passes cap, so a huge --b-max or --k-max is refused
+    at once.
+    """
+    # b >= 2 and p >= 0 make every count positive, so the early stop holds
+    digits.check_base(args.b_min)
+    if args.p_max < 0:
+        raise ValueError(f"--p-max must be >= 0, got {args.p_max}")
+    total = 0
+    for k in range(1, args.k_max + 1):
+        for b in _base_range(args):
+            total += (args.p_max + 1) * 2 * (b - 1) * b**k
+            if total > cap:
+                raise EnumerationCapError(
+                    f"the check sweep enumerates more than the cap of {cap} numbers"
+                )
+
+
 def _base_range(args: argparse.Namespace) -> range:
     if args.b_min > args.b_max:
         raise ValueError(f"empty base range: --b-min {args.b_min} is above --b-max {args.b_max}")
@@ -121,6 +154,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sum(args: argparse.Namespace) -> int:
+    _check_k("--k", args.k)
     q = MomentQuery(args.base, args.power, args.k, args.last_digit)
     inputs = {"base": str(args.base), "power": str(args.power), "k": str(args.k)}
     if args.last_digit is not None:
@@ -158,6 +192,8 @@ def cmd_sum(args: argparse.Namespace) -> int:
 
 
 def cmd_closed_form(args: argparse.Namespace) -> int:
+    if args.depth is not None:
+        _check_k("--depth", args.depth)
     form, verdict = closed_form(args.base, args.power, depth=args.depth)
     inputs = {"base": str(args.base), "power": str(args.power)}
     if args.depth is not None:
@@ -212,6 +248,7 @@ def cmd_general_form(args: argparse.Namespace) -> int:
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
+    _check_k("--kmax", args.kmax)
     table = build_table(args.base, args.power, args.kmax)
     values = [moment_value(table, args.power, k) for k in range(1, args.kmax + 1)]
     inputs = {
@@ -240,6 +277,7 @@ def cmd_seq(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     cap = _enum_cap()
+    _check_sweep_size(args, cap)
     inputs = {
         "b_min": str(args.b_min),
         "b_max": str(args.b_max),
@@ -358,6 +396,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    # parsing keeps Python's limit on decimal digits; exact results may be longer
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (EnumerationCapError, ValueError, IndexError) as e:
@@ -366,6 +408,9 @@ def main(argv: list[str] | None = None) -> int:
     except NoFitError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NO_FIT
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def entry() -> None:

@@ -30,7 +30,6 @@ from .recurrence import (
     MomentTable,
     build_table,
     candidate_bases,
-    extend,
     moment_value,
     state_dimension_bound,
 )
@@ -175,7 +174,7 @@ def verify(form: ExponentialForm, table: MomentTable, depth: int | None = None) 
 
 
 def closed_form(
-    base: int, power: int, *, table: MomentTable | None = None, depth: int | None = None
+    base: int, power: int, *, depth: int | None = None
 ) -> tuple[ExponentialForm, Verdict]:
     """Fit and verify the closed form of S(power, .) for a fixed base.
 
@@ -189,13 +188,7 @@ def closed_form(
         raise ValueError("verification depth must be at least 1")
     required = state_dimension_bound(base, power)
     checked = required if depth is None else max(depth, required)
-    if table is None:
-        table = build_table(base, power, checked)
-    else:
-        if table.base != base or table.max_power < power:
-            raise ValueError("table does not cover the requested base and power")
-        if table.max_k < checked:
-            table = extend(table, checked)
+    table = build_table(base, power, checked)
     values = [moment_value(table, power, k) for k in range(1, checked + 1)]
     form = fit_closed_form(values, candidate_bases(base, power), base=base, power=power)
     return form, verify(form, table, depth=checked)

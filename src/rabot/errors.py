@@ -15,7 +15,8 @@ class EnumerationCapError(RuntimeError):
 
 class NoFitError(RuntimeError):
     """Raised when no candidate closed form reproduces the given values, or
-    when a general form disagrees with a per-base closed form it is checked on.
+    when a general form's specialization is not proven at a base it is
+    checked on.
 
     failing_k carries the first index where a residual check broke down.
     """

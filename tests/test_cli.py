@@ -10,6 +10,7 @@ import rabot.oeis as oeis_module
 from rabot.cli import OutputRecord, main
 from rabot.errors import NoFitError
 from rabot.oeis import LookupResult
+from rabot.recurrence import build_table, moment_value
 
 
 def run(capsys, *argv):
@@ -262,13 +263,12 @@ def test_general_form_unproven_input_exits_4(capsys, monkeypatch):
     import rabot.generalform as gf
     from rabot import Verdict
 
-    real_closed_form = gf.closed_form
+    real_verify = gf.verify
 
-    def unproven(b, p):
-        form, verdict = real_closed_form(b, p)
-        return form, Verdict("consistent", verdict.checked_depth)
+    def unproven(form, table):
+        return Verdict("consistent", real_verify(form, table).checked_depth)
 
-    monkeypatch.setattr(gf, "closed_form", unproven)
+    monkeypatch.setattr(gf, "verify", unproven)
     code, _, err = run(capsys, "general-form", "--power", "1")
     assert code == 4
     assert "not proven" in err
@@ -335,6 +335,35 @@ def test_check_disagreement_exits_3(capsys, monkeypatch):
     assert "disagreement" in out
 
 
+def test_check_caps_the_whole_sweep(capsys, monkeypatch):
+    # b = 2..3, p = 0..3, k = 1..3 enumerate 736 numbers in total; k <= 4, 2160
+    monkeypatch.setenv("RABOT_ENUM_CAP", "1000")
+    code, out, _ = run(capsys, "check", "--b-max", "3", "--k-max", "3")
+    assert code == 0
+    assert "agree" in out
+
+    def no_query(q, cap=None):
+        raise AssertionError("a refused sweep must run no query")
+
+    monkeypatch.setattr(cli, "brute_moment", no_query)
+    for argv in (
+        ("check", "--b-max", "3", "--k-max", "4"),
+        ("check", "--b-max", str(10**12)),
+        ("check", "--k-max", str(10**12)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "cap of 1000" in err
+
+
+def test_check_negative_power_exits_2(capsys):
+    code, out, err = run(capsys, "check", "--p-max", "-1", "--b-max", str(10**12))
+    assert code == 2
+    assert out == ""
+    assert "--p-max" in err
+
+
 def test_json_records_roundtrip(capsys):
     invocations = [
         ["eval", "--base", "2", "12", "--json"],
@@ -374,6 +403,46 @@ def test_big_values_lossless(capsys):
     value = int(record.result["value"])
     assert value > 10**200
     assert str(value) == record.result["value"]
+
+
+def test_sum_beyond_python_digit_limit_round_trips_json(capsys):
+    argv = ("sum", "--base", "10", "--power", "2", "--k", "3000")
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    record = OutputRecord.from_json(out)
+    assert record.to_json() == out.strip()
+    text = record.result["value"]
+    assert len(text) > limit > 0
+    code, plain, _ = run(capsys, *argv)
+    assert (code, plain) == (0, text + "\n")
+    assert sys.get_int_max_str_digits() == limit  # lifted only while main runs
+    expected = moment_value(build_table(10, 2, 3000), 2, 3000)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(text) == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_k_above_limit_exits_2_before_any_work(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused k must build no table and enumerate nothing")
+
+    monkeypatch.setattr(cli, "build_table", no_work)
+    monkeypatch.setattr(cli, "brute_moment", no_work)
+    monkeypatch.setattr(cli, "closed_form", no_work)
+    over = str(cli.MAX_K + 1)
+    for argv in (
+        ("sum", "--base", "10", "--power", "2", "--k", over),
+        ("sum", "--engine", "brute", "--base", "3", "--power", "1", "--k", "20000000"),
+        ("seq", "--base", "10", "--power", "3", "--kmax", over),
+        ("closed-form", "--base", "2", "--power", "1", "--depth", over),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert f"above the limit of {cli.MAX_K}" in err
 
 
 def test_no_floats_anywhere(capsys):

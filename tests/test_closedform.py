@@ -175,7 +175,7 @@ def test_pipeline_first_moment_matches_direct_formula():
 
 def test_refutation_sensitivity():
     t = build_table(2, 2, 12)
-    good, _ = closed_form(2, 2, table=t)
+    good, _ = closed_form(2, 2)
     for i in range(len(good.terms)):
         coeff_bumped = list(good.terms)
         poly, lam = coeff_bumped[i]
@@ -255,15 +255,6 @@ def test_pipeline_fit_failure_propagates(monkeypatch):
     monkeypatch.setattr(cf, "fit_closed_form", refuse)
     with pytest.raises(NoFitError):
         cf.closed_form(2, 1)
-
-
-def test_pipeline_accepts_existing_table():
-    t = build_table(3, 2, 4)
-    form, verdict = closed_form(3, 2, table=t)
-    assert verdict.status == "proven"
-    assert t.max_k == 4  # caller's table untouched
-    with pytest.raises(ValueError):
-        closed_form(2, 2, table=t)
 
 
 def test_render_is_canonical():

@@ -205,16 +205,16 @@ def test_guess_rejects_form_that_disagrees_with_proven_form(monkeypatch):
     import rabot.generalform as gf
     from rabot import ExponentialForm
 
-    real_closed_form = gf.closed_form
+    real_specialize = gf.specialize
 
-    def shifted(b, p):
-        form, verdict = real_closed_form(b, p)
+    def shifted(g, b):
+        form = real_specialize(g, b)
         if b != 4:
-            return form, verdict
+            return form
         (c, *rest), lam = form.terms[0]
-        return ExponentialForm(b, p, (((c + 1, *rest), lam),) + form.terms[1:]), verdict
+        return ExponentialForm(b, form.power, (((c + 1, *rest), lam),) + form.terms[1:])
 
-    monkeypatch.setattr(gf, "closed_form", shifted)
+    monkeypatch.setattr(gf, "specialize", shifted)
     with pytest.raises(NoFitError) as err:
         guess_general_form(2, range(2, 7))
     assert "b=4" in str(err.value)
@@ -224,16 +224,36 @@ def test_guess_rejects_unproven_per_base_form(monkeypatch):
     import rabot.generalform as gf
     from rabot import Verdict
 
-    real_closed_form = gf.closed_form
+    real_verify = gf.verify
 
-    def unproven(b, p):
-        form, verdict = real_closed_form(b, p)
-        return form, Verdict("consistent", verdict.checked_depth)
+    def unproven(form, table):
+        return Verdict("consistent", real_verify(form, table).checked_depth)
 
-    monkeypatch.setattr(gf, "closed_form", unproven)
+    monkeypatch.setattr(gf, "verify", unproven)
     with pytest.raises(NoFitError) as err:
         guess_general_form(1, range(2, 9))
     assert "b=2" in str(err.value)
+    assert "not proven" in str(err.value)
+
+
+def test_guess_does_not_refit_per_base(monkeypatch):
+    import rabot.closedform as cf
+    import rabot.generalform as gf
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the general form must not be re-fitted per base")
+
+    monkeypatch.setattr(cf, "closed_form", refuse)
+    monkeypatch.setattr(cf, "fit_closed_form", refuse)
+    assert not hasattr(gf, "closed_form")
+    g = guess_general_form(2, range(2, 13))
+    # golden: README, `rabot general-form --power 2`, line 1
+    assert g.render() == (
+        "((b^2 - b - 2)/6)*(b - 1)^k"
+        " + ((-b^2 + 2*b - 1)/6)*(b)^k"
+        " + ((-b^2 + b)/(2*b - 1))*(2*b - 1)^k"
+        " + ((2*b^3 + 3*b^2 - 3*b - 2)/(6*(b^2 + b - 1)))*(b^2 + b - 1)^k"
+    )
 
 
 def test_guess_validation():
