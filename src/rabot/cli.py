@@ -3,11 +3,11 @@ forms uniform in b, sequence export, and recurrence-vs-brute-force sweeps.
 
 Exit codes are fixed so CI can tell failure modes apart: 2 for usage or
 invalid input (including a refused over-cap enumeration or check sweep, an
-empty base range, a k above MAX_K or a general-form power above
-MAX_GENERAL_FORM_POWER), 3 when the two engines disagree (the
-bug-detection signal), 4 when fitting or verification fails.  All numeric
-output is exact; big integers are printed as decimal strings and rationals
-as numerator/denominator, never floats.
+empty base range, a k above MAX_K or with k*bit_length(b) above 4*MAX_K,
+or a general-form power above MAX_GENERAL_FORM_POWER), 3 when the two
+engines disagree (the bug-detection signal), 4 when fitting or verification
+fails.  All numeric output is exact; big integers are printed as decimal
+strings and rationals as numerator/denominator, never floats.
 """
 from __future__ import annotations
 
@@ -37,6 +37,8 @@ MAX_GENERAL_FORM_POWER = 7
 # Values grow linearly in k and their decimal printing more than linearly, so
 # `sum --k`, `seq --kmax` and `closed-form --depth` above this are refused:
 # `seq --base 10 --power 3 --kmax 3000` builds and prints in about 3.5 s.
+# Their size also grows with the digits of the base, so k*bit_length(b) is
+# held to 4*MAX_K, what MAX_K allows at b = 10.
 MAX_K = 3000
 
 
@@ -92,9 +94,15 @@ def _enum_cap() -> int:
     return cap
 
 
-def _check_k(flag: str, k: int) -> None:
+def _check_k(flag: str, k: int, base: int) -> None:
     if k > MAX_K:
         raise ValueError(f"{flag} {k} is above the limit of {MAX_K}")
+    size = k * base.bit_length()
+    if size > 4 * MAX_K:
+        raise ValueError(
+            f"{flag} {k} at --base {base}: k*bit_length(b) = {size}"
+            f" is above the size limit of {4 * MAX_K}"
+        )
 
 
 def _check_sweep_size(args: argparse.Namespace, cap: int) -> None:
@@ -154,7 +162,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sum(args: argparse.Namespace) -> int:
-    _check_k("--k", args.k)
+    _check_k("--k", args.k, args.base)
     q = MomentQuery(args.base, args.power, args.k, args.last_digit)
     inputs = {"base": str(args.base), "power": str(args.power), "k": str(args.k)}
     if args.last_digit is not None:
@@ -193,7 +201,7 @@ def cmd_sum(args: argparse.Namespace) -> int:
 
 def cmd_closed_form(args: argparse.Namespace) -> int:
     if args.depth is not None:
-        _check_k("--depth", args.depth)
+        _check_k("--depth", args.depth, args.base)
     form, verdict = closed_form(args.base, args.power, depth=args.depth)
     inputs = {"base": str(args.base), "power": str(args.power)}
     if args.depth is not None:
@@ -248,7 +256,7 @@ def cmd_general_form(args: argparse.Namespace) -> int:
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
-    _check_k("--kmax", args.kmax)
+    _check_k("--kmax", args.kmax, args.base)
     table = build_table(args.base, args.power, args.kmax)
     values = [moment_value(table, args.power, k) for k in range(1, args.kmax + 1)]
     inputs = {

@@ -1,20 +1,18 @@
 """Exponential closed forms in k for the moment sums, with rigorous verification.
 
-The moment state of rabot.recurrence, T(j, q, .) for j + q <= p, is a
-linear constant-coefficient system of dimension D = (p+1)(p+2)/2, the
-same for every base.  Its update is triangular, and its nonzero diagonal
-entries b, b**q + b - 1 (q = 1..p) and b**q - 1 (p - q times, q = 1..p-1)
-are listed by candidate_bases as a multiset, so two families that collide
-at a particular base (2b - 1 = b**2 - 1 = 3 at b = 2) give a root of
-multiplicity two.  The fitter reads a base listed m times as a
-coefficient polynomial in k of degree < m and solves the confluent
-Vandermonde system exactly.
+candidate_bases(b, p) lists the 2p nonzero eigenvalues of the moment update
+U of rabot.recurrence at a base, so two that collide there (2b - 1 =
+b**2 - 1 = 3 at b = 2) form a root of multiplicity two.  The fitter reads a
+base listed m times as a coefficient polynomial in k of degree < m and
+solves the confluent Vandermonde system on 2p values exactly.
 
-A form whose terms fit inside that multiset and which matches the table at
-k = 1..D is not merely consistent but proven: by Cayley-Hamilton, S(p, .)
-satisfies the order-D recurrence of the system's characteristic
-polynomial, the form satisfies it too, and the two agree on D initial
-values.
+verify proves a form from one premise that it checks: the annihilator
+prod_lam (U - lam) over that multiset kills the state v_1 at k = 1, i.e.
+sum_i e_i * T(j, q, 1+i) = 0 for every (j, q), where the e_i are the
+coefficients of prod_lam (x - lam).  U**(k-1) commutes with the product,
+so S(p, .) satisfies this order-2p recurrence for every k >= 1.  A form
+whose terms fit inside the multiset satisfies it too, so agreement at
+k = 1..2p makes the two equal for every k >= 1.
 """
 from __future__ import annotations
 
@@ -26,7 +24,7 @@ from typing import Sequence
 from .digits import check_base
 from .errors import DepthError, NoFitError
 from .linalg import solve_linear
-from .recurrence import (
+from .recurrence import (  # state_dimension_bound is re-exported, not used
     MomentTable,
     build_table,
     candidate_bases,
@@ -89,11 +87,10 @@ class ExponentialForm:
 class Verdict:
     """Outcome of checking a form against exact table values.
 
-    proven:     matched at every k up to at least D(b, p), and every term's
-                coefficient polynomial fits its base's multiplicity in
-                candidate_bases(b, p)
-    consistent: matched at every checked k, but fewer than D(b, p) of them
-                or with a term outside that multiset
+    proven:     matched at k = 1..2p or further, and both premises of the
+                proof hold (see verify)
+    consistent: matched at every checked k, but fewer than 2p of them or
+                with a premise failing
     refuted:    mismatch, with witness (k, table value, form value)
     """
 
@@ -108,10 +105,10 @@ def fit_closed_form(
     """Solve sum_lam P_lam(k) * lam**k = values[k-1] exactly over the rationals,
     where a base listed m times in `bases` gets a polynomial P_lam of degree < m.
 
-    The first len(bases) values determine the coefficients; the remaining
-    values are residual checks and any mismatch raises NoFitError carrying
-    the first failing k.  An unsolvable system raises NoFitError too.
-    Trailing zero coefficients and zero polynomials are dropped.
+    The first len(bases) values determine the coefficients, and later ones
+    are not read: checking the form against a table is verify's job.  An
+    unsolvable system raises NoFitError.  Trailing zero coefficients and
+    zero polynomials are dropped.
     """
     multiplicity = Counter(bases)
     slots = [(lam, e) for lam in sorted(multiplicity) for e in range(multiplicity[lam])]
@@ -132,45 +129,46 @@ def fit_closed_form(
             poly.pop()
         if poly:
             terms.append((tuple(poly), lam))
-    form = ExponentialForm(base, power, tuple(terms))
-    for k in range(t + 1, len(values) + 1):
-        if form.eval_at(k) != values[k - 1]:
-            raise NoFitError(
-                f"candidate bases {sorted(bases)} cannot reproduce value at k={k}",
-                failing_k=k,
-            )
-    return form
+    return ExponentialForm(base, power, tuple(terms))
 
 
 def verify(form: ExponentialForm, table: MomentTable, depth: int | None = None) -> Verdict:
     """Compare a form against exact table values at k = 1..depth.
 
-    depth defaults to D(b, p).  Agreement at that depth constitutes proof
-    (see module docstring) when every term fits inside candidate_bases(b, p);
-    agreement at a smaller requested depth, or by a form outside that
-    multiset, is only reported as consistent.
+    depth defaults to the proof depth 2p, and the table must reach
+    k = max(depth, 2p + 1).  Agreement at depth >= 2p is proof (see module
+    docstring) when every term fits inside candidate_bases(b, p) and the
+    annihilator over that multiset kills the table's state at k = 1;
+    otherwise it is only consistent.
     """
     if table.base != form.base:
         raise ValueError(f"table is for base {table.base}, form for base {form.base}")
     if table.max_power < form.power:
         raise ValueError(f"table only covers powers up to {table.max_power}")
-    required = state_dimension_bound(form.base, form.power)
+    required = 2 * form.power
     checked = required if depth is None else depth
     if checked < 1:
         raise ValueError("verification depth must be at least 1")
-    if table.max_k < checked:
-        raise DepthError(
-            f"table depth {table.max_k} is below the verification depth {checked}"
-        )
+    need = max(checked, required + 1)  # the annihilator reads column 2p + 1
+    if table.max_k < need:
+        raise DepthError(f"table depth {table.max_k} is below {need}, the depth verify reads")
     for k in range(1, checked + 1):
         expected = moment_value(table, form.power, k)
         actual = form.eval_at(k)
         if actual != expected:
             return Verdict("refuted", checked_depth=k, witness=(k, expected, actual))
-    multiplicity = Counter(candidate_bases(form.base, form.power))
-    in_spectrum = all(len(poly) <= multiplicity[lam] for poly, lam in form.terms)
-    status = "proven" if checked >= required and in_spectrum else "consistent"
-    return Verdict(status, checked_depth=checked)
+    bases = candidate_bases(form.base, form.power)
+    in_spectrum = all(len(poly) <= bases.count(lam) for poly, lam in form.terms)
+    e = [1]  # coefficients of prod_lam (x - lam), constant term first
+    for lam in bases:
+        e = [shifted - lam * c for shifted, c in zip([0] + e, e + [0])]
+    annihilated = all(
+        sum(c * table.moments[1 + i][q][j] for i, c in enumerate(e)) == 0
+        for q in range(form.power + 1)
+        for j in range(form.power - q + 1)
+    )
+    proven = checked >= required and in_spectrum and annihilated
+    return Verdict("proven" if proven else "consistent", checked_depth=checked)
 
 
 def closed_form(
@@ -178,17 +176,17 @@ def closed_form(
 ) -> tuple[ExponentialForm, Verdict]:
     """Fit and verify the closed form of S(power, .) for a fixed base.
 
-    Fits the candidate-base multiset to exact table values and verifies the
-    form to depth max(D(b, p), depth).
+    Fits the candidate-base multiset to the 2p exact table values at
+    k = 1..2p and verifies the form to depth max(2p, depth).
     """
     check_base(base)
     if not isinstance(power, int) or power < 1:
         raise ValueError(f"power must be a positive integer, got {power!r}")
     if depth is not None and depth < 1:
         raise ValueError("verification depth must be at least 1")
-    required = state_dimension_bound(base, power)
+    required = 2 * power
     checked = required if depth is None else max(depth, required)
-    table = build_table(base, power, checked)
-    values = [moment_value(table, power, k) for k in range(1, checked + 1)]
+    table = build_table(base, power, checked + 1)
+    values = [moment_value(table, power, k) for k in range(1, required + 1)]
     form = fit_closed_form(values, candidate_bases(base, power), base=base, power=power)
     return form, verify(form, table, depth=checked)

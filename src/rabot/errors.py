@@ -16,18 +16,12 @@ class EnumerationCapError(RuntimeError):
 class NoFitError(RuntimeError):
     """Raised when no candidate closed form reproduces the given values, or
     when a general form's specialization is not proven at a base it is
-    checked on.
-
-    failing_k carries the first index where a residual check broke down.
-    """
-
-    def __init__(self, message: str, *, failing_k: int | None = None):
-        super().__init__(message)
-        self.failing_k = failing_k
+    checked on."""
 
 
 class DepthError(ValueError):
-    """Raised when a table is too shallow for the requested verification depth."""
+    """Raised when a table is too shallow for verify: below the requested
+    depth, or below k = 2p + 1, the last column the annihilator check reads."""
 
 
 class ExcludedBaseError(ValueError):

@@ -17,8 +17,8 @@ lam_f of the moment update (eigenvalue_families).  The result is a theorem:
   vanishes; GeneralForm.excluded_bases lists the bases where one does.
 
 At every requested base outside those, guess_general_form also runs the
-per-base proof of rabot.closedform (verify) on the specialized form, against
-a recurrence table that the derivation did not read.
+per-base proof of rabot.closedform (verify, with its annihilator check) on
+the specialized form, against a recurrence table the derivation did not read.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 from .closedform import ExponentialForm, verify
 from .digits import check_base
 from .errors import ExcludedBaseError, NoFitError
-from .recurrence import build_table, eigenvalue_families, moment_value, state_dimension_bound
+from .recurrence import build_table, eigenvalue_families, moment_value
 
 
 def _frac_str(f: Fraction) -> str:
@@ -226,9 +226,9 @@ class GeneralForm:
 
 
 def base_families(power: int) -> list[PolyInB]:
-    """The distinct growth-base families of eigenvalue_families(power), in
-    canonical order (degree, then leading coefficients)."""
-    families = {PolyInB(tuple(map(Fraction, fam))) for fam in eigenvalue_families(power)}
+    """The growth-base families of eigenvalue_families(power), in canonical
+    order (degree, then leading coefficients)."""
+    families = [PolyInB(tuple(map(Fraction, fam))) for fam in eigenvalue_families(power)]
     return sorted(families, key=lambda fam: (fam.degree(), fam.coefficients[::-1]))
 
 
@@ -302,7 +302,7 @@ def guess_general_form(power: int, b_range: Iterable[int]) -> GeneralForm:
         raise ValueError("the base range is empty")
     g = _derive(power)
     for b in sorted(bs - g.excluded_bases()):
-        verdict = verify(specialize(g, b), build_table(b, power, state_dimension_bound(b, power)))
+        verdict = verify(specialize(g, b), build_table(b, power, 2 * power + 1))
         if verdict.status != "proven":
             raise NoFitError(f"the general form at b={b} is {verdict.status}, not proven")
     return g

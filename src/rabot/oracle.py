@@ -124,8 +124,10 @@ def _sum_range(
 
 def _check_cap(q: MomentQuery, cap: int | None) -> None:
     if cap is not None and q.count() > cap:
+        # the count as (b-1)*b^e: its decimal form may be too long to print
+        e = q.k if q.last_digit is None else q.k - 1
         raise EnumerationCapError(
-            f"query enumerates {q.count()} numbers, above the cap of {cap}"
+            f"query enumerates {q.base - 1}*{q.base}^{e} numbers, above the cap of {cap}"
         )
 
 

@@ -23,7 +23,7 @@ whose size does not depend on b:
 
 with F_j = sum_{l<b} l**j (0**0 = 1) and S(q, k) = T(0, q, k).  Both chains
 start from the one-digit numbers at k = 0, whose raboter value is 0:
-T(j, 0, 0) = sum_{l=1..b-1} l**j, S(l, 0, 0) = [l >= 1], all else 0.
+T(j, 0, 0) = F_j - [j = 0], S(l, 0, 0) = [l >= 1], all else 0.
 """
 from __future__ import annotations
 
@@ -49,42 +49,48 @@ class MomentTable:
 
 
 def state_dimension_bound(base: int, power: int) -> int:
-    """Order bound D(b, p) = (p+1)(p+2)/2 on the recurrence for S(p, .): the
-    number of sequences T(j, q, .) with j + q <= p."""
+    """The size D(b, p) = (p+1)(p+2)/2 of the moment state for S(p, .), the
+    number of sequences T(j, q, .) with j + q <= p; not a proof depth."""
     return (power + 1) * (power + 2) // 2
 
 
 def eigenvalue_families(power: int) -> list[tuple[int, ...]]:
-    """The nonzero diagonal of the update for S(power, .), one entry per
-    eigenvalue with multiplicity, each a polynomial in b (integer
-    coefficients, constant term first).
+    """The 2p distinct nonzero eigenvalues of the update for S(power, .), each
+    a polynomial in b (integer coefficients, constant term first).
 
     Ordered by q with T(0, q) before T(j >= 1, q), the update is triangular:
-    T(0, 0) gives b, T(0, q) gives b**q + b - 1, and the p - q sequences
-    T(j >= 1, q) give b**q - 1 each.  The T(j >= 1, 0) rows give 0, which
-    adds no term to a closed form, and b**p - 1 never occurs because
-    T(j >= 1, p) does not exist.
+    T(0, 0) gives b, T(0, q) gives b**q + b - 1, and the T(j >= 1, q) give
+    b**q - 1 for q = 1..p-1.  The T(j >= 1, 0) rows give 0, which adds no
+    term to a closed form, and b**p - 1 never occurs because T(j >= 1, p)
+    does not exist.
     """
     if not isinstance(power, int) or power < 1:
         raise ValueError(f"power must be a positive integer, got {power!r}")
-    families = [(0, 1)]
-    for q in range(1, power + 1):
-        minus = (-1,) + (0,) * (q - 1) + (1,)
-        families.append(tuple(c + (e == 1) for e, c in enumerate(minus)))
-        families.extend([minus] * (power - q))
-    return families
+    minus = [(-1,) + (0,) * (q - 1) + (1,) for q in range(1, power + 1)]
+    plus = [tuple(c + (e == 1) for e, c in enumerate(fam)) for fam in minus]
+    return [(0, 1)] + plus + minus[:-1]
 
 
 def candidate_bases(base: int, power: int) -> list[int]:
-    """The nonzero spectrum of the update for S(power, .) at a given base, as
-    a sorted multiset: b, b**q + b - 1 for q = 1..p, and b**q - 1 listed
-    p - q times for q = 1..p-1.  Families that collide at this base are
-    listed once per family, and a base listed m times may carry a
-    coefficient polynomial in k of degree < m."""
+    """The values of the 2p eigenvalue families at a given base, sorted.
+
+    Families that collide at this base are listed once per family (at b = 2,
+    2b - 1 = b**2 - 1 = 3 is listed twice), and a base listed m times may
+    carry a coefficient polynomial in k of degree < m."""
     check_base(base)
     return sorted(
         sum(c * base**e for e, c in enumerate(fam)) for fam in eigenvalue_families(power)
     )
+
+
+def _power_sums(base: int, power: int) -> list[int]:
+    """F_j = sum_{l<b} l**j, j <= power (0**0 = 1), from the telescoped sum
+    sum_{l<b} (l+1)**(j+1) - l**(j+1) = sum_{i<=j} C(j+1, i)*F_i = b**(j+1)."""
+    sums: list[int] = []
+    for j in range(power + 1):
+        rest = sum(comb(j + 1, i) * f for i, f in enumerate(sums))
+        sums.append((base ** (j + 1) - rest) // (j + 1))
+    return sums
 
 
 def extend(t: MomentTable, new_max_k: int) -> MomentTable:
@@ -92,7 +98,7 @@ def extend(t: MomentTable, new_max_k: int) -> MomentTable:
     if not isinstance(new_max_k, int) or new_max_k < t.max_k:
         raise ValueError(f"new_max_k must be an integer >= {t.max_k}, got {new_max_k!r}")
     b, p = t.base, t.max_power
-    faulhaber = [sum(l**j for l in range(b)) for j in range(p + 1)]
+    faulhaber = _power_sums(b, p)
     columns = list(t.moments)
     for _ in range(t.max_k, new_max_k):
         prev = columns[-1]
@@ -117,7 +123,7 @@ def build_table(base: int, max_power: int, max_k: int) -> MomentTable:
         raise ValueError(f"max_power must be a non-negative integer, got {max_power!r}")
     if not isinstance(max_k, int) or max_k < 1:
         raise ValueError(f"max_k must be an integer >= 1, got {max_k!r}")
-    one_digit = tuple(sum(l**j for l in range(1, base)) for j in range(max_power + 1))
+    one_digit = tuple(f - (j == 0) for j, f in enumerate(_power_sums(base, max_power)))
     seed = (one_digit,) + tuple((0,) * (max_power - q + 1) for q in range(1, max_power + 1))
     return extend(MomentTable(base, max_power, 0, (seed,)), max_k)
 

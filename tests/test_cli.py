@@ -145,7 +145,7 @@ def test_closed_form_repeated_root_golden(capsys):
     assert code == 0
     assert out == (
         "((1/2))*2^k + ((-1/9) + (-4/9)*k)*3^k + ((-1))*5^k + ((20/27))*9^k\n"
-        "status: proven (checked to k=10)\n"
+        "status: proven (checked to k=6)\n"
     )
     code, out, _ = run(capsys, "closed-form", "--base", "2", "--power", "3", "--json")
     assert code == 0
@@ -156,7 +156,7 @@ def test_closed_form_repeated_root_golden(capsys):
         '{"base": "3", "coefficient_poly": ["-1/9", "-4/9"]}, '
         '{"base": "5", "coefficient_poly": ["-1"]}, '
         '{"base": "9", "coefficient_poly": ["20/27"]}], '
-        '"verdict": {"checked_depth": "10", "status": "proven"}}, "status": "proven"}\n'
+        '"verdict": {"checked_depth": "6", "status": "proven"}}, "status": "proven"}\n'
     )
 
 
@@ -166,13 +166,13 @@ def test_closed_form_outside_spectrum_exits_4(capsys, monkeypatch):
     real_fit = cf.fit_closed_form
 
     def bogus_fit(values, bases, *, base, power):
-        # matches k = 1..3, but none of these bases is an eigenvalue
-        return real_fit(values[:3], [11, 13, 15], base=base, power=power)
+        # matches k = 1..2, but none of these bases is an eigenvalue
+        return real_fit(values[:2], [11, 13], base=base, power=power)
 
     monkeypatch.setattr(cf, "fit_closed_form", bogus_fit)
     code, out, _ = run(capsys, "closed-form", "--base", "2", "--power", "1")
     assert code == 4
-    assert out.splitlines()[1] == "status: consistent (checked to k=3)"
+    assert out.splitlines()[1] == "status: consistent (checked to k=2)"
 
 
 def test_closed_form_first_moment(capsys):
@@ -443,6 +443,45 @@ def test_k_above_limit_exits_2_before_any_work(capsys, monkeypatch):
         assert code == 2, argv
         assert out == ""
         assert f"above the limit of {cli.MAX_K}" in err
+    # k*bit_length(b) is held to 4*MAX_K, the size MAX_K allows at b = 10
+    size_limit = f"is above the size limit of {4 * cli.MAX_K}"
+    for argv in (
+        ("sum", "--base", "1000", "--power", "2", "--k", "1201"),
+        ("sum", "--engine", "brute", "--base", "1000", "--power", "1", "--k", "1201"),
+        ("seq", "--base", "1000", "--power", "3", "--kmax", str(cli.MAX_K)),
+        ("closed-form", "--base", str(10**6), "--power", "1", "--depth", "601"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert size_limit in err, argv
+
+
+def test_k_at_the_size_limit_runs(capsys):
+    # bit_length(1000) = 10, so k = 1200 is exactly at the limit
+    code, out, _ = run(capsys, "seq", "--base", "1000", "--power", "1", "--kmax", "1200")
+    assert code == 0
+    assert len(out.split(",")) == 1200
+
+
+def test_brute_refusal_of_a_huge_count_is_one_short_line(capsys, monkeypatch):
+    monkeypatch.delenv("RABOT_ENUM_CAP", raising=False)
+    code, out, err = run(
+        capsys, "sum", "--engine", "brute", "--base", "3", "--power", "1", "--k", "3000"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: query enumerates 2*3^3000 numbers, above the cap of {10**8}\n"
+
+
+def test_sum_at_a_huge_base_is_immediate(capsys):
+    # checked against the general form, which never sees this base
+    from rabot import guess_general_form, specialize
+
+    b = 10**8
+    code, out, _ = run(capsys, "sum", "--base", str(b), "--power", "2", "--k", "3")
+    assert code == 0
+    assert int(out) == specialize(guess_general_form(2, [2]), b).eval_at(3)
 
 
 def test_no_floats_anywhere(capsys):

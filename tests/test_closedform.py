@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from rabot import (
     DepthError,
     ExponentialForm,
+    MomentTable,
     NoFitError,
+    Verdict,
     build_table,
     candidate_bases,
     closed_form,
@@ -33,7 +35,13 @@ def test_candidate_bases():
     assert candidate_bases(3, 1) == [3, 5]
     assert candidate_bases(3, 2) == [2, 3, 5, 11]
     # b^p - 1 is not an eigenvalue, so it never gets a term
-    assert candidate_bases(3, 3) == [2, 2, 3, 5, 8, 11, 29]
+    assert candidate_bases(3, 3) == [2, 3, 5, 8, 11, 29]
+
+
+def test_candidate_bases_lists_2p_values():
+    for b in (2, 3, 10, 1000):
+        for p in range(1, 9):
+            assert len(candidate_bases(b, p)) == 2 * p, (b, p)
 
 
 def test_candidate_bases_validation():
@@ -58,10 +66,14 @@ def test_fit_zero_sequence():
     assert form.terms == ()
 
 
-def test_fit_residual_mismatch():
-    with pytest.raises(NoFitError) as err:
-        fit_closed_form([1, 4, 14, 47], [1, 2, 3], base=2, power=1)
-    assert err.value.failing_k == 4
+def test_fit_reads_one_value_per_base():
+    # later values are verify's to check, not the fitter's
+    form = fit_closed_form([1, 4, 14, 47], [1, 2, 3], base=2, power=1)
+    assert form == fit_closed_form([1, 4, 14], [1, 2, 3], base=2, power=1)
+    assert form.eval_at(4) == 46
+    # Fibonacci has no integer characteristic roots: the fit matches k = 1..3 only
+    fib = fit_closed_form([1, 1, 2, 3, 5, 8], [1, 2, 2], base=2, power=1)
+    assert [fib.eval_at(k) for k in range(1, 5)] == [1, 1, 2, 6]
 
 
 def test_fit_unsolvable_system_is_no_fit():
@@ -109,11 +121,12 @@ def test_verify_proven_and_refuted():
 def test_verify_depth_semantics():
     t = build_table(2, 1, 12)
     form = ExponentialForm(2, 1, (((F(-1, 2),), 2), ((F(2, 3),), 3)))
-    assert verify(form, t).checked_depth == 3
-    assert verify(form, t, depth=2).status == "consistent"
+    assert verify(form, t).checked_depth == 2
+    assert verify(form, t, depth=1).status == "consistent"
     assert verify(form, t, depth=12).status == "proven"
     with pytest.raises(DepthError):
         verify(form, t, depth=13)
+    # the values reach k = 2, but the annihilator reads k = 3
     with pytest.raises(DepthError):
         verify(form, build_table(2, 1, 2))
     with pytest.raises(ValueError):
@@ -140,6 +153,51 @@ def test_verify_requires_k_degree_within_multiplicity():
     assert verify(wide, t).status == "consistent"
 
 
+def test_verify_requires_annihilated_state():
+    # T(1, 0, 2p+1) enters no value of S(p, .), only the annihilator check
+    for b in (2, 3, 7):
+        for p in range(1, 5):
+            form, verdict = closed_form(b, p)
+            assert verdict.status == "proven"
+            t = build_table(b, p, 2 * p + 1)
+            assert verify(form, t).status == "proven"
+            moments = [list(map(list, column)) for column in t.moments]
+            moments[2 * p + 1][0][1] += 1
+            perturbed = MomentTable(b, p, t.max_k, tuple(tuple(map(tuple, c)) for c in moments))
+            assert moment_value(perturbed, p, 2 * p + 1) == moment_value(t, p, 2 * p + 1)
+            assert verify(form, perturbed) == Verdict("consistent", checked_depth=2 * p)
+
+
+def test_closed_form_fits_2p_values_on_2p_bases(monkeypatch):
+    import rabot.closedform as cf
+
+    seen = []
+    real_fit = cf.fit_closed_form
+
+    def spy(values, bases, **kwargs):
+        seen.append((len(values), len(bases)))
+        return real_fit(values, bases, **kwargs)
+
+    monkeypatch.setattr(cf, "fit_closed_form", spy)
+    for p in range(1, 6):
+        cf.closed_form(2, p, depth=20)
+    assert seen == [(2 * p, 2 * p) for p in range(1, 6)]
+
+
+def test_proven_for_powers_to_8_at_small_and_wide_bases():
+    # the annihilator vanishes, including at the b = 2 collision
+    for b in (*range(2, 13), 100, 1000):
+        for p in range(1, 9):
+            assert closed_form(b, p)[1] == Verdict("proven", checked_depth=2 * p), (b, p)
+
+
+def test_closed_form_at_a_high_power():
+    form, verdict = closed_form(3, 16)
+    assert verdict == Verdict("proven", checked_depth=32)
+    t = build_table(3, 16, 40)
+    assert all(form.eval_at(k) == moment_value(t, 16, k) for k in range(1, 41))
+
+
 def test_pipeline_proves_and_reproduces():
     for b in range(2, 7):
         for p in range(1, 4):
@@ -151,11 +209,11 @@ def test_pipeline_proves_and_reproduces():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 12), st.integers(1, 4))
+@given(st.integers(2, 12), st.integers(1, 8))
 def test_closed_form_is_proven_and_matches_table_to_three_depths(b, p):
     form, verdict = closed_form(b, p)
     assert verdict.status == "proven"
-    # a reach of 3·(p+1)(b+1), far past the proof depth (p+1)(p+2)/2
+    # a reach of 3·(p+1)(b+1), far past the proof depth 2p
     depth = 3 * (p + 1) * (b + 1)
     t = build_table(b, p, depth)
     for k in range(1, depth + 1):
@@ -200,7 +258,7 @@ def test_binary_third_moment_needs_k_multiplier():
     """At b = 2 the candidate eigenvalues 2b-1 and b^2-1 collide at 3, and
     the third moment genuinely picks up a k*3^k term there; the multiset
     lists 3 twice, so the one fitter finds it and the result is proven."""
-    assert candidate_bases(2, 3) == [1, 1, 2, 3, 3, 5, 9]
+    assert candidate_bases(2, 3) == [1, 2, 3, 3, 5, 9]
     form, verdict = closed_form(2, 3)
     assert verdict.status == "proven"
     assert not form.is_constant()
@@ -227,20 +285,13 @@ def test_fallback_zero_sequence():
     assert form.terms == ()
 
 
-def test_fallback_rejects_irrational_roots():
-    # Fibonacci: characteristic x^2 - x - 1 has no integer roots
-    with pytest.raises(NoFitError) as err:
-        fit_closed_form([1, 1, 2, 3, 5, 8, 13, 21, 34, 55], [1, 2, 2], base=2, power=1)
-    assert err.value.failing_k == 4
-
-
 def test_pipeline_depth_request():
     form, verdict = closed_form(2, 1, depth=15)
     assert verdict.status == "proven"
     assert verdict.checked_depth == 15
-    # a depth below the proof bound is raised, never lowered
-    _, verdict = closed_form(2, 1, depth=2)
-    assert verdict.checked_depth == 3
+    # a depth below the proof depth 2p is raised, never lowered
+    _, verdict = closed_form(2, 1, depth=1)
+    assert verdict.checked_depth == 2
     for bad in (0, -3):
         with pytest.raises(ValueError):
             closed_form(2, 1, depth=bad)

@@ -105,6 +105,14 @@ def test_cap_refused():
         brute_moment_parallel(MomentQuery(2, 1, 30), 4, cap=1000)
 
 
+def test_cap_refusal_states_a_huge_count_as_a_power():
+    # the count 2*3^10000 has more decimal digits than Python will print
+    with pytest.raises(EnumerationCapError, match=r"enumerates 2\*3\^10000 numbers"):
+        brute_moment(MomentQuery(3, 1, 10000))
+    with pytest.raises(EnumerationCapError, match=r"enumerates 2\*3\^9999 numbers"):
+        brute_moment(MomentQuery(3, 1, 10000, last_digit=1))
+
+
 def test_cap_boundary_and_override():
     q = MomentQuery(2, 1, 3)
     assert q.count() == 8

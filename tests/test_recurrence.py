@@ -158,6 +158,26 @@ def test_table_holds_state_dimension_bound_sequences():
                 assert sum(len(row) for row in column) == state_dimension_bound(b, p)
 
 
+def test_power_sums_match_the_direct_sum():
+    # the seed T(j, 0, 0) is sum_{l=1..b-1} l^j, computed without the digit loop
+    for b in range(2, 60):
+        t = build_table(b, 8, 1)
+        assert t.moments[0][0] == tuple(sum(l**j for l in range(1, b)) for j in range(9)), b
+
+
+def test_huge_base_costs_no_digit_loop():
+    # a sum over the 10^12 digits would not finish
+    b = 10**12
+    t = build_table(b, 3, 6)
+    assert moment_value(t, 1, 1) == b * (b - 1) // 2
+    for k in range(1, 7):
+        assert moment_value(t, 0, k) == (b - 1) * b**k
+        expected = Fraction(b * (b - 1), 2 * b - 1) * (2 * b - 1) ** k - Fraction(b - 1, 2) * b**k
+        assert moment_value(t, 1, k) == expected
+    # of the two-digit numbers only ll is nonzero, with value l
+    assert moment_value(t, 2, 1) == (b - 1) * b * (2 * b - 1) // 6
+
+
 def test_seed_validation():
     with pytest.raises(InvalidBaseError):
         build_table(1, 2, 1)
