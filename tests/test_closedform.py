@@ -71,9 +71,18 @@ def test_fit_reads_one_value_per_base():
     form = fit_closed_form([1, 4, 14, 47], [1, 2, 3], base=2, power=1)
     assert form == fit_closed_form([1, 4, 14], [1, 2, 3], base=2, power=1)
     assert form.eval_at(4) == 46
-    # Fibonacci has no integer characteristic roots: the fit matches k = 1..3 only
-    fib = fit_closed_form([1, 1, 2, 3, 5, 8], [1, 2, 2], base=2, power=1)
-    assert [fib.eval_at(k) for k in range(1, 5)] == [1, 1, 2, 6]
+
+
+def test_fit_residual_mismatch():
+    # a value past the fitted ones that the form misses is refuted by verify at that k
+    form = fit_closed_form([1, 4, 14, 47], [1, 2, 3], base=2, power=1)
+    t = build_table(2, 1, 4)
+    moments = [list(map(list, column)) for column in t.moments]
+    moments[4][1][0] = 47
+    mismatched = MomentTable(2, 1, t.max_k, tuple(tuple(map(tuple, c)) for c in moments))
+    assert moment_value(mismatched, 1, 4) == 47
+    assert verify(form, mismatched, depth=4) == Verdict("refuted", checked_depth=4, witness=(4, 47, 46))
+    assert verify(form, t, depth=4).status == "proven"
 
 
 def test_fit_unsolvable_system_is_no_fit():
@@ -283,6 +292,16 @@ def test_fallback_simple_roots_gives_plain_form():
 def test_fallback_zero_sequence():
     form = fit_closed_form([0] * 8, [2, 2, 3], base=2, power=1)
     assert form.terms == ()
+
+
+def test_fallback_rejects_irrational_roots():
+    # Fibonacci: characteristic x^2 - x - 1 has no integer roots, so the form
+    # fitted on k = 1..3 first misses the sequence at k = 4
+    fib = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
+    form = fit_closed_form(fib, [1, 2, 2], base=2, power=1)
+    misses = [k for k in range(1, len(fib) + 1) if form.eval_at(k) != fib[k - 1]]
+    assert misses[0] == 4
+    assert form.eval_at(4) == 6
 
 
 def test_pipeline_depth_request():
