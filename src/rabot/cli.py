@@ -3,11 +3,13 @@ forms uniform in b, sequence export, and recurrence-vs-brute-force sweeps.
 
 Exit codes are fixed so CI can tell failure modes apart: 2 for usage or
 invalid input (including a refused over-cap enumeration or check sweep, an
-empty base range, a k above MAX_K or with k*bit_length(b) above 4*MAX_K,
-or a general-form power above MAX_GENERAL_FORM_POWER), 3 when the two
-engines disagree (the bug-detection signal), 4 when fitting or verification
-fails.  All numeric output is exact; big integers are printed as decimal
-strings and rationals as numerator/denominator, never floats.
+empty base range, a power above MAX_POWER, a k above MAX_K or with
+max(p, 3)*k*bit_length(b) above 12*MAX_K, a general-form power above
+MAX_GENERAL_FORM_POWER, or a general-form range of more than
+MAX_GENERAL_FORM_BASES bases, each refused before any table is built), 3
+when the two engines disagree (the bug-detection signal), 4 when fitting or
+verification fails.  All numeric output is exact; big integers are printed
+as decimal strings and rationals as numerator/denominator, never floats.
 """
 from __future__ import annotations
 
@@ -29,16 +31,26 @@ EXIT_USAGE = 2
 EXIT_DISAGREEMENT = 3
 EXIT_NO_FIT = 4
 
-# The general-form derivation's time grows about 2.8-fold per power (the
-# command takes about 6 s at p = 7), so larger powers are refused rather than
+# The general-form derivation's time grows about 2.5-fold per power (the
+# command takes about 3 s at p = 7), so larger powers are refused rather than
 # left to run for minutes.
 MAX_GENERAL_FORM_POWER = 7
+
+# general-form proves its specialization at every base of its range, about
+# 0.3 ms per base at p = 2 and 8 ms at p = 7, so wider ranges are refused.
+MAX_GENERAL_FORM_BASES = 1000
+
+# `sum`, `seq` and `closed-form` refuse --power above this: the state has
+# (p+1)(p+2)/2 sequences, and `closed-form --base 1000000` takes about 1.7 s
+# at p = 16 and 5.4 s at p = 20.
+MAX_POWER = 16
 
 # Values grow linearly in k and their decimal printing more than linearly, so
 # `sum --k`, `seq --kmax` and `closed-form --depth` above this are refused:
 # `seq --base 10 --power 3 --kmax 3000` builds and prints in about 3.5 s.
-# Their size also grows with the digits of the base, so k*bit_length(b) is
-# held to 4*MAX_K, what MAX_K allows at b = 10.
+# Their size, about p*k*bit_length(b) bits, also grows with the digits of the
+# base and with the power, so max(p, 3)*k*bit_length(b) is held to 12*MAX_K,
+# what MAX_K allows at b = 10 and p = 3.
 MAX_K = 3000
 
 
@@ -94,14 +106,16 @@ def _enum_cap() -> int:
     return cap
 
 
-def _check_k(flag: str, k: int, base: int) -> None:
+def _check_k(flag: str, k: int, base: int, power: int) -> None:
+    if power > MAX_POWER:
+        raise ValueError(f"--power {power} is above the limit of {MAX_POWER}")
     if k > MAX_K:
         raise ValueError(f"{flag} {k} is above the limit of {MAX_K}")
-    size = k * base.bit_length()
-    if size > 4 * MAX_K:
+    size, limit = k * base.bit_length(), 12 * MAX_K // max(power, 3)
+    if size > limit:
         raise ValueError(
-            f"{flag} {k} at --base {base}: k*bit_length(b) = {size}"
-            f" is above the size limit of {4 * MAX_K}"
+            f"{flag} {k} at --base {base} and --power {power}: k*bit_length(b) = {size}"
+            f" is above the size limit of {limit}"
         )
 
 
@@ -162,7 +176,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sum(args: argparse.Namespace) -> int:
-    _check_k("--k", args.k, args.base)
+    _check_k("--k", args.k, args.base, args.power)
     q = MomentQuery(args.base, args.power, args.k, args.last_digit)
     inputs = {"base": str(args.base), "power": str(args.power), "k": str(args.k)}
     if args.last_digit is not None:
@@ -200,8 +214,7 @@ def cmd_sum(args: argparse.Namespace) -> int:
 
 
 def cmd_closed_form(args: argparse.Namespace) -> int:
-    if args.depth is not None:
-        _check_k("--depth", args.depth, args.base)
+    _check_k("--depth", args.depth or 0, args.base, args.power)  # without --depth, just the power
     form, verdict = closed_form(args.base, args.power, depth=args.depth)
     inputs = {"base": str(args.base), "power": str(args.power)}
     if args.depth is not None:
@@ -228,7 +241,13 @@ def cmd_general_form(args: argparse.Namespace) -> int:
         raise ValueError(
             f"--power {args.power} is above the general-form limit of {MAX_GENERAL_FORM_POWER}"
         )
-    g = guess_general_form(args.power, _base_range(args))
+    bases = _base_range(args)
+    if args.b_max - args.b_min + 1 > MAX_GENERAL_FORM_BASES:
+        raise ValueError(
+            f"--b-min {args.b_min} to --b-max {args.b_max} is above the general-form"
+            f" limit of {MAX_GENERAL_FORM_BASES} bases"
+        )
+    g = guess_general_form(args.power, bases)
     excluded = sorted(g.excluded_bases())
     inputs = {
         "power": str(args.power),
@@ -256,7 +275,7 @@ def cmd_general_form(args: argparse.Namespace) -> int:
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
-    _check_k("--kmax", args.kmax, args.base)
+    _check_k("--kmax", args.kmax, args.base, args.power)
     table = build_table(args.base, args.power, args.kmax)
     values = [moment_value(table, args.power, k) for k in range(1, args.kmax + 1)]
     inputs = {

@@ -1,20 +1,21 @@
 """Expressions for the moment sums uniform in the base b, derived exactly
 over Q(b).
 
-guess_general_form interpolates S(p, k), k = 1..2p, as polynomials in b
-(moment_polynomials) and solves the Vandermonde system over Q(b) in closed
-form for the coefficient c_f of each of the 2p distinct eigenvalue families
-lam_f of the moment update (eigenvalue_families).  The result is a theorem:
+moment_polynomials runs the recurrence with b itself as the base, so S(p, k)
+comes out as a polynomial in b, and guess_general_form reads the coefficient
+c_f of each of the 2p distinct eigenvalue families lam_f of the moment update
+(eigenvalue_families) off the generating function sum_k S(p, k) x**k.  The
+result is a theorem:
 
-- Where the families are pairwise distinct, the update is diagonalizable on
-  its nonzero spectrum.  A row T(j, q) depends only on itself, T(0, q) and
-  rows with smaller q, so no path leads from one T(j >= 1, q) row to
-  another; the eigenvalue-0 rows T(j >= 1, 0) depend only on T(0, 0), so
-  they only affect k = 0.  Hence S(p, k) = sum_f c_f * lam_f**k, k >= 1.
-- For each k both sides are rational functions of b that agree at all but
-  finitely many b, so the identity holds in Q(b).
-- It therefore holds at every b >= 2 where no coefficient denominator
-  vanishes; GeneralForm.excluded_bases lists the bases where one does.
+- Over Q(b) the families are pairwise distinct, and the update is
+  diagonalizable on its nonzero spectrum.  A row T(j, q) depends only on
+  itself, T(0, q) and rows with smaller q, so no path leads from one
+  T(j >= 1, q) row to another; the eigenvalue-0 rows T(j >= 1, 0) depend
+  only on T(0, 0), so they only affect k = 0.  Hence
+  S(p, k) = sum_f c_f * lam_f**k in Q(b) for k >= 1.
+- Evaluation at b commutes with the update, so the identity holds at every
+  b >= 2 where no coefficient denominator vanishes;
+  GeneralForm.excluded_bases lists the bases where one does.
 
 At every requested base outside those, guess_general_form also runs the
 per-base proof of rabot.closedform (verify, with its annihilator check) on
@@ -26,13 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import gcd, lcm
-from typing import Iterable, Sequence
+from math import gcd, lcm, prod
+from typing import Iterable
 
 from .closedform import ExponentialForm, verify
 from .digits import check_base
 from .errors import ExcludedBaseError, NoFitError
-from .recurrence import build_table, eigenvalue_families, moment_value
+from .recurrence import _build, build_table, eigenvalue_families
 
 
 def _frac_str(f: Fraction) -> str:
@@ -65,24 +66,44 @@ class PolyInB:
             value = value * b + c
         return value
 
+    def _integral(self) -> tuple[list[int], int]:
+        den = lcm(*(c.denominator for c in self.coefficients))
+        return [c.numerator * (den // c.denominator) for c in self.coefficients], den
+
     def scale(self, factor: int | Fraction) -> PolyInB:
         return PolyInB(tuple(c * factor for c in self.coefficients))
 
-    def __add__(self, other: PolyInB) -> PolyInB:
+    def __add__(self, other: PolyInB | int) -> PolyInB:
+        if isinstance(other, int):
+            other = PolyInB((other,))
         pairs = zip_longest(self.coefficients, other.coefficients, fillvalue=0)
         return PolyInB(tuple(x + y for x, y in pairs))
 
-    def __sub__(self, other: PolyInB) -> PolyInB:
-        return self + other.scale(-1)
+    __radd__ = __add__
 
-    def __mul__(self, other: PolyInB) -> PolyInB:
+    def __sub__(self, other: PolyInB | int) -> PolyInB:
+        return self + other * -1
+
+    def __mul__(self, other: PolyInB | int) -> PolyInB:
+        if isinstance(other, int):
+            return self.scale(other)
         if self.is_zero() or other.is_zero():
             return PolyInB(())
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return PolyInB(tuple(out))
+        # in integers over each side's common denominator: a Fraction sum costs a gcd
+        (xs, dx), (ys, dy) = self._integral(), other._integral()
+        out = [0] * (len(xs) + len(ys) - 1)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                out[i + j] += x * y
+        return PolyInB(tuple(Fraction(c, dx * dy) for c in out))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int) -> PolyInB:
+        return self * self ** (exponent - 1) if exponent else PolyInB((1,))
+
+    def __floordiv__(self, divisor: int) -> PolyInB:
+        return self.scale(Fraction(1, divisor))  # exact, as the coefficients are rational
 
     def render(self, var: str = "b") -> str:
         if self.is_zero():
@@ -232,56 +253,34 @@ def base_families(power: int) -> list[PolyInB]:
     return sorted(families, key=lambda fam: (fam.degree(), fam.coefficients[::-1]))
 
 
-def _interpolate(ys: Sequence[int]) -> PolyInB:
-    """The polynomial of degree < len(ys) with value ys[i] at b = 2 + i, by
-    Newton's divided differences (on unit steps, forward differences / i!)."""
-    diffs = list(ys)
-    for level in range(1, len(ys)):
-        for i in range(len(ys) - 1, level - 1, -1):
-            diffs[i] -= diffs[i - 1]
-    # Horner on the Newton form, times (len(ys) - 1)! to stay in integers
-    coeffs, weight = [diffs[-1]], 1
-    for i in range(len(ys) - 2, -1, -1):
-        weight *= i + 1
-        coeffs = [hi - (2 + i) * lo for hi, lo in zip([0] + coeffs, coeffs + [0])]
-        coeffs[0] += diffs[i] * weight
-    return PolyInB(tuple(Fraction(c, weight) for c in coeffs))
-
-
 def moment_polynomials(power: int, count: int) -> list[PolyInB]:
-    """S(power, k) for k = 1..count as polynomials in b, interpolated from the
-    recurrence at b = 2..(k+1)(power+1)+2.
-
-    Exact because deg_b T(j, q, k) <= (k+1)(q+1) + j, by induction on k over
-    the update: the seed T(j, 0, 0) = sum_{l<b} l**j has degree j + 1
-    (T(j, q >= 1, 0) = 0), and for k >= 1 the terms (b**q - 1)*T(j, q, k-1),
-    F_j*T(0, q, k-1) and b**(q-i)*T(j+i, q-i, k-1) have degree at most
-    q + k(q+1) + j, j + 1 + k(q+1) and q + k(q-i+1) + j.
-    """
-    tables = [build_table(b, power, count) for b in range(2, (count + 1) * (power + 1) + 3)]
-    return [
-        _interpolate([moment_value(t, power, k) for t in tables[: (k + 1) * (power + 1) + 1]])
-        for k in range(1, count + 1)
-    ]
+    """S(power, k) for k = 1..count as polynomials in b, read from the
+    recurrence table built with b itself as the base."""
+    table = _build(PolyInB((0, 1)), power, count)
+    return [table.moments[k][power][0] for k in range(1, count + 1)]
 
 
 @lru_cache(maxsize=8)
 def _derive(power: int) -> GeneralForm:
     """The general form of S(power, .) over Q(b), without zero terms; cached,
-    as it depends on power alone and is immutable."""
+    as it depends on power alone and is immutable.
+
+    G(x) = sum_{k>=1} S(power, k) x**k is N(x)/Q(x), Q(x) = prod_f (1 - lam_f x),
+    so N = Q*G mod x**(F+1), F = 2*power.  Its reversal y**F N(1/y) is
+    sum_f c_f lam_f prod_{g != f}(y - lam_g), which at y = lam_f leaves only f.
+    """
     families = base_families(power)
     sums = moment_polynomials(power, len(families))
+    q = [_ONE]
+    for fam in families:
+        q = [hi - fam * lo for hi, lo in zip(q + [_ZERO], [_ZERO] + q)]
+    numerator = [sum(q[m - k] * sums[k - 1] for k in range(1, m + 1)) for m in range(1, len(q))]
     terms = []
     for fam in families:
-        # prod_{g != f}(x - lam_g) = sum_m a_m x**m kills every other family, so
-        # sum_m a_m * S(p, m+1), which is prod_{g != f}(E - lam_g) S(p, .) at k = 1
-        # for the shift E, equals c_f * lam_f * prod_{g != f}(lam_f - lam_g).
-        shifted, den = sums, fam
-        for other in families:
-            if other != fam:
-                shifted = [nxt - other * cur for cur, nxt in zip(shifted, shifted[1:])]
-                den = den * (fam - other)
-        fn = RationalFnInB(shifted[0], den)
+        value = _ZERO
+        for coeff in numerator:  # Horner on the reversal, y**(F-1) first
+            value = value * fam + coeff
+        fn = RationalFnInB(value, prod((fam - g for g in families if g != fam), start=fam))
         if not fn.is_zero():
             terms.append((fn, fam))
     return GeneralForm(power, tuple(terms))

@@ -99,15 +99,17 @@ def extend(t: MomentTable, new_max_k: int) -> MomentTable:
         raise ValueError(f"new_max_k must be an integer >= {t.max_k}, got {new_max_k!r}")
     b, p = t.base, t.max_power
     faulhaber = _power_sums(b, p)
+    growth = [b**q - 1 for q in range(p + 1)]
+    weights = [[comb(q, i) * b ** (q - i) for i in range(q + 1)] for q in range(p + 1)]
     columns = list(t.moments)
     for _ in range(t.max_k, new_max_k):
         prev = columns[-1]
         columns.append(
             tuple(
                 tuple(
-                    (b**q - 1) * prev[q][j]
+                    growth[q] * prev[q][j]
                     + faulhaber[j] * prev[q][0]
-                    + sum(comb(q, i) * b ** (q - i) * prev[q - i][j + i] for i in range(1, q + 1))
+                    + sum(weights[q][i] * prev[q - i][j + i] for i in range(1, q + 1))
                     for j in range(p - q + 1)
                 )
                 for q in range(p + 1)
@@ -123,6 +125,12 @@ def build_table(base: int, max_power: int, max_k: int) -> MomentTable:
         raise ValueError(f"max_power must be a non-negative integer, got {max_power!r}")
     if not isinstance(max_k, int) or max_k < 1:
         raise ValueError(f"max_k must be an integer >= 1, got {max_k!r}")
+    return _build(base, max_power, max_k)
+
+
+def _build(base, max_power: int, max_k: int) -> MomentTable:
+    """build_table without its checks, for a base in any ring with exact
+    division by small integers: an int, or b itself as a generalform.PolyInB."""
     one_digit = tuple(f - (j == 0) for j, f in enumerate(_power_sums(base, max_power)))
     seed = (one_digit,) + tuple((0,) * (max_power - q + 1) for q in range(1, max_power + 1))
     return extend(MomentTable(base, max_power, 0, (seed,)), max_k)

@@ -259,6 +259,28 @@ def test_general_form_power_above_limit_exits_2(capsys, monkeypatch):
     assert calls == [limit]
 
 
+def test_general_form_range_above_limit_exits_2(capsys, monkeypatch):
+    calls = []
+
+    def stub(power, b_range):
+        calls.append(len(b_range))
+        raise NoFitError("stub")
+
+    monkeypatch.setattr(cli, "guess_general_form", stub)
+    limit = cli.MAX_GENERAL_FORM_BASES
+    for b_min, b_max in ((2, limit + 2), (5, 20000), (2, 10**30)):
+        argv = ("general-form", "--power", "2", "--b-min", str(b_min), "--b-max", str(b_max))
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert f"limit of {limit} bases" in err
+    assert calls == []
+    # a range of exactly the limit reaches the derivation
+    code, _, _ = run(capsys, "general-form", "--power", "2", "--b-min", "7", "--b-max", str(limit + 6))
+    assert code == 4
+    assert calls == [limit]
+
+
 def test_general_form_unproven_input_exits_4(capsys, monkeypatch):
     import rabot.generalform as gf
     from rabot import Verdict
@@ -455,6 +477,55 @@ def test_k_above_limit_exits_2_before_any_work(capsys, monkeypatch):
         assert code == 2, argv
         assert out == ""
         assert size_limit in err, argv
+
+
+def test_power_above_limit_exits_2_before_any_work(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused power must build no table and enumerate nothing")
+
+    monkeypatch.setattr(cli, "build_table", no_work)
+    monkeypatch.setattr(cli, "brute_moment", no_work)
+    monkeypatch.setattr(cli, "closed_form", no_work)
+    for power in (cli.MAX_POWER + 1, 24, 60):
+        for argv in (
+            ("sum", "--base", "10", "--power", str(power), "--k", "3000"),
+            ("sum", "--engine", "both", "--base", "2", "--power", str(power), "--k", "1"),
+            ("seq", "--base", "10", "--power", str(power), "--kmax", "1"),
+            ("closed-form", "--base", "2", "--power", str(power)),
+            ("closed-form", "--base", "2", "--power", str(power), "--depth", "3"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert err == f"error: --power {power} is above the limit of {cli.MAX_POWER}\n"
+
+
+def test_size_limit_falls_with_the_power(capsys, monkeypatch):
+    # max(p, 3)*k*bit_length(b) is held to 12*MAX_K: powers up to 3 keep
+    # k*bit_length(b) <= 4*MAX_K, and above 3 the limit is 12*MAX_K // p
+    huge = str(2**1000)  # bit_length 1001: at p = 12 the limit 3000 allows k = 2
+    for argv, limit in (
+        (("sum", "--base", "10", "--power", "12", "--k", "3000"), 3000),
+        (("sum", "--base", "10", "--power", "12", "--k", "751"), 3000),
+        (("seq", "--base", "10", "--power", "4", "--kmax", "2251"), 9000),
+        (("closed-form", "--base", "2", "--power", "16", "--depth", "1126"), 2250),
+        (("sum", "--base", huge, "--power", "12", "--k", "3"), 3000),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert f"is above the size limit of {limit}" in err, argv
+    code, out, _ = run(capsys, "sum", "--base", huge, "--power", "12", "--k", "2")
+    assert code == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # the value has 7525 digits
+    try:
+        assert int(out) == moment_value(build_table(2**1000, 12, 2), 12, 2)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    code, out, _ = run(capsys, "closed-form", "--base", "2", "--power", str(cli.MAX_POWER))
+    assert code == 0
+    assert out.endswith(f"status: proven (checked to k={2 * cli.MAX_POWER})\n")
 
 
 def test_k_at_the_size_limit_runs(capsys):

@@ -19,6 +19,7 @@ from rabot import (
     specialize,
 )
 from rabot.generalform import moment_polynomials
+from rabot.recurrence import _build
 
 F = Fraction
 
@@ -49,6 +50,15 @@ def test_poly_eval_and_arith():
     assert (poly(1, 1) * poly(-1, 1)).coefficients == (F(-1), F(0), F(1))
     assert (poly(1, 2) + poly(1, -2)).coefficients == (F(2),)
     assert (poly(1, 2) - poly(1, 2)).is_zero()
+    # int operands on either side, as the recurrence uses them with b a symbol
+    assert p + 1 == 1 + p == poly(0, 1, 1)
+    assert p - 1 == poly(-2, 1, 1)
+    assert 3 * p == p * 3 == poly(-3, 3, 3)
+    assert p * 0 == poly() and sum([p, p]) == p * 2
+    assert B**0 == poly(1) and B**3 == poly(0, 0, 0, 1)
+    assert (B + 1) ** 2 == poly(1, 2, 1)
+    assert poly(0, 1, 1) // 2 == poly(0, F(1, 2), F(1, 2))
+    assert (poly(F(1, 2)) * poly(F(1, 3), 1)).coefficients == (F(1, 6), F(1, 2))
 
 
 def test_poly_render():
@@ -176,16 +186,20 @@ def test_guess_third_moment():
     )
 
 
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_moment_polynomials_match_table_outside_interpolation_set(p):
-    # the largest interpolation base is (2p+1)(p+1) + 2 <= 30, so agreement
-    # at b = 97 and 200 checks the degree bound, not the interpolation
-    count = len(base_families(p))
-    polys = moment_polynomials(p, count)
-    for b in (97, 200):
-        table = build_table(b, p, count)
-        for k, s in enumerate(polys, 1):
-            assert s.eval(b) == table.moments[k][p][0], (b, k)
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_symbolic_table_matches_integer_tables(p):
+    # the recurrence run with b as a symbol specializes to the integer
+    # recurrence at every base, small, far out and huge
+    depth = 2 * p + 1
+    symbolic = _build(B, p, depth)
+    polys = moment_polynomials(p, depth)
+    for b in (2, 3, 10, 97, 10**6):
+        table = build_table(b, p, depth)
+        for k in range(1, depth + 1):
+            for q in range(p + 1):
+                for j in range(p - q + 1):
+                    assert symbolic.moments[k][q][j].eval(b) == table.moments[k][q][j], (b, k, q, j)
+            assert polys[k - 1].eval(b) == table.moments[k][p][0], (b, k)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
@@ -199,6 +213,58 @@ def test_excluded_bases_are_the_poles(p):
             poles.add(b)
     assert g.excluded_bases() == poles
     assert poles == (set() if p <= 2 else {2})
+
+
+GOLDEN_P4 = (
+        "((9*b^6 - 25*b^5 + 6*b^4 + 18*b^3 - 11*b^2 + 13*b + 2)/(30*(b^4 - 2*b^3 + b^2)))*(b - 1)^k",
+        "((-9*b^9 + 13*b^8 + 3*b^7 + 7*b^6 + 3*b^5 - 8*b^4 - 14*b^3 - b^2 + 5*b + 1)/(30*(b^7 - b^6 - b^5 - b^4 + b^2 + 2*b + 1)))*(b)^k",
+        "((-b^3 + b^2)/(2*b^2 - 5*b + 2))*(2*b - 1)^k",
+        "((16*b^11 - 46*b^10 - 23*b^9 + 172*b^8 - 101*b^7 - 151*b^6 + 200*b^5 - 25*b^4 - 68*b^3 + 14*b^2)/(30*(b^10 - 6*b^9 + 13*b^8 - 9*b^7 - 12*b^6 + 32*b^5 - 29*b^4 + 8*b^3 + 7*b^2 - 7*b + 2)))*(b^2 - 1)^k",
+        "((4*b^5 + 4*b^4 - 11*b^3 - 4*b^2 + 5*b + 2)/(6*(b^4 - 3*b^2 + 1)))*(b^2 + b - 1)^k",
+        "((-9*b^13 + 6*b^12 + 20*b^11 + 16*b^10 - 26*b^9 - 49*b^8 + b^7 + 27*b^6 + 18*b^5 + 6*b^4 + 2*b^3)/(30*(b^12 - 3*b^11 + b^10 + 3*b^9 + b^8 - 5*b^7 - 2*b^6 + 5*b^5 + 3*b^4 - 3*b^3 - 3*b^2 + b + 1)))*(b^3 - 1)^k",
+        "((-b^6 - 2*b^4 + 2*b^3 - b^2 + 2*b)/(2*(b^5 - b^4 + 2*b^3 - 2*b^2 + 2*b - 1)))*(b^3 + b - 1)^k",
+        "((6*b^15 + 3*b^14 + b^13 + 18*b^12 - 13*b^11 - 3*b^10 + 14*b^9 - 42*b^8 + 11*b^7 - 3*b^6 - 29*b^5 + 28*b^4 - 5*b^3 - b^2 + 13*b + 2)/(30*(b^14 - b^13 + 3*b^11 - 4*b^10 + 3*b^9 + 2*b^8 - 5*b^7 + 5*b^6 - 2*b^5 - b^4 + 2*b^3 - b^2)))*(b^4 + b - 1)^k",
+)
+
+GOLDEN_P5 = (
+        "((-4*b^6 + 10*b^5 - b^4 - 3*b^3 + b^2 - 13*b - 2)/(12*(b^4 - 2*b^3 + b^2)))*(b - 1)^k",
+        "((4*b^9 - 4*b^8 - b^7 - 7*b^6 - 8*b^5 + 2*b^4 + 8*b^3 + 5*b^2 + b)/(12*(b^7 - b^6 - b^5 - b^4 + b^2 + 2*b + 1)))*(b)^k",
+        "((3*b^10 - 5*b^8 - 6*b^7 - 2*b^6 + 5*b^5 - b^4 + 12*b^3 - 2*b^2 - 4*b)/(3*(2*b^9 - 5*b^8 + b^6 + 4*b^5 + 10*b^4 - 14*b^3 + 12*b^2 - 20*b + 8)))*(2*b - 1)^k",
+        "((-10*b^15 + 25*b^14 + 26*b^13 - 94*b^12 - 8*b^11 + 120*b^10 + 6*b^9 - 139*b^8 + 2*b^7 + 170*b^6 - 76*b^5 - 44*b^4 + 32*b^3 + 8*b^2)/(12*(b^14 - 6*b^13 + 13*b^12 - 10*b^11 - 5*b^10 + 13*b^9 - 7*b^8 + 11*b^7 - 37*b^6 + 54*b^5 - 35*b^4 + b^3 + 14*b^2 - 9*b + 2)))*(b^2 - 1)^k",
+        "((-10*b^5 - 15*b^4 + 15*b^3 + 10*b^2)/(12*(b^4 - 3*b^2 + 1)))*(b^2 + b - 1)^k",
+        "((10*b^19 - 5*b^18 - 55*b^17 - 9*b^16 + 132*b^15 + 123*b^14 - 163*b^13 - 293*b^12 + 64*b^11 + 346*b^10 + 80*b^9 - 226*b^8 - 154*b^7 + 30*b^6 + 92*b^5 + 52*b^4 + 12*b^3)/(12*(b^18 - 3*b^17 - 2*b^16 + 12*b^15 + b^14 - 23*b^13 - 4*b^12 + 35*b^11 + 10*b^10 - 39*b^9 - 20*b^8 + 35*b^7 + 23*b^6 - 22*b^5 - 18*b^4 + 9*b^3 + 9*b^2 - 2*b - 2)))*(b^3 - 1)^k",
+        "((10*b^9 - 5*b^8 + 20*b^7 - 35*b^6 + 20*b^5 - 35*b^4 + 20*b^3 - 5*b^2 + 10*b)/(12*(b^8 - 2*b^7 + 3*b^6 - 5*b^5 + 5*b^4 - 5*b^3 + 3*b^2 - 2*b + 1)))*(b^3 + b - 1)^k",
+        "((-4*b^15 + 5*b^14 + b^13 + 8*b^12 - 3*b^11 - 8*b^10 - 8*b^9 - 17*b^8 + 22*b^7 - 4*b^6 + 12*b^5 + 2*b^4)/(12*(b^14 - 4*b^13 + 7*b^12 - 11*b^11 + 19*b^10 - 25*b^9 + 27*b^8 - 30*b^7 + 28*b^6 - 21*b^5 + 18*b^4 - 13*b^3 + 6*b^2 - 4*b + 2)))*(b^4 - 1)^k",
+        "((-6*b^15 - 3*b^14 - b^13 - 18*b^12 + 13*b^11 + 3*b^10 - 14*b^9 + 42*b^8 - 11*b^7 + 3*b^6 + 29*b^5 - 28*b^4 + 5*b^3 + b^2 - 13*b - 2)/(12*(b^14 - b^13 + 3*b^11 - 4*b^10 + 3*b^9 + 2*b^8 - 5*b^7 + 5*b^6 - 2*b^5 - b^4 + 2*b^3 - b^2)))*(b^4 + b - 1)^k",
+        "((2*b^20 + 2*b^19 + b^18 - 2*b^17 + 3*b^16 - 3*b^15 - 3*b^14 - 8*b^13 - 9*b^11 + 3*b^10 - 6*b^9 - b^8 + b^7 + 15*b^6 - 4*b^5 + 5*b^3 + 8*b^2 - 4*b)/(12*(b^19 - b^18 - b^16 + 4*b^15 - 3*b^14 + 2*b^13 - 3*b^12 + 5*b^11 - 5*b^10 + 5*b^9 - 4*b^8 + 3*b^7 - 3*b^6 + 5*b^5 - 4*b^4 + b^3 - b^2 + 2*b - 1)))*(b^5 + b - 1)^k",
+)
+
+
+@pytest.mark.parametrize("p, golden", [(4, GOLDEN_P4), (5, GOLDEN_P5)])
+def test_general_form_goldens(p, golden):
+    # golden: `rabot general-form --power {4, 5}`, line 1, one term a line
+    g = guess_general_form(p, range(2, 13))
+    assert g.render() == " + ".join(golden)
+    assert g.excluded_bases() == {2}
+
+
+def test_derivation_builds_no_integer_table(monkeypatch):
+    import rabot.generalform as gf
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the derivation must not sample integer bases")
+
+    monkeypatch.setattr(gf, "build_table", refuse)
+    gf._derive.cache_clear()
+    # golden: `rabot general-form --power 3`, line 1
+    assert gf._derive(3).render() == (
+        "((-b^2 + b + 2)/4)*(b - 1)^k"
+        " + ((b^2 - b)/4)*(b)^k"
+        " + ((b^3 - 2*b^2 + b)/(2*b^2 - 5*b + 2))*(2*b - 1)^k"
+        " + ((-b^4 + 2*b^2)/(4*(b^3 - 3*b^2 + 3*b - 2)))*(b^2 - 1)^k"
+        " + ((-2*b^3 - 3*b^2 + 3*b + 2)/(4*(b^2 + b - 1)))*(b^2 + b - 1)^k"
+        " + ((b^6 + 2*b^4 - 2*b^3 + b^2 - 2*b)/(4*(b^5 - b^4 + 2*b^3 - 2*b^2 + 2*b - 1)))*(b^3 + b - 1)^k"
+    )
 
 
 def test_guess_rejects_form_that_disagrees_with_proven_form(monkeypatch):

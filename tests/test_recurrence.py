@@ -185,3 +185,11 @@ def test_seed_validation():
         build_table(2, -1, 1)
     with pytest.raises(ValueError, match="max_k"):
         build_table(2, 1, 0)
+
+
+def test_build_table_refuses_a_symbolic_base():
+    # only the private builder takes b as a polynomial; the public one checks
+    from rabot import PolyInB
+
+    with pytest.raises(InvalidBaseError):
+        build_table(PolyInB((0, 1)), 1, 1)
