@@ -4,8 +4,9 @@ forms uniform in b, sequence export, and recurrence-vs-brute-force sweeps.
 Exit codes are fixed so CI can tell failure modes apart: 2 for usage or
 invalid input (including a refused over-cap enumeration or check sweep, an
 empty base range, a power above MAX_POWER, a k above MAX_K or with
-max(p, 3)*k*bit_length(b) above 12*MAX_K, a general-form power above
-MAX_GENERAL_FORM_POWER, or a general-form range of more than
+max(p, 3)*k*bit_length(b) above 12*MAX_K, a closed-form --base over that
+size at its table depth k = 2p + 1 when --depth is absent, a general-form
+power above MAX_GENERAL_FORM_POWER, or a general-form range of more than
 MAX_GENERAL_FORM_BASES bases, each refused before any table is built), 3
 when the two engines disagree (the bug-detection signal), 4 when fitting or
 verification fails.  All numeric output is exact; big integers are printed
@@ -31,9 +32,9 @@ EXIT_USAGE = 2
 EXIT_DISAGREEMENT = 3
 EXIT_NO_FIT = 4
 
-# The general-form derivation's time grows about 2.5-fold per power (the
-# command takes about 3 s at p = 7), so larger powers are refused rather than
-# left to run for minutes.
+# The general-form derivation's time about doubles per power (the command
+# takes about 1 s at p = 7), so larger powers are refused rather than left to
+# run for minutes.
 MAX_GENERAL_FORM_POWER = 7
 
 # general-form proves its specialization at every base of its range, about
@@ -214,7 +215,10 @@ def cmd_sum(args: argparse.Namespace) -> int:
 
 
 def cmd_closed_form(args: argparse.Namespace) -> int:
-    _check_k("--depth", args.depth or 0, args.base, args.power)  # without --depth, just the power
+    if args.depth is None:  # the table goes to k = 2p + 1, so only --base can be too large
+        _check_k("the table depth", 2 * args.power + 1, args.base, args.power)
+    else:
+        _check_k("--depth", args.depth, args.base, args.power)
     form, verdict = closed_form(args.base, args.power, depth=args.depth)
     inputs = {"base": str(args.base), "power": str(args.power)}
     if args.depth is not None:

@@ -70,9 +70,6 @@ class PolyInB:
         den = lcm(*(c.denominator for c in self.coefficients))
         return [c.numerator * (den // c.denominator) for c in self.coefficients], den
 
-    def scale(self, factor: int | Fraction) -> PolyInB:
-        return PolyInB(tuple(c * factor for c in self.coefficients))
-
     def __add__(self, other: PolyInB | int) -> PolyInB:
         if isinstance(other, int):
             other = PolyInB((other,))
@@ -86,7 +83,7 @@ class PolyInB:
 
     def __mul__(self, other: PolyInB | int) -> PolyInB:
         if isinstance(other, int):
-            return self.scale(other)
+            return PolyInB(tuple(c * other for c in self.coefficients))
         if self.is_zero() or other.is_zero():
             return PolyInB(())
         # in integers over each side's common denominator: a Fraction sum costs a gcd
@@ -103,7 +100,7 @@ class PolyInB:
         return self * self ** (exponent - 1) if exponent else PolyInB((1,))
 
     def __floordiv__(self, divisor: int) -> PolyInB:
-        return self.scale(Fraction(1, divisor))  # exact, as the coefficients are rational
+        return PolyInB(tuple(c / divisor for c in self.coefficients))  # exact over Q
 
     def render(self, var: str = "b") -> str:
         if self.is_zero():
@@ -130,58 +127,73 @@ _ZERO = PolyInB(())
 _ONE = PolyInB((Fraction(1),))
 
 
-def _poly_divmod(a: PolyInB, b: PolyInB) -> tuple[PolyInB, PolyInB]:
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    quotient = [Fraction(0)] * max(len(a.coefficients) - len(b.coefficients) + 1, 0)
-    rest = list(a.coefficients)
-    lead = b.coefficients[-1]
-    db = b.degree()
-    for i in range(len(rest) - 1, db - 1, -1):
-        if rest[i] == 0:
-            continue
-        f = rest[i] / lead
-        quotient[i - db] = f
-        for j, c in enumerate(b.coefficients):
-            rest[i - db + j] -= f * c
-    return PolyInB(tuple(quotient)), PolyInB(tuple(rest))
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Integer q, r with lc(b)**(deg a - deg b + 1) * a == q*b + r and
+    deg r < deg b (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R); b is nonzero."""
+    lead, db = b[-1], len(b) - 1
+    q, r = [0] * max(len(a) - db, 0), list(a)
+    for i in range(len(a) - 1, db - 1, -1):
+        f = r[i]
+        q = [c * lead for c in q]
+        q[i - db] = f
+        r = [c * lead for c in r[:i]]
+        for j, c in enumerate(b[:-1]):
+            r[i - db + j] -= f * c
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
 
 
-def _poly_gcd(a: PolyInB, b: PolyInB) -> PolyInB:
-    while not b.is_zero():
-        a, b = b, _poly_divmod(a, b)[1]
-    if a.is_zero():
-        return _ZERO
-    return a.scale(1 / a.coefficients[-1])
+def _exact_div(a: list[int], b: list[int]) -> list[int]:
+    q, _ = _pseudo_divmod(a, b)
+    scale = b[-1] ** len(q)  # one factor per division step
+    return [c // scale for c in q]
+
+
+def _primitive(a: list[int]) -> list[int]:
+    content = gcd(*a)
+    return [c // content for c in a]
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd in Z[b] of two polynomials, not both zero, by the primitive
+    remainder sequence, up to sign."""
+    content = gcd(gcd(*a), gcd(*b))
+    a, b = sorted((_primitive(a), _primitive(b)), key=len, reverse=True)
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    return [content * c for c in a]
+
+
+def _eval_int(p: list[int], b: int) -> int:
+    value = 0
+    for c in reversed(p):
+        value = value * b + c
+    return value
 
 
 @dataclass(frozen=True)
 class RationalFnInB:
-    """Quotient of two polynomials in b, kept in a canonical reduced form:
-    numerator and denominator coprime, denominator with integer
-    coefficients, content 1 and positive leading coefficient."""
+    """Quotient N/M of two polynomials in b, stored as the canonical pair of
+    integer polynomials: gcd(N, M) = 1 in Z[b] (so their contents are coprime
+    too) and M's leading coefficient positive.  Zero is 0/1.  Rational input
+    coefficients are cleared by one common denominator."""
 
     numerator: PolyInB
     denominator: PolyInB = _ONE
 
     def __post_init__(self) -> None:
-        num, den = self.numerator, self.denominator
-        if den.is_zero():
+        if self.denominator.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            num, den = _ZERO, _ONE
-        else:
-            g = _poly_gcd(num, den)
-            num = _poly_divmod(num, g)[0]
-            den = _poly_divmod(den, g)[0]
-            scale = Fraction(lcm(*(c.denominator for c in den.coefficients)))
-            num, den = num.scale(scale), den.scale(scale)
-            content = gcd(*(int(c) for c in den.coefficients))
-            if den.coefficients[-1] < 0:
-                content = -content
-            num, den = num.scale(Fraction(1, content)), den.scale(Fraction(1, content))
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
+        pair = (self.numerator.coefficients, self.denominator.coefficients)
+        d = lcm(*(c.denominator for cs in pair for c in cs))
+        num, den = ([c.numerator * (d // c.denominator) for c in cs] for cs in pair)
+        g = _gcd(num, den)  # den itself, up to sign, when num is zero
+        if g[-1] * den[-1] < 0:  # so that den // g leads positive
+            g = [-c for c in g]
+        num, den = _exact_div(num, g), _exact_div(den, g)
+        object.__setattr__(self, "numerator", PolyInB(tuple(num)))
+        object.__setattr__(self, "denominator", PolyInB(tuple(den)))
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
@@ -190,27 +202,14 @@ class RationalFnInB:
         return self.numerator.eval(b) / self.denominator.eval(b)
 
     def render(self, var: str = "b") -> str:
-        scale = Fraction(
-            lcm(*(c.denominator for c in self.numerator.coefficients))
-            if not self.numerator.is_zero()
-            else 1
-        )
-        num = self.numerator.scale(scale)
-        g = gcd(
-            gcd(*(int(c) for c in num.coefficients)) if not num.is_zero() else 0,
-            int(scale),
-        )
-        num = num.scale(Fraction(1, g))
-        multiplier = int(scale) // g
-        if self.denominator == _ONE and multiplier == 1:
-            return num.render(var)
-        if self.denominator.degree() == 0:
-            den_str = str(multiplier)
-        elif multiplier == 1:
-            den_str = f"({self.denominator.render(var)})"
-        else:
-            den_str = f"({multiplier}*({self.denominator.render(var)}))"
-        return f"({num.render(var)})/{den_str}"
+        """N over m*(D), with m the content of the denominator and D = M/m."""
+        num = self.numerator.render(var)
+        den, _ = self.denominator._integral()
+        m = gcd(*den)
+        if len(den) == 1:
+            return num if m == 1 else f"({num})/{m}"
+        primitive = f"({PolyInB(tuple(c // m for c in den)).render(var)})"
+        return f"({num})/{primitive if m == 1 else f'({m}*{primitive})'}"
 
 
 @dataclass(frozen=True)
@@ -233,9 +232,9 @@ class GeneralForm:
         scanning up to its Cauchy root bound 1 + max|a_i / a_n|."""
         excluded = set()
         for fn, _ in self.terms:
-            den = fn.denominator
-            bound = 1 + max(abs(c / den.coefficients[-1]) for c in den.coefficients)
-            excluded.update(b for b in range(2, int(bound) + 1) if den.eval(b) == 0)
+            den, _ = fn.denominator._integral()
+            bound = 1 + max(abs(c) for c in den) // den[-1]
+            excluded.update(b for b in range(2, bound + 1) if _eval_int(den, b) == 0)
         return frozenset(excluded)
 
     def render(self, var: str = "b") -> str:

@@ -528,6 +528,31 @@ def test_size_limit_falls_with_the_power(capsys, monkeypatch):
     assert out.endswith(f"status: proven (checked to k={2 * cli.MAX_POWER})\n")
 
 
+def test_closed_form_base_above_size_limit_exits_2_before_any_work(capsys, monkeypatch):
+    # without --depth the table goes to k = 2p + 1, and the size limit holds there
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused base must build no table")
+
+    monkeypatch.setattr(cli, "build_table", no_work)
+    monkeypatch.setattr(cli, "closed_form", no_work)
+    huge = 10**1000  # bit_length 3322
+    code, out, err = run(capsys, "closed-form", "--base", str(huge), "--power", "8")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: the table depth 17 at --base {huge} and --power 8:"
+        " k*bit_length(b) = 56474 is above the size limit of 4500\n"
+    )
+    # at p = 4 the limit 9000 allows bit_length(b) <= 1000 at k = 9
+    code, out, err = run(capsys, "closed-form", "--base", str(2**1000), "--power", "4")
+    assert code == 2
+    assert "k*bit_length(b) = 9009 is above the size limit of 9000" in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "closed-form", "--base", str(2**999), "--power", "4")
+    assert code == 0
+    assert out.endswith("status: proven (checked to k=8)\n")
+
+
 def test_k_at_the_size_limit_runs(capsys):
     # bit_length(1000) = 10, so k = 1200 is exactly at the limit
     code, out, _ = run(capsys, "seq", "--base", "1000", "--power", "1", "--kmax", "1200")
