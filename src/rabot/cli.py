@@ -33,12 +33,12 @@ EXIT_DISAGREEMENT = 3
 EXIT_NO_FIT = 4
 
 # The general-form derivation's time about doubles per power (the command
-# takes about 1 s at p = 7), so larger powers are refused rather than left to
-# run for minutes.
+# takes about 0.5 s at p = 7), so larger powers are refused rather than left
+# to run for minutes.
 MAX_GENERAL_FORM_POWER = 7
 
 # general-form proves its specialization at every base of its range, about
-# 0.3 ms per base at p = 2 and 8 ms at p = 7, so wider ranges are refused.
+# 0.2 ms per base at p = 2 and 4 ms at p = 7, so wider ranges are refused.
 MAX_GENERAL_FORM_BASES = 1000
 
 # `sum`, `seq` and `closed-form` refuse --power above this: the state has
@@ -112,10 +112,13 @@ def _check_k(flag: str, k: int, base: int, power: int) -> None:
         raise ValueError(f"--power {power} is above the limit of {MAX_POWER}")
     if k > MAX_K:
         raise ValueError(f"{flag} {k} is above the limit of {MAX_K}")
-    size, limit = k * base.bit_length(), 12 * MAX_K // max(power, 3)
+    bits = base.bit_length()
+    size, limit = k * bits, 12 * MAX_K // max(power, 3)
     if size > limit:
+        # a long base is named by its size, so that the error stays one short line
+        named = f"--base {base}" if bits <= 64 else f"a {bits}-bit --base"
         raise ValueError(
-            f"{flag} {k} at --base {base} and --power {power}: k*bit_length(b) = {size}"
+            f"{flag} {k} at {named} and --power {power}: k*bit_length(b) = {size}"
             f" is above the size limit of {limit}"
         )
 

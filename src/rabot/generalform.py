@@ -42,39 +42,49 @@ def _frac_str(f: Fraction) -> str:
 
 @dataclass(frozen=True)
 class PolyInB:
-    """Polynomial in the base variable b, exact rational coefficients stored
-    constant term first with no trailing zeros (the zero polynomial is the
-    empty tuple)."""
+    """Polynomial in the base variable b: integer numerators, constant term
+    first, over one denominator > 0, with gcd 1 and no trailing zero (zero is
+    () over 1).  Fraction numerators passed in are cleared into that form."""
 
-    coefficients: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int = 1
 
     def __post_init__(self) -> None:
-        coeffs = [Fraction(c) for c in self.coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+        nums, den = list(self.numerators), self.denominator
+        if not all(type(c) is int for c in nums):  # clear Fraction input
+            scale = lcm(*(c.denominator for c in nums))
+            nums, den = [c.numerator * (scale // c.denominator) for c in nums], den * scale
+        while nums and nums[-1] == 0:
+            nums.pop()
+        if den == 0:
+            raise ZeroDivisionError("polynomial with zero denominator")
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        object.__setattr__(self, "numerators", tuple(c // g for c in nums))
+        object.__setattr__(self, "denominator", den // g)
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.denominator) for c in self.numerators)
 
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self.numerators) - 1
 
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self.numerators
 
     def eval(self, b: int | Fraction) -> Fraction:
-        value = Fraction(0)
-        for c in reversed(self.coefficients):
+        value = 0
+        for c in reversed(self.numerators):
             value = value * b + c
-        return value
-
-    def _integral(self) -> tuple[list[int], int]:
-        den = lcm(*(c.denominator for c in self.coefficients))
-        return [c.numerator * (den // c.denominator) for c in self.coefficients], den
+        return Fraction(value, self.denominator)
 
     def __add__(self, other: PolyInB | int) -> PolyInB:
         if isinstance(other, int):
             other = PolyInB((other,))
-        pairs = zip_longest(self.coefficients, other.coefficients, fillvalue=0)
-        return PolyInB(tuple(x + y for x, y in pairs))
+        den = lcm(self.denominator, other.denominator)
+        x, y = den // self.denominator, den // other.denominator
+        pairs = zip_longest(self.numerators, other.numerators, fillvalue=0)
+        return PolyInB(tuple(a * x + c * y for a, c in pairs), den)
 
     __radd__ = __add__
 
@@ -83,31 +93,29 @@ class PolyInB:
 
     def __mul__(self, other: PolyInB | int) -> PolyInB:
         if isinstance(other, int):
-            return PolyInB(tuple(c * other for c in self.coefficients))
-        if self.is_zero() or other.is_zero():
-            return PolyInB(())
-        # in integers over each side's common denominator: a Fraction sum costs a gcd
-        (xs, dx), (ys, dy) = self._integral(), other._integral()
-        out = [0] * (len(xs) + len(ys) - 1)
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
+            return PolyInB(tuple(c * other for c in self.numerators), self.denominator)
+        out = [0] * (len(self.numerators) + len(other.numerators) - 1)
+        for i, x in enumerate(self.numerators):
+            for j, y in enumerate(other.numerators):
                 out[i + j] += x * y
-        return PolyInB(tuple(Fraction(c, dx * dy) for c in out))
+        return PolyInB(tuple(out), self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> PolyInB:
-        return self * self ** (exponent - 1) if exponent else PolyInB((1,))
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
+        return self * self ** (exponent - 1) if exponent else _ONE
 
     def __floordiv__(self, divisor: int) -> PolyInB:
-        return PolyInB(tuple(c / divisor for c in self.coefficients))  # exact over Q
+        return PolyInB(self.numerators, self.denominator * divisor)  # exact over Q
 
     def render(self, var: str = "b") -> str:
         if self.is_zero():
             return "0"
         parts: list[str] = []
         for e in range(self.degree(), -1, -1):
-            c = self.coefficients[e]
+            c = Fraction(self.numerators[e], self.denominator)
             if c == 0:
                 continue
             mag = abs(c)
@@ -124,7 +132,7 @@ class PolyInB:
 
 
 _ZERO = PolyInB(())
-_ONE = PolyInB((Fraction(1),))
+_ONE = PolyInB((1,))
 
 
 def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -165,19 +173,12 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
     return [content * c for c in a]
 
 
-def _eval_int(p: list[int], b: int) -> int:
-    value = 0
-    for c in reversed(p):
-        value = value * b + c
-    return value
-
-
 @dataclass(frozen=True)
 class RationalFnInB:
     """Quotient N/M of two polynomials in b, stored as the canonical pair of
     integer polynomials: gcd(N, M) = 1 in Z[b] (so their contents are coprime
-    too) and M's leading coefficient positive.  Zero is 0/1.  Rational input
-    coefficients are cleared by one common denominator."""
+    too) and M's leading coefficient positive.  Zero is 0/1.  The inputs'
+    denominators are cleared by cross-multiplying them."""
 
     numerator: PolyInB
     denominator: PolyInB = _ONE
@@ -185,9 +186,9 @@ class RationalFnInB:
     def __post_init__(self) -> None:
         if self.denominator.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        pair = (self.numerator.coefficients, self.denominator.coefficients)
-        d = lcm(*(c.denominator for cs in pair for c in cs))
-        num, den = ([c.numerator * (d // c.denominator) for c in cs] for cs in pair)
+        n, m = self.numerator, self.denominator
+        num = [c * m.denominator for c in n.numerators]
+        den = [c * n.denominator for c in m.numerators]
         g = _gcd(num, den)  # den itself, up to sign, when num is zero
         if g[-1] * den[-1] < 0:  # so that den // g leads positive
             g = [-c for c in g]
@@ -204,11 +205,11 @@ class RationalFnInB:
     def render(self, var: str = "b") -> str:
         """N over m*(D), with m the content of the denominator and D = M/m."""
         num = self.numerator.render(var)
-        den, _ = self.denominator._integral()
+        den = self.denominator.numerators
         m = gcd(*den)
         if len(den) == 1:
             return num if m == 1 else f"({num})/{m}"
-        primitive = f"({PolyInB(tuple(c // m for c in den)).render(var)})"
+        primitive = f"({PolyInB(den, m).render(var)})"
         return f"({num})/{primitive if m == 1 else f'({m}*{primitive})'}"
 
 
@@ -232,9 +233,9 @@ class GeneralForm:
         scanning up to its Cauchy root bound 1 + max|a_i / a_n|."""
         excluded = set()
         for fn, _ in self.terms:
-            den, _ = fn.denominator._integral()
+            den = fn.denominator.numerators
             bound = 1 + max(abs(c) for c in den) // den[-1]
-            excluded.update(b for b in range(2, bound + 1) if _eval_int(den, b) == 0)
+            excluded.update(b for b in range(2, bound + 1) if fn.denominator.eval(b) == 0)
         return frozenset(excluded)
 
     def render(self, var: str = "b") -> str:
@@ -248,8 +249,8 @@ class GeneralForm:
 def base_families(power: int) -> list[PolyInB]:
     """The growth-base families of eigenvalue_families(power), in canonical
     order (degree, then leading coefficients)."""
-    families = [PolyInB(tuple(map(Fraction, fam))) for fam in eigenvalue_families(power)]
-    return sorted(families, key=lambda fam: (fam.degree(), fam.coefficients[::-1]))
+    families = [PolyInB(fam) for fam in eigenvalue_families(power)]
+    return sorted(families, key=lambda fam: (fam.degree(), fam.numerators[::-1]))
 
 
 def moment_polynomials(power: int, count: int) -> list[PolyInB]:

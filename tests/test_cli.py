@@ -515,6 +515,7 @@ def test_size_limit_falls_with_the_power(capsys, monkeypatch):
         assert code == 2, argv
         assert out == ""
         assert f"is above the size limit of {limit}" in err, argv
+        assert err.count("\n") == 1 and len(err) < 200, argv  # a long base by its bits
     code, out, _ = run(capsys, "sum", "--base", huge, "--power", "12", "--k", "2")
     assert code == 0
     limit = sys.get_int_max_str_digits()
@@ -540,7 +541,7 @@ def test_closed_form_base_above_size_limit_exits_2_before_any_work(capsys, monke
     assert code == 2
     assert out == ""
     assert err == (
-        f"error: the table depth 17 at --base {huge} and --power 8:"
+        "error: the table depth 17 at a 3322-bit --base and --power 8:"
         " k*bit_length(b) = 56474 is above the size limit of 4500\n"
     )
     # at p = 4 the limit 9000 allows bit_length(b) <= 1000 at k = 9

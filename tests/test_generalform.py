@@ -2,6 +2,7 @@
 derivation."""
 from fractions import Fraction
 from hashlib import sha256
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,40 @@ def test_poly_eval_and_arith():
     assert (B + 1) ** 2 == poly(1, 2, 1)
     assert poly(0, 1, 1) // 2 == poly(0, F(1, 2), F(1, 2))
     assert (poly(F(1, 2)) * poly(F(1, 3), 1)).coefficients == (F(1, 6), F(1, 2))
+
+
+def test_poly_pow_rejects_negative_and_non_int_exponents():
+    for exponent in (-1, -5, 1.0, F(2)):
+        with pytest.raises(ValueError):
+            B ** exponent
+
+
+_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+_rational_polys = st.lists(_rationals, max_size=5).map(lambda cs: PolyInB(tuple(cs)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _rational_polys,
+    _rational_polys,
+    st.integers(-20, 20),
+    st.integers(-30, 30).filter(bool),
+    st.integers(0, 3),
+)
+def test_poly_storage_is_canonical_and_eval_is_a_ring_map(a, b, x, n, e):
+    for q in (a, b, a + b, a - b, a * b, a**e, a // n):
+        assert q.denominator > 0
+        assert gcd(q.denominator, *q.numerators) == 1
+        assert not q.numerators or q.numerators[-1] != 0
+        assert all(type(c) is int for c in q.numerators)
+        assert PolyInB(q.coefficients) == q
+    assert (a + b).eval(x) == a.eval(x) + b.eval(x)
+    assert (a - b).eval(x) == a.eval(x) - b.eval(x)
+    assert (a * b).eval(x) == a.eval(x) * b.eval(x)
+    assert (a**e).eval(x) == a.eval(x) ** e
+    assert (a // n).eval(x) == a.eval(x) / n
+    with pytest.raises(ZeroDivisionError):
+        a // 0
 
 
 def test_poly_render():
