@@ -42,8 +42,8 @@ MAX_GENERAL_FORM_POWER = 7
 MAX_GENERAL_FORM_BASES = 1000
 
 # `sum`, `seq` and `closed-form` refuse --power above this: the state has
-# (p+1)(p+2)/2 sequences, and `closed-form --base 1000000` takes about 1.7 s
-# at p = 16 and 5.4 s at p = 20.
+# (p+1)(p+2)/2 sequences, and `closed-form --base 1000000` takes about 0.6 s
+# at p = 16, its fit and proof 0.4 s there and 1.3 s at p = 20 (2 vCPUs).
 MAX_POWER = 16
 
 # Values grow linearly in k and their decimal printing more than linearly, so

@@ -2,9 +2,11 @@
 
 candidate_bases(b, p) lists the 2p nonzero eigenvalues of the moment update
 U of rabot.recurrence at a base, so two that collide there (2b - 1 =
-b**2 - 1 = 3 at b = 2) form a root of multiplicity two.  The fitter reads a
-base listed m times as a coefficient polynomial in k of degree < m and
-solves the confluent Vandermonde system on 2p values exactly.
+b**2 - 1 = 3 at b = 2) form a root of multiplicity two.  The fitter reads
+the form off the generating function of the first 2p values, whose
+denominator is prod_lam (1 - lam x) over that multiset (rabot.linalg): a
+base listed m times gets the residue of a pole of order m, which is a
+coefficient polynomial in k of degree < m.
 
 verify proves a form from one premise that it checks: the annihilator
 prod_lam (U - lam) over that multiset kills the state v_1 at k = 1, i.e.
@@ -16,15 +18,15 @@ k = 1..2p makes the two equal for every k >= 1.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .digits import check_base
 from .errors import DepthError, NoFitError
-from .linalg import solve_linear
-from .recurrence import (  # state_dimension_bound is re-exported, not used
+from .linalg import taylor_at_roots
+from .recurrence import (  # state_dimension_bound: perfbench/workloads.py reads it here
     MomentTable,
     build_table,
     candidate_bases,
@@ -53,19 +55,24 @@ class ExponentialForm:
         bases = [lam for _, lam in self.terms]
         if any(a >= b for a, b in zip(bases, bases[1:])):
             raise ValueError("growth bases must be strictly increasing")
+        # cleared once to integer numerators over one denominator, for eval_at
+        den = lcm(*(c.denominator for poly, _ in self.terms for c in poly))
+        scaled = [([c.numerator * (den // c.denominator) for c in p], lam) for p, lam in self.terms]
+        object.__setattr__(self, "_scaled", (den, scaled))
 
     def is_constant(self) -> bool:
         """True when no coefficient depends on k."""
         return all(len(poly) == 1 for poly, _ in self.terms)
 
     def eval_at(self, k: int) -> Fraction:
-        total = Fraction(0)
-        for poly, lam in self.terms:
-            coeff = poly[-1]
-            for c in reversed(poly[:-1]):
+        den, scaled = self._scaled
+        total = 0
+        for poly, lam in scaled:
+            coeff = 0
+            for c in reversed(poly):
                 coeff = coeff * k + c
             total += coeff * lam**k
-        return total
+        return Fraction(total, den)
 
     def render(self) -> str:
         if not self.terms:
@@ -102,29 +109,34 @@ class Verdict:
 def fit_closed_form(
     values: Sequence[int], bases: Sequence[int], *, base: int, power: int
 ) -> ExponentialForm:
-    """Solve sum_lam P_lam(k) * lam**k = values[k-1] exactly over the rationals,
-    where a base listed m times in `bases` gets a polynomial P_lam of degree < m.
+    """Read sum_lam P_lam(k) * lam**k = values[k-1] off the generating function
+    of the first len(bases) values, where a base listed m times in `bases`
+    gets a polynomial P_lam of degree < m.
 
-    The first len(bases) values determine the coefficients, and later ones
-    are not read: checking the form against a table is verify's job.  An
-    unsolvable system raises NoFitError.  Trailing zero coefficients and
-    zero polynomials are dropped.
+    With h_0..h_{m-1} the Taylor coefficients of rev(N)/R_lam at lam (see
+    rabot.linalg), P_lam(k) = sum_{i<m} C(k-1, i) * h_{m-1-i} / lam**(i+1).
+    A root 0 adds nothing at k >= 1, so a nonzero h there raises NoFitError.
+    Later values are not read: checking the form is verify's job.  Trailing
+    zero coefficients and zero polynomials are dropped.
     """
-    multiplicity = Counter(bases)
-    slots = [(lam, e) for lam in sorted(multiplicity) for e in range(multiplicity[lam])]
-    t = len(slots)
+    t = len(bases)
     if len(values) < t:
         raise ValueError(f"need at least {t} values to fit {t} bases, got {len(values)}")
-    rows = [
-        [Fraction(lam) ** k if e == 0 else k**e * Fraction(lam) ** k for lam, e in slots]
-        for k in range(1, t + 1)
-    ]
-    solution = solve_linear(rows, values[:t])
-    if solution is None:
-        raise NoFitError(f"no combination of the bases {sorted(bases)} fits the values")
     terms = []
-    for lam in sorted(multiplicity):
-        poly = [c for (l, _), c in zip(slots, solution) if l == lam]
+    for lam, (num, den) in sorted(taylor_at_roots(values, bases).items()):
+        h: list[Fraction] = []  # the series quotient num/den
+        for a in num:
+            h.append(Fraction(a - sum(d * x for d, x in zip(den[1:], reversed(h))), den[0]))
+        if lam == 0:
+            if any(h):
+                raise NoFitError(f"no combination of the bases {sorted(bases)} fits the values")
+            continue
+        poly = [Fraction(0)] * len(h)
+        binom = [Fraction(1)]  # C(k-1, i) in powers of k, constant term first
+        for i in range(len(h)):
+            for e, c in enumerate(binom):
+                poly[e] += c * h[-1 - i] / lam ** (i + 1)
+            binom = [(lo - (i + 1) * hi) / (i + 1) for hi, lo in zip(binom + [0], [0] + binom)]
         while poly and poly[-1] == 0:
             poly.pop()
         if poly:

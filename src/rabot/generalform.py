@@ -27,12 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Iterable
 
 from .closedform import ExponentialForm, verify
 from .digits import check_base
 from .errors import ExcludedBaseError, NoFitError
+from .linalg import taylor_at_roots
 from .recurrence import _build, build_table, eigenvalue_families
 
 
@@ -131,7 +132,6 @@ class PolyInB:
         return " ".join(parts)
 
 
-_ZERO = PolyInB(())
 _ONE = PolyInB((1,))
 
 
@@ -265,22 +265,15 @@ def _derive(power: int) -> GeneralForm:
     """The general form of S(power, .) over Q(b), without zero terms; cached,
     as it depends on power alone and is immutable.
 
-    G(x) = sum_{k>=1} S(power, k) x**k is N(x)/Q(x), Q(x) = prod_f (1 - lam_f x),
-    so N = Q*G mod x**(F+1), F = 2*power.  Its reversal y**F N(1/y) is
-    sum_f c_f lam_f prod_{g != f}(y - lam_g), which at y = lam_f leaves only f.
+    G(x) = sum_{k>=1} S(power, k) x**k is N(x)/prod_f (1 - lam_f x), and the
+    families are distinct, so each pole is simple and
+    c_f = rev(N)(lam_f)/(lam_f prod_{g != f}(lam_f - lam_g)) (rabot.linalg).
     """
     families = base_families(power)
     sums = moment_polynomials(power, len(families))
-    q = [_ONE]
-    for fam in families:
-        q = [hi - fam * lo for hi, lo in zip(q + [_ZERO], [_ZERO] + q)]
-    numerator = [sum(q[m - k] * sums[k - 1] for k in range(1, m + 1)) for m in range(1, len(q))]
     terms = []
-    for fam in families:
-        value = _ZERO
-        for coeff in numerator:  # Horner on the reversal, y**(F-1) first
-            value = value * fam + coeff
-        fn = RationalFnInB(value, prod((fam - g for g in families if g != fam), start=fam))
+    for fam, ([value], [den]) in taylor_at_roots(sums, families).items():
+        fn = RationalFnInB(value, fam * den)
         if not fn.is_zero():
             terms.append((fn, fam))
     return GeneralForm(power, tuple(terms))

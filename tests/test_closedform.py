@@ -1,5 +1,6 @@
 """Closed-form fitting over the candidate-base multiset, and verification."""
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 from hypothesis import given, settings
@@ -333,3 +334,64 @@ def test_render_is_canonical():
     assert ExponentialForm(2, 1, ()).render() == "0"
     poly = ExponentialForm(2, 1, (((F(1, 2),), 2), ((F(0), F(-4, 9)), 3)))
     assert poly.render() == "((1/2))*2^k + ((-4/9)*k)*3^k"
+
+
+@st.composite
+def _exponential_sums(draw):
+    """(values at k = 1..t, the multiset of t bases, the terms that made them);
+    sometimes with a base 0 that contributes nothing."""
+    coefficients = st.one_of(
+        st.just(F(0)), st.fractions(min_value=-60, max_value=60, max_denominator=15)
+    )
+    drawn = []
+    for lam in sorted(draw(st.lists(st.integers(1, 40), min_size=1, max_size=5, unique=True))):
+        m = draw(st.integers(1, 3))
+        drawn.append((draw(st.lists(coefficients, min_size=m, max_size=m)), lam))
+    bases = [lam for poly, lam in drawn for _ in poly] + [0] * draw(st.integers(0, 2))
+    values = [
+        sum(sum(c * k**e for e, c in enumerate(poly)) * lam**k for poly, lam in drawn)
+        for k in range(1, len(bases) + 1)
+    ]
+    terms = []
+    for poly, lam in drawn:
+        while poly and poly[-1] == 0:
+            poly = poly[:-1]
+        if poly:
+            terms.append((tuple(poly), lam))
+    return values, draw(st.permutations(bases)), tuple(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exponential_sums())
+def test_fit_returns_the_drawn_terms_at_any_multiplicity(case):
+    values, bases, terms = case
+    form = fit_closed_form(values, bases, base=2, power=1)
+    assert form.terms == terms
+    assert [form.eval_at(k) for k in range(1, len(values) + 1)] == values
+
+
+def test_fit_with_a_consistent_root_zero():
+    assert fit_closed_form([2, 4], [0, 2], base=2, power=1).terms == (((F(1),), 2),)
+    assert fit_closed_form([0, 4, 16], [0, 2, 2], base=2, power=1).terms == (((F(-1), F(1)), 2),)
+    with pytest.raises(NoFitError):
+        fit_closed_form([1, 4], [0, 2], base=2, power=1)
+
+
+def test_form_equality_and_repr_ignore_the_cleared_coefficients():
+    a = ExponentialForm(2, 1, (((F(-1, 2),), 2), ((F(2, 3),), 3)))
+    b = ExponentialForm(2, 1, (((F(-1, 2),), 2), ((F(2, 3),), 3)))
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "ExponentialForm(base=2, power=1, terms=(((Fraction(-1, 2),), 2), ((Fraction(2, 3),), 3)))"
+    assert a.eval_at(3) == F(-1, 2) * 8 + F(2, 3) * 27
+
+
+def test_wide_base_renders_at_the_top_power_are_pinned():
+    digests = {
+        10: "c364c3e4404fe675f5dcdb80f2782894218dddedcbecf15c14709768512a99c8",
+        10**6: "8054e593f032699824f8041ea104ca79505338851dbb15071613b40c2501094d",
+        10**12: "c6299fd7478629cecef9597a8b8b925e42cc2ef0f13677056558df65432fe7ae",
+    }
+    for b, digest in digests.items():
+        form, verdict = closed_form(b, 16)
+        assert verdict == Verdict("proven", checked_depth=32), b
+        assert sha256(form.render().encode()).hexdigest() == digest, b
