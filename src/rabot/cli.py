@@ -3,10 +3,11 @@ forms uniform in b, sequence export, and recurrence-vs-brute-force sweeps.
 
 Exit codes are fixed so CI can tell failure modes apart: 2 for usage or
 invalid input (including a refused over-cap enumeration or check sweep, an
-empty base range, a power above MAX_POWER, a k above MAX_K or with
-max(p, 3)*k*bit_length(b) above 12*MAX_K, a closed-form --base over that
-size at its table depth k = 2p + 1 when --depth is absent, a general-form
-power above MAX_GENERAL_FORM_POWER, or a general-form range of more than
+empty base range, a power or check --p-max above MAX_POWER, a k above MAX_K
+or with max(p, 3)*k*bit_length(b) above 12*MAX_K, a closed-form --base or a
+general-form --b-max over that size at its table depth k = 2p + 1 (for
+closed-form, when --depth is absent), a general-form power above
+MAX_GENERAL_FORM_POWER, or a general-form range of more than
 MAX_GENERAL_FORM_BASES bases, each refused before any table is built), 3
 when the two engines disagree (the bug-detection signal), 4 when fitting or
 verification fails.  All numeric output is exact; big integers are printed
@@ -32,13 +33,15 @@ EXIT_USAGE = 2
 EXIT_DISAGREEMENT = 3
 EXIT_NO_FIT = 4
 
-# The general-form derivation's time about doubles per power (the command
-# takes about 0.5 s at p = 7), so larger powers are refused rather than left
-# to run for minutes.
+# The general-form derivation's time, its annihilator check included, about
+# doubles per power (cold: about 0.09 s at p = 6, 0.17-0.22 s at p = 7 and
+# 0.35 s at p = 8; the command takes 0.36-0.53 s at p = 7 on 2 vCPUs), so
+# larger powers are refused rather than left to run for minutes.
 MAX_GENERAL_FORM_POWER = 7
 
-# general-form proves its specialization at every base of its range, about
-# 0.2 ms per base at p = 2 and 4 ms at p = 7, so wider ranges are refused.
+# general-form cross-checks its specialization at every base of its range,
+# about 0.2 ms per base at p = 2 and 4 ms at p = 7, so wider ranges are
+# refused.
 MAX_GENERAL_FORM_BASES = 1000
 
 # `sum`, `seq` and `closed-form` refuse --power above this: the state has
@@ -107,7 +110,7 @@ def _enum_cap() -> int:
     return cap
 
 
-def _check_k(flag: str, k: int, base: int, power: int) -> None:
+def _check_k(flag: str, k: int, base: int, power: int, base_flag: str = "--base") -> None:
     if power > MAX_POWER:
         raise ValueError(f"--power {power} is above the limit of {MAX_POWER}")
     if k > MAX_K:
@@ -116,7 +119,7 @@ def _check_k(flag: str, k: int, base: int, power: int) -> None:
     size, limit = k * bits, 12 * MAX_K // max(power, 3)
     if size > limit:
         # a long base is named by its size, so that the error stays one short line
-        named = f"--base {base}" if bits <= 64 else f"a {bits}-bit --base"
+        named = f"{base_flag} {base}" if bits <= 64 else f"a {bits}-bit {base_flag}"
         raise ValueError(
             f"{flag} {k} at {named} and --power {power}: k*bit_length(b) = {size}"
             f" is above the size limit of {limit}"
@@ -135,6 +138,8 @@ def _check_sweep_size(args: argparse.Namespace, cap: int) -> None:
     digits.check_base(args.b_min)
     if args.p_max < 0:
         raise ValueError(f"--p-max must be >= 0, got {args.p_max}")
+    if args.p_max > MAX_POWER:
+        raise ValueError(f"--p-max {args.p_max} is above the limit of {MAX_POWER}")
     total = 0
     for k in range(1, args.k_max + 1):
         for b in _base_range(args):
@@ -254,6 +259,8 @@ def cmd_general_form(args: argparse.Namespace) -> int:
             f"--b-min {args.b_min} to --b-max {args.b_max} is above the general-form"
             f" limit of {MAX_GENERAL_FORM_BASES} bases"
         )
+    # the cross-check tables go to k = 2p + 1, and --b-max is the largest base
+    _check_k("the table depth", 2 * args.power + 1, args.b_max, args.power, "--b-max")
     g = guess_general_form(args.power, bases)
     excluded = sorted(g.excluded_bases())
     inputs = {
@@ -270,14 +277,12 @@ def cmd_general_form(args: argparse.Namespace) -> int:
     }
     record = OutputRecord("general-form", inputs, result, "proven")
     valid = "every b >= 2" + (f" except {', '.join(map(str, excluded))}" if excluded else "")
-    _emit(
-        args,
-        record,
-        [
-            f"proven: {g.render()}",
-            f"valid for {valid}; checked against closed-form at b = {args.b_min}..{args.b_max}",
-        ],
-    )
+    span = f"b = {args.b_min}..{args.b_max}"
+    if set(bases).issubset(excluded):
+        checked = f"no base was cross-checked: every base in {span} is excluded"
+    else:
+        checked = f"checked against closed-form at {span}"
+    _emit(args, record, [f"proven: {g.render()}", f"valid for {valid}; {checked}"])
     return EXIT_OK
 
 

@@ -8,13 +8,12 @@ denominator is prod_lam (1 - lam x) over that multiset (rabot.linalg): a
 base listed m times gets the residue of a pole of order m, which is a
 coefficient polynomial in k of degree < m.
 
-verify proves a form from one premise that it checks: the annihilator
-prod_lam (U - lam) over that multiset kills the state v_1 at k = 1, i.e.
-sum_i e_i * T(j, q, 1+i) = 0 for every (j, q), where the e_i are the
-coefficients of prod_lam (x - lam).  U**(k-1) commutes with the product,
-so S(p, .) satisfies this order-2p recurrence for every k >= 1.  A form
-whose terms fit inside the multiset satisfies it too, so agreement at
-k = 1..2p makes the two equal for every k >= 1.
+verify proves a form from one premise that it checks with
+rabot.recurrence.annihilates: the annihilator prod_lam (U - lam) over that
+multiset kills the state v_1 at k = 1, so S(p, .) satisfies the order-2p
+recurrence with characteristic polynomial prod_lam (x - lam) for every
+k >= 1.  A form whose terms fit inside the multiset satisfies it too, so
+agreement at k = 1..2p makes the two equal for every k >= 1.
 """
 from __future__ import annotations
 
@@ -28,6 +27,7 @@ from .errors import DepthError, NoFitError
 from .linalg import taylor_at_roots
 from .recurrence import (  # state_dimension_bound: perfbench/workloads.py reads it here
     MomentTable,
+    annihilates,
     build_table,
     candidate_bases,
     moment_value,
@@ -171,15 +171,7 @@ def verify(form: ExponentialForm, table: MomentTable, depth: int | None = None) 
             return Verdict("refuted", checked_depth=k, witness=(k, expected, actual))
     bases = candidate_bases(form.base, form.power)
     in_spectrum = all(len(poly) <= bases.count(lam) for poly, lam in form.terms)
-    e = [1]  # coefficients of prod_lam (x - lam), constant term first
-    for lam in bases:
-        e = [shifted - lam * c for shifted, c in zip([0] + e, e + [0])]
-    annihilated = all(
-        sum(c * table.moments[1 + i][q][j] for i, c in enumerate(e)) == 0
-        for q in range(form.power + 1)
-        for j in range(form.power - q + 1)
-    )
-    proven = checked >= required and in_spectrum and annihilated
+    proven = checked >= required and in_spectrum and annihilates(table, bases, form.power)
     return Verdict("proven" if proven else "consistent", checked_depth=checked)
 
 

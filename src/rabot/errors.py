@@ -14,9 +14,10 @@ class EnumerationCapError(RuntimeError):
 
 
 class NoFitError(RuntimeError):
-    """Raised when no candidate closed form reproduces the given values, or
-    when a general form's specialization is not proven at a base it is
-    checked on."""
+    """Raised when no candidate closed form reproduces the given values, when
+    the eigenvalue families do not annihilate the moment state over Q(b) (so
+    no general form is derived), or when a general form's specialization is
+    not proven at a base it is cross-checked on."""
 
 
 class DepthError(ValueError):

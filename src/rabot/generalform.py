@@ -1,25 +1,28 @@
 """Expressions for the moment sums uniform in the base b, derived exactly
 over Q(b).
 
-moment_polynomials runs the recurrence with b itself as the base, so S(p, k)
-comes out as a polynomial in b, and guess_general_form reads the coefficient
-c_f of each of the 2p distinct eigenvalue families lam_f of the moment update
+_derive runs the recurrence with b itself as the base, so the moment state
+comes out as polynomials in b, and reads the coefficient c_f of each of the
+2p distinct eigenvalue families lam_f of the moment update
 (eigenvalue_families) off the generating function sum_k S(p, k) x**k.  The
-result is a theorem:
+result is a theorem, and its one premise is checked, not assumed:
 
-- Over Q(b) the families are pairwise distinct, and the update is
-  diagonalizable on its nonzero spectrum.  A row T(j, q) depends only on
-  itself, T(0, q) and rows with smaller q, so no path leads from one
-  T(j >= 1, q) row to another; the eigenvalue-0 rows T(j >= 1, 0) depend
-  only on T(0, 0), so they only affect k = 0.  Hence
-  S(p, k) = sum_f c_f * lam_f**k in Q(b) for k >= 1.
-- Evaluation at b commutes with the update, so the identity holds at every
-  b >= 2 where no coefficient denominator vanishes;
-  GeneralForm.excluded_bases lists the bases where one does.
+- Before reading, _derive runs rabot.recurrence.annihilates, the check
+  verify runs at an integer base, on the symbolic table: prod_f (U - lam_f)
+  kills the state at k = 1, an identity of polynomials in b.  So S(p, .)
+  satisfies the order-2p recurrence with characteristic polynomial
+  prod_f (x - lam_f) for every k >= 1.  The families are pairwise distinct
+  over Q(b), so sum_f c_f * lam_f**k satisfies it too, and agreement at
+  k = 1..2p gives S(p, k) = sum_f c_f * lam_f**k in Q(b) for every k >= 1.
+  If the check fails, NoFitError is raised and no form is returned.
+- The ring map b -> n specializes the symbolic table to the integer table
+  at n and the identity to an identity at n, wherever no coefficient
+  denominator vanishes; GeneralForm.excluded_bases lists the bases where
+  one does.
 
-At every requested base outside those, guess_general_form also runs the
-per-base proof of rabot.closedform (verify, with its annihilator check) on
-the specialized form, against a recurrence table the derivation did not read.
+At every requested base outside those, guess_general_form also
+cross-checks the specialized form with verify against a recurrence table
+the derivation did not read.  That check is independent, not the proof.
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ from .closedform import ExponentialForm, verify
 from .digits import check_base
 from .errors import ExcludedBaseError, NoFitError
 from .linalg import taylor_at_roots
-from .recurrence import _build, build_table, eigenvalue_families
+from .recurrence import _build, annihilates, build_table, eigenvalue_families, moment_value
 
 
 def _frac_str(f: Fraction) -> str:
@@ -72,6 +75,9 @@ class PolyInB:
 
     def is_zero(self) -> bool:
         return not self.numerators
+
+    def __bool__(self) -> bool:  # like an int, so one zero test serves both rings
+        return bool(self.numerators)
 
     def eval(self, b: int | Fraction) -> Fraction:
         value = 0
@@ -133,6 +139,7 @@ class PolyInB:
 
 
 _ONE = PolyInB((1,))
+_B = PolyInB((0, 1))  # the base b itself, the symbolic table's base
 
 
 def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -256,8 +263,8 @@ def base_families(power: int) -> list[PolyInB]:
 def moment_polynomials(power: int, count: int) -> list[PolyInB]:
     """S(power, k) for k = 1..count as polynomials in b, read from the
     recurrence table built with b itself as the base."""
-    table = _build(PolyInB((0, 1)), power, count)
-    return [table.moments[k][power][0] for k in range(1, count + 1)]
+    table = _build(_B, power, count)
+    return [moment_value(table, power, k) for k in range(1, count + 1)]
 
 
 @lru_cache(maxsize=8)
@@ -265,12 +272,21 @@ def _derive(power: int) -> GeneralForm:
     """The general form of S(power, .) over Q(b), without zero terms; cached,
     as it depends on power alone and is immutable.
 
-    G(x) = sum_{k>=1} S(power, k) x**k is N(x)/prod_f (1 - lam_f x), and the
-    families are distinct, so each pole is simple and
+    The symbolic table reaches k = 2p + 1 so that annihilates can check the
+    premise (see module docstring); NoFitError if it fails.  Then
+    G(x) = sum_{k>=1} S(power, k) x**k is N(x)/prod_f (1 - lam_f x), each
+    pole is simple, and
     c_f = rev(N)(lam_f)/(lam_f prod_{g != f}(lam_f - lam_g)) (rabot.linalg).
     """
     families = base_families(power)
-    sums = moment_polynomials(power, len(families))
+    t = len(families)
+    table = _build(_B, power, t + 1)
+    if not annihilates(table, families):
+        raise NoFitError(
+            f"the {t} eigenvalue families of power {power} do not annihilate"
+            " the moment state over Q(b)"
+        )
+    sums = [moment_value(table, power, k) for k in range(1, t + 1)]
     terms = []
     for fam, ([value], [den]) in taylor_at_roots(sums, families).items():
         fn = RationalFnInB(value, fam * den)
@@ -281,13 +297,15 @@ def _derive(power: int) -> GeneralForm:
 
 def guess_general_form(power: int, b_range: Iterable[int]) -> GeneralForm:
     """The expression for the power-th moment sum valid in (b, k), derived
-    exactly over Q(b); b_range only selects the bases it is checked at.
+    and proven exactly over Q(b) by _derive's checked annihilator; b_range
+    only selects the bases it is cross-checked at.
 
     At each base in the range outside excluded_bases(), the specialized form
-    must be proven by verify against that base's recurrence table, or
+    must be proven by verify against that base's own recurrence table, or
     NoFitError naming the base is raised.  An exponential form with distinct
     integer bases is unique, so this is the same as equality with the proven
-    per-base closed form.
+    per-base closed form: a cross-check against a table the derivation did
+    not read, not the proof.
     """
     bs = set(b_range)
     if not bs:

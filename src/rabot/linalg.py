@@ -7,7 +7,9 @@ it is rev(N)(y)/prod_g (y - g), rev(N)(y) = y**t N(1/y), whose part at a root
 lam of multiplicity m is (rev(N)/R_lam)(y)/(y - lam)**m with
 R_lam(y) = prod_{g != lam} (y - g) (Stanley, Enumerative Combinatorics I,
 4.1; Graham, Knuth & Patashnik, Concrete Mathematics, 7.3).  It divides
-nowhere, so it is exact over int, Fraction and PolyInB alike.
+nowhere, so it is exact over int, Fraction and PolyInB alike.  The
+denominator prod_g (1 - g x) is written once, in pole_product; read
+backwards it is prod_g (x - g), the annihilator rabot.recurrence checks.
 
 The module keeps the name linalg because perfbench/spans.py traces
 rabot.linalg as a layer (LAYERS) and fails without it; the rename waits
@@ -19,15 +21,22 @@ from collections import Counter
 from typing import Sequence
 
 
+def pole_product(roots: Sequence) -> list:
+    """The coefficients of prod_g (1 - g x), constant term first; reversed,
+    those of prod_g (x - g)."""
+    q = [1]
+    for g in roots:
+        neg = g * -1  # PolyInB has no __rsub__
+        q = [hi + neg * lo for hi, lo in zip(q + [0], [0] + q)]
+    return q
+
+
 def taylor_at_roots(values: Sequence, roots: Sequence) -> dict:
     """Map each distinct root lam of multiplicity m, in order of first
     appearance, to the first m Taylor coefficients at lam of rev(N) and of
     R_lam, as a pair of lists, constant term first; N is read from
     values[:t], t = len(roots)."""
-    q = [1]  # Q, constant term first
-    for g in roots:
-        neg = g * -1  # PolyInB has no __rsub__
-        q = [hi + neg * lo for hi, lo in zip(q + [0], [0] + q)]
+    q = pole_product(roots)
     t = len(roots)
     rev_n = [sum(q[m - k] * values[k - 1] for k in range(1, m + 1)) for m in range(1, t + 1)]
     out = {}

@@ -29,8 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Sequence
 
 from .digits import check_base
+from .errors import DepthError
+from .linalg import pole_product
 
 @dataclass(frozen=True)
 class MomentTable:
@@ -46,6 +49,29 @@ class MomentTable:
     max_power: int
     max_k: int
     moments: tuple[tuple[tuple[int, ...], ...], ...]
+
+
+def annihilates(table: MomentTable, roots: Sequence, power: int | None = None) -> bool:
+    """True when prod_lam (U - lam) over the multiset `roots` kills the state
+    at k = 1: sum_i e_i * T(j, q, 1+i) = 0 for every j + q <= power (default
+    the table's), with e_i the coefficients of prod_lam (x - lam).
+
+    U**(k-1) commutes with the product, so then every S(q, .), q <= power,
+    satisfies the order-len(roots) recurrence with that characteristic
+    polynomial for k >= 1.  It reads k = 1..len(roots) + 1 and runs in any
+    ring the table is in: integers, or polynomials in b.
+    """
+    power = table.max_power if power is None else power
+    if table.max_k < len(roots) + 1:
+        raise DepthError(
+            f"table depth {table.max_k} is below {len(roots) + 1}, the depth the annihilator reads"
+        )
+    e = pole_product(roots)[::-1]
+    return not any(
+        sum(c * table.moments[1 + i][q][j] for i, c in enumerate(e))
+        for q in range(power + 1)
+        for j in range(power - q + 1)
+    )
 
 
 def state_dimension_bound(base: int, power: int) -> int:

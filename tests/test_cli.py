@@ -281,6 +281,47 @@ def test_general_form_range_above_limit_exits_2(capsys, monkeypatch):
     assert calls == [limit]
 
 
+def test_general_form_b_max_above_size_limit_exits_2_before_derivation(capsys, monkeypatch):
+    # the cross-check tables go to k = 2p + 1 at bases up to --b-max
+    calls = []
+
+    def stub(power, b_range):
+        calls.append(power)
+        raise NoFitError("stub")
+
+    monkeypatch.setattr(cli, "guess_general_form", stub)
+    huge = str(10**1000)  # bit_length 3322
+    code, out, err = run(capsys, "general-form", "--power", "7", "--b-min", huge, "--b-max", huge)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: the table depth 15 at a 3322-bit --b-max and --power 7:"
+        " k*bit_length(b) = 49830 is above the size limit of 5142\n"
+    )
+    code, _, err = run(capsys, "general-form", "--power", "1", "--b-max", str(2**4000))
+    assert code == 2
+    assert "--b-max" in err
+    assert calls == []
+    # 10**100 has 333 bits: 15*333 = 4995 is within the limit at p = 7
+    base = str(10**100)
+    code, _, _ = run(capsys, "general-form", "--power", "7", "--b-min", base, "--b-max", base)
+    assert code == 4
+    assert calls == [7]
+
+
+def test_general_form_says_when_no_base_was_cross_checked(capsys):
+    code, out, _ = run(capsys, "general-form", "--power", "3", "--b-min", "2", "--b-max", "2")
+    assert code == 0
+    assert out.splitlines()[1] == (
+        "valid for every b >= 2 except 2; no base was cross-checked: every base in b = 2..2 is excluded"
+    )
+    code, out, _ = run(capsys, "general-form", "--power", "3", "--b-min", "2", "--b-max", "3")
+    assert code == 0
+    assert out.splitlines()[1] == (
+        "valid for every b >= 2 except 2; checked against closed-form at b = 2..3"
+    )
+
+
 def test_general_form_unproven_input_exits_4(capsys, monkeypatch):
     import rabot.generalform as gf
     from rabot import Verdict
@@ -384,6 +425,23 @@ def test_check_negative_power_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "--p-max" in err
+
+
+def test_check_power_above_limit_exits_2_before_any_work(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused --p-max must build no table and enumerate nothing")
+
+    monkeypatch.setattr(cli, "build_table", no_work)
+    monkeypatch.setattr(cli, "brute_moment", no_work)
+    for p_max in (cli.MAX_POWER + 1, 300):
+        code, out, err = run(capsys, "check", "--b-max", "2", "--k-max", "1", "--p-max", str(p_max))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --p-max {p_max} is above the limit of {cli.MAX_POWER}\n"
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "check", "--b-max", "2", "--k-max", "1", "--p-max", str(cli.MAX_POWER))
+    assert code == 0
+    assert "agree" in out
 
 
 def test_json_records_roundtrip(capsys):

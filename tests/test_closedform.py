@@ -395,3 +395,19 @@ def test_wide_base_renders_at_the_top_power_are_pinned():
         form, verdict = closed_form(b, 16)
         assert verdict == Verdict("proven", checked_depth=32), b
         assert sha256(form.render().encode()).hexdigest() == digest, b
+
+
+def test_verify_takes_its_premise_from_the_one_annihilator_check(monkeypatch):
+    import rabot.closedform as cf
+
+    form, verdict = closed_form(3, 2)
+    assert verdict.status == "proven"
+    calls = []
+
+    def refuse(table, roots, power=None):
+        calls.append((table.base, list(roots), power))
+        return False
+
+    monkeypatch.setattr(cf, "annihilates", refuse)
+    assert verify(form, build_table(3, 2, 5)) == Verdict("consistent", checked_depth=4)
+    assert calls == [(3, candidate_bases(3, 2), 2)]

@@ -319,6 +319,32 @@ def test_general_form_goldens(p, golden):
     assert g.excluded_bases() == {2}
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_a_wrong_family_fails_the_annihilator_check(p, monkeypatch, capsys):
+    # the derivation's premise is checked: drop one family, or add 1 to one,
+    # and the symbolic state is no longer annihilated
+    import rabot.generalform as gf
+    from rabot.cli import main
+
+    real = gf.base_families(p)
+    mutations = [real[:i] + real[i + 1 :] for i in range(len(real))]
+    mutations += [real[:i] + [fam + 1] + real[i + 1 :] for i, fam in enumerate(real)]
+    gf._derive.cache_clear()
+    try:
+        for families in mutations:
+            monkeypatch.setattr(gf, "base_families", lambda power: families)
+            with pytest.raises(NoFitError, match="do not annihilate"):
+                gf._derive(p)
+        code = main(["general-form", "--power", str(p)])
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+    finally:
+        gf._derive.cache_clear()
+
+
 def test_derivation_builds_no_integer_table(monkeypatch):
     import rabot.generalform as gf
 

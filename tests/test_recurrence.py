@@ -4,14 +4,19 @@ from fractions import Fraction
 import pytest
 
 from rabot import (
+    DepthError,
     InvalidBaseError,
     MomentQuery,
+    PolyInB,
+    base_families,
     brute_moment,
     build_table,
+    candidate_bases,
     extend,
     moment_value,
     state_dimension_bound,
 )
+from rabot.recurrence import _build, annihilates
 
 
 def test_seed_binary_first_moment():
@@ -193,3 +198,39 @@ def test_build_table_refuses_a_symbolic_base():
 
     with pytest.raises(InvalidBaseError):
         build_table(PolyInB((0, 1)), 1, 1)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_one_annihilator_check_over_integers_and_polynomials_in_b(p):
+    # the same routine proves the per-base forms (int table) and the general
+    # form (table over polynomials in b); dropping a root breaks it in both
+    # (at an integer base a family's coefficient may vanish, as that of
+    # b - 1 does at b = 2, p = 2, so only the largest root is dropped there)
+    families = base_families(p)
+    symbolic = _build(PolyInB((0, 1)), p, 2 * p + 1)
+    assert annihilates(symbolic, families)
+    for i in range(2 * p):
+        assert not annihilates(symbolic, families[:i] + families[i + 1 :]), i
+    for b in (2, 3, 10, 10**6):
+        table = build_table(b, p, 2 * p + 1)
+        roots = candidate_bases(b, p)
+        assert annihilates(table, roots), b
+        assert not annihilates(table, roots[:-1]), b
+        assert not annihilates(table, roots[:-1] + [roots[-1] + 1]), b
+
+
+def test_annihilator_reads_one_column_past_its_roots():
+    roots = candidate_bases(2, 1)
+    assert annihilates(build_table(2, 1, 3), roots)
+    with pytest.raises(DepthError):
+        annihilates(build_table(2, 1, 2), roots)
+    # rows above the given power need more roots, so they are skipped
+    wide = build_table(2, 2, 3)
+    assert annihilates(wide, roots, 1)
+    assert not annihilates(wide, roots)
+
+
+def test_zero_polynomial_is_falsy_like_zero():
+    assert not PolyInB(()) and not PolyInB((0, 0)) and not 0
+    assert PolyInB((0, 1)) and PolyInB((5,))
+    assert not any(PolyInB((1, 2)) - PolyInB((1, 2)) for _ in range(3))
