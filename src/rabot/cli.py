@@ -5,13 +5,15 @@ Exit codes are fixed so CI can tell failure modes apart: 2 for usage or
 invalid input (including a refused over-cap enumeration or check sweep, an
 empty base range, a power or check --p-max above MAX_POWER, a k above MAX_K
 or with max(p, 3)*k*bit_length(b) above 12*MAX_K, a closed-form --base or a
-general-form --b-max over that size at its table depth k = 2p + 1 (for
-closed-form, when --depth is absent), a general-form power above
-MAX_GENERAL_FORM_POWER, or a general-form range of more than
-MAX_GENERAL_FORM_BASES bases, each refused before any table is built), 3
-when the two engines disagree (the bug-detection signal), 4 when fitting or
-verification fails.  All numeric output is exact; big integers are printed
-as decimal strings and rationals as numerator/denominator, never floats.
+general-form --b-max over that size at its table depth, table_depth(p,
+depth): k = 2p + 1, or a closed-form --depth above that (so a --depth at or
+below 2p is size-checked at 2p + 1), a general-form power above
+MAX_GENERAL_FORM_POWER, a general-form range of more than
+MAX_GENERAL_FORM_BASES bases or a general-form --b-min below 2, each refused
+before any table is built), 3 when the two engines disagree (the
+bug-detection signal), 4 when fitting or verification fails.  All numeric
+output is exact; big integers are printed as decimal strings and rationals
+as numerator/denominator, never floats.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import sys
 from dataclasses import dataclass
 
 from . import digits, oeis
-from .closedform import ExponentialForm, closed_form
+from .closedform import ExponentialForm, closed_form, table_depth
 from .errors import EnumerationCapError, NoFitError
 from .generalform import guess_general_form
 from .oracle import DEFAULT_ENUM_CAP, MomentQuery, brute_moment
@@ -223,10 +225,8 @@ def cmd_sum(args: argparse.Namespace) -> int:
 
 
 def cmd_closed_form(args: argparse.Namespace) -> int:
-    if args.depth is None:  # the table goes to k = 2p + 1, so only --base can be too large
-        _check_k("the table depth", 2 * args.power + 1, args.base, args.power)
-    else:
-        _check_k("--depth", args.depth, args.base, args.power)
+    depth = table_depth(args.power, args.depth)
+    _check_k("--depth" if depth == args.depth else "the table depth", depth, args.base, args.power)
     form, verdict = closed_form(args.base, args.power, depth=args.depth)
     inputs = {"base": str(args.base), "power": str(args.power)}
     if args.depth is not None:
@@ -259,8 +259,9 @@ def cmd_general_form(args: argparse.Namespace) -> int:
             f"--b-min {args.b_min} to --b-max {args.b_max} is above the general-form"
             f" limit of {MAX_GENERAL_FORM_BASES} bases"
         )
-    # the cross-check tables go to k = 2p + 1, and --b-max is the largest base
-    _check_k("the table depth", 2 * args.power + 1, args.b_max, args.power, "--b-max")
+    # the cross-check tables go to table_depth, and --b-max is the largest base
+    _check_k("the table depth", table_depth(args.power), args.b_max, args.power, "--b-max")
+    digits.check_base(args.b_min)
     g = guess_general_form(args.power, bases)
     excluded = sorted(g.excluded_bases())
     inputs = {

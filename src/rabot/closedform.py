@@ -144,11 +144,17 @@ def fit_closed_form(
     return ExponentialForm(base, power, tuple(terms))
 
 
+def table_depth(power: int, depth: int | None = None) -> int:
+    """The last column verify reads for a form of this power checked to
+    depth: max(depth, 2p + 1), as the annihilator reads column 2p + 1."""
+    return max(2 * power + 1, depth or 0)
+
+
 def verify(form: ExponentialForm, table: MomentTable, depth: int | None = None) -> Verdict:
     """Compare a form against exact table values at k = 1..depth.
 
     depth defaults to the proof depth 2p, and the table must reach
-    k = max(depth, 2p + 1).  Agreement at depth >= 2p is proof (see module
+    table_depth(p, depth).  Agreement at depth >= 2p is proof (see module
     docstring) when every term fits inside candidate_bases(b, p) and the
     annihilator over that multiset kills the table's state at k = 1;
     otherwise it is only consistent.
@@ -161,7 +167,7 @@ def verify(form: ExponentialForm, table: MomentTable, depth: int | None = None) 
     checked = required if depth is None else depth
     if checked < 1:
         raise ValueError("verification depth must be at least 1")
-    need = max(checked, required + 1)  # the annihilator reads column 2p + 1
+    need = table_depth(form.power, checked)
     if table.max_k < need:
         raise DepthError(f"table depth {table.max_k} is below {need}, the depth verify reads")
     for k in range(1, checked + 1):
@@ -181,7 +187,8 @@ def closed_form(
     """Fit and verify the closed form of S(power, .) for a fixed base.
 
     Fits the candidate-base multiset to the 2p exact table values at
-    k = 1..2p and verifies the form to depth max(2p, depth).
+    k = 1..2p and verifies the form to depth max(2p, depth), on a table
+    that reaches table_depth(power, depth).
     """
     check_base(base)
     if not isinstance(power, int) or power < 1:
@@ -190,7 +197,7 @@ def closed_form(
         raise ValueError("verification depth must be at least 1")
     required = 2 * power
     checked = required if depth is None else max(depth, required)
-    table = build_table(base, power, checked + 1)
+    table = build_table(base, power, table_depth(power, depth))
     values = [moment_value(table, power, k) for k in range(1, required + 1)]
     form = fit_closed_form(values, candidate_bases(base, power), base=base, power=power)
     return form, verify(form, table, depth=checked)

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable
 
-from .closedform import ExponentialForm, verify
+from .closedform import ExponentialForm, table_depth, verify
 from .digits import check_base
 from .errors import ExcludedBaseError, NoFitError
 from .linalg import taylor_at_roots
@@ -72,9 +72,6 @@ class PolyInB:
 
     def degree(self) -> int:
         return len(self.numerators) - 1
-
-    def is_zero(self) -> bool:
-        return not self.numerators
 
     def __bool__(self) -> bool:  # like an int, so one zero test serves both rings
         return bool(self.numerators)
@@ -118,7 +115,7 @@ class PolyInB:
         return PolyInB(self.numerators, self.denominator * divisor)  # exact over Q
 
     def render(self, var: str = "b") -> str:
-        if self.is_zero():
+        if not self:
             return "0"
         parts: list[str] = []
         for e in range(self.degree(), -1, -1):
@@ -191,7 +188,7 @@ class RationalFnInB:
     denominator: PolyInB = _ONE
 
     def __post_init__(self) -> None:
-        if self.denominator.is_zero():
+        if not self.denominator:
             raise ZeroDivisionError("rational function with zero denominator")
         n, m = self.numerator, self.denominator
         num = [c * m.denominator for c in n.numerators]
@@ -203,8 +200,8 @@ class RationalFnInB:
         object.__setattr__(self, "numerator", PolyInB(tuple(num)))
         object.__setattr__(self, "denominator", PolyInB(tuple(den)))
 
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero()
+    def __bool__(self) -> bool:
+        return bool(self.numerator)
 
     def eval(self, b: int | Fraction) -> Fraction:
         return self.numerator.eval(b) / self.denominator.eval(b)
@@ -232,17 +229,23 @@ class GeneralForm:
         bases = [fam for _, fam in self.terms]
         if len(set(bases)) != len(bases):
             raise ValueError("growth-base polynomials must be pairwise distinct")
-        if any(fn.is_zero() for fn, _ in self.terms):
+        if not all(fn for fn, _ in self.terms):
             raise ValueError("zero coefficients must not be stored")
 
     def excluded_bases(self) -> frozenset[int]:
-        """The bases b >= 2 where a coefficient denominator vanishes, found by
-        scanning up to its Cauchy root bound 1 + max|a_i / a_n|."""
+        """The bases b >= 2 where a coefficient denominator vanishes.
+
+        By the rational root theorem: a denominator with integer coefficients
+        is b**m * Q(b) with Q(0) = a_m, its lowest nonzero coefficient, and an
+        integer root b != 0 of Q divides a_m.  So only the divisors >= 2 of a_m
+        are evaluated."""
         excluded = set()
         for fn, _ in self.terms:
-            den = fn.denominator.numerators
-            bound = 1 + max(abs(c) for c in den) // den[-1]
-            excluded.update(b for b in range(2, bound + 1) if fn.denominator.eval(b) == 0)
+            den = fn.denominator
+            low = abs(next(c for c in den.numerators if c))
+            small = [d for d in range(1, isqrt(low) + 1) if low % d == 0]
+            divisors = {*small, *(low // d for d in small)}
+            excluded.update(b for b in divisors if b >= 2 and not den.eval(b))
         return frozenset(excluded)
 
     def render(self, var: str = "b") -> str:
@@ -272,15 +275,15 @@ def _derive(power: int) -> GeneralForm:
     """The general form of S(power, .) over Q(b), without zero terms; cached,
     as it depends on power alone and is immutable.
 
-    The symbolic table reaches k = 2p + 1 so that annihilates can check the
-    premise (see module docstring); NoFitError if it fails.  Then
-    G(x) = sum_{k>=1} S(power, k) x**k is N(x)/prod_f (1 - lam_f x), each
-    pole is simple, and
+    The symbolic table reaches table_depth(power) = 2p + 1 so that
+    annihilates can check the premise (see module docstring); NoFitError if
+    it fails.  Then G(x) = sum_{k>=1} S(power, k) x**k is
+    N(x)/prod_f (1 - lam_f x), each pole is simple, and
     c_f = rev(N)(lam_f)/(lam_f prod_{g != f}(lam_f - lam_g)) (rabot.linalg).
     """
     families = base_families(power)
     t = len(families)
-    table = _build(_B, power, t + 1)
+    table = _build(_B, power, table_depth(power))
     if not annihilates(table, families):
         raise NoFitError(
             f"the {t} eigenvalue families of power {power} do not annihilate"
@@ -290,7 +293,7 @@ def _derive(power: int) -> GeneralForm:
     terms = []
     for fam, ([value], [den]) in taylor_at_roots(sums, families).items():
         fn = RationalFnInB(value, fam * den)
-        if not fn.is_zero():
+        if fn:
             terms.append((fn, fam))
     return GeneralForm(power, tuple(terms))
 
@@ -312,7 +315,7 @@ def guess_general_form(power: int, b_range: Iterable[int]) -> GeneralForm:
         raise ValueError("the base range is empty")
     g = _derive(power)
     for b in sorted(bs - g.excluded_bases()):
-        verdict = verify(specialize(g, b), build_table(b, power, 2 * power + 1))
+        verdict = verify(specialize(g, b), build_table(b, power, table_depth(power)))
         if verdict.status != "proven":
             raise NoFitError(f"the general form at b={b} is {verdict.status}, not proven")
     return g

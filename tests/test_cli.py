@@ -29,6 +29,20 @@ def test_eval_verbose_shows_digits(capsys):
     code, out, _ = run(capsys, "eval", "--base", "2", "12", "--verbose")
     assert code == 0
     assert out == "1100 -> 10\n2\n"
+    # 5 = 101 in base 2: every run has length one, so nothing is left
+    code, out, _ = run(capsys, "eval", "--base", "2", "5", "--verbose")
+    assert code == 0
+    assert out == "101 -> 0\n0\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "rabot", "eval", "--base", "2", "12"],
+        env=env, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "2\n", "")
 
 
 def test_eval_single_digit(capsys):
@@ -309,6 +323,18 @@ def test_general_form_b_max_above_size_limit_exits_2_before_derivation(capsys, m
     assert calls == [7]
 
 
+def test_general_form_b_min_below_2_exits_2_before_derivation(capsys, monkeypatch):
+    def stub(power, b_range):
+        raise AssertionError("a refused --b-min must not start the derivation")
+
+    monkeypatch.setattr(cli, "guess_general_form", stub)
+    for b_min in ("1", "0", "-4"):
+        code, out, err = run(capsys, "general-form", "--power", "7", "--b-min", b_min)
+        assert code == 2, b_min
+        assert out == ""
+        assert err == f"error: base must be an integer >= 2, got {b_min}\n"
+
+
 def test_general_form_says_when_no_base_was_cross_checked(capsys):
     code, out, _ = run(capsys, "general-form", "--power", "3", "--b-min", "2", "--b-max", "2")
     assert code == 0
@@ -369,6 +395,16 @@ def test_seq_oeis_unavailable_still_exits_0(capsys, monkeypatch):
     assert code == 0
     assert out.splitlines()[0] == "1,4,14,46,146"
     assert "unavailable" in out
+
+
+def test_seq_oeis_without_matches_says_so(capsys, monkeypatch):
+    def fake_lookup(values, limit=5, **kwargs):
+        return LookupResult(tuple(values), (), True)
+
+    monkeypatch.setattr(oeis_module, "lookup", fake_lookup)
+    code, out, _ = run(capsys, "seq", "--base", "2", "--power", "1", "--kmax", "5", "--oeis")
+    assert code == 0
+    assert out == "1,4,14,46,146\nOEIS: no matches\n"
 
 
 def test_k_max_below_one_exits_2(capsys):
@@ -588,20 +624,27 @@ def test_size_limit_falls_with_the_power(capsys, monkeypatch):
 
 
 def test_closed_form_base_above_size_limit_exits_2_before_any_work(capsys, monkeypatch):
-    # without --depth the table goes to k = 2p + 1, and the size limit holds there
+    # the table goes to k = max(--depth, 2p + 1), and the size limit holds there
     def no_work(*args, **kwargs):
         raise AssertionError("a refused base must build no table")
 
     monkeypatch.setattr(cli, "build_table", no_work)
     monkeypatch.setattr(cli, "closed_form", no_work)
     huge = 10**1000  # bit_length 3322
-    code, out, err = run(capsys, "closed-form", "--base", str(huge), "--power", "8")
-    assert code == 2
-    assert out == ""
-    assert err == (
-        "error: the table depth 17 at a 3322-bit --base and --power 8:"
-        " k*bit_length(b) = 56474 is above the size limit of 4500\n"
-    )
+    # a --depth at or below 2p still builds the table to k = 2p + 1 = 17
+    for depth in ([], ["--depth", "1"], ["--depth", "16"]):
+        code, out, err = run(capsys, "closed-form", "--base", str(huge), "--power", "8", *depth)
+        assert code == 2, depth
+        assert out == ""
+        assert err == (
+            "error: the table depth 17 at a 3322-bit --base and --power 8:"
+            " k*bit_length(b) = 56474 is above the size limit of 4500\n"
+        ), depth
+    # a deeper --depth sets the table, and is named
+    for depth in ("17", "25"):
+        code, out, err = run(capsys, "closed-form", "--base", str(huge), "--power", "8", "--depth", depth)
+        assert code == 2, depth
+        assert err.startswith(f"error: --depth {depth} at a 3322-bit --base and --power 8:"), depth
     # at p = 4 the limit 9000 allows bit_length(b) <= 1000 at k = 9
     code, out, err = run(capsys, "closed-form", "--base", str(2**1000), "--power", "4")
     assert code == 2

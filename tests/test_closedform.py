@@ -20,6 +20,7 @@ from rabot import (
     state_dimension_bound,
     verify,
 )
+from rabot.closedform import table_depth
 
 F = Fraction
 
@@ -141,6 +142,34 @@ def test_verify_depth_semantics():
         verify(form, build_table(2, 1, 2))
     with pytest.raises(ValueError):
         verify(form, build_table(3, 1, 12))
+    with pytest.raises(ValueError, match="only covers powers up to 0"):
+        verify(form, build_table(2, 0, 12))
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            verify(form, t, depth=bad)
+
+
+def test_table_depth_is_the_last_column_verify_reads(monkeypatch):
+    import rabot.closedform as cf
+
+    assert [table_depth(p) for p in (1, 2, 8)] == [3, 5, 17]
+    assert [table_depth(8, d) for d in (1, 16, 17, 25)] == [17, 17, 17, 25]
+    form = ExponentialForm(2, 1, (((F(-1, 2),), 2), ((F(2, 3),), 3)))
+    for depth in (None, 1, 2, 3, 7):
+        need = table_depth(1, depth)
+        assert verify(form, build_table(2, 1, need), depth=depth).status in ("proven", "consistent")
+        with pytest.raises(DepthError, match=f"below {need},"):
+            verify(form, build_table(2, 1, need - 1), depth=depth)
+    built = []
+
+    def recording(base, power, max_k):
+        built.append(max_k)
+        return build_table(base, power, max_k)
+
+    monkeypatch.setattr(cf, "build_table", recording)
+    for depth in (None, 1, 5, 6, 9):
+        assert cf.closed_form(2, 2, depth=depth)[1].status == "proven"
+    assert built == [5, 5, 5, 6, 9]
 
 
 def test_verify_requires_bases_in_spectrum():
@@ -315,6 +344,9 @@ def test_pipeline_depth_request():
     for bad in (0, -3):
         with pytest.raises(ValueError):
             closed_form(2, 1, depth=bad)
+    for bad in (0, -2, 1.5):
+        with pytest.raises(ValueError, match="power must be a positive integer"):
+            closed_form(2, bad)
 
 
 def test_pipeline_fit_failure_propagates(monkeypatch):

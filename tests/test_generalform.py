@@ -39,8 +39,8 @@ B2_PLUS_B_MINUS_1 = poly(-1, 1, 1)
 
 def test_poly_canonical_form():
     assert poly(1, 2, 0, 0).coefficients == (F(1), F(2))
-    assert poly().is_zero()
-    assert poly(0, 0).is_zero()
+    assert not poly()
+    assert not poly(0, 0)
     assert poly(5).degree() == 0
     assert poly(1, 0, 3).degree() == 2
 
@@ -51,7 +51,7 @@ def test_poly_eval_and_arith():
     assert p.eval(3) == 11
     assert (poly(1, 1) * poly(-1, 1)).coefficients == (F(-1), F(0), F(1))
     assert (poly(1, 2) + poly(1, -2)).coefficients == (F(2),)
-    assert (poly(1, 2) - poly(1, 2)).is_zero()
+    assert not poly(1, 2) - poly(1, 2)
     # int operands on either side, as the recurrence uses them with b a symbol
     assert p + 1 == 1 + p == poly(0, 1, 1)
     assert p - 1 == poly(-2, 1, 1)
@@ -133,7 +133,7 @@ def test_rational_fn_is_a_coprime_integer_pair():
 
 _small_polys = st.lists(
     st.fractions(min_value=-4, max_value=4, max_denominator=3), min_size=1, max_size=4
-).map(lambda cs: PolyInB(tuple(cs))).filter(lambda q: not q.is_zero())
+).map(lambda cs: PolyInB(tuple(cs))).filter(bool)
 
 
 @settings(max_examples=60, deadline=None)
@@ -151,7 +151,8 @@ def test_rational_fn_reduction_in_z_b(a, b, c):
 
 
 def test_rational_fn_zero_and_errors():
-    assert RationalFnInB(poly()).is_zero()
+    assert not RationalFnInB(poly())
+    assert RationalFnInB(poly(0, 1), poly(3, 1))
     assert RationalFnInB(poly(), poly(3, 1)) == RationalFnInB(poly())
     with pytest.raises(ZeroDivisionError):
         RationalFnInB(poly(1), poly())
@@ -263,7 +264,7 @@ def test_symbolic_table_matches_integer_tables(p):
             assert polys[k - 1].eval(b) == table.moments[k][p][0], (b, k)
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_excluded_bases_are_the_poles(p):
     g = guess_general_form(p, [3])
     poles = set()
@@ -274,6 +275,48 @@ def test_excluded_bases_are_the_poles(p):
             poles.add(b)
     assert g.excluded_bases() == poles
     assert poles == (set() if p <= 2 else {2})
+
+
+def test_excluded_bases_evaluate_only_divisors_of_the_lowest_coefficient(monkeypatch):
+    g = guess_general_form(4, [3])
+    evaluated = []
+    real = PolyInB.eval
+
+    def recording(self, b):
+        evaluated.append((self, b))
+        return real(self, b)
+
+    monkeypatch.setattr(PolyInB, "eval", recording)
+    assert g.excluded_bases() == {2}
+    assert evaluated
+    for den, b in evaluated:
+        low = next(c for c in den.numerators if c)
+        assert b >= 2 and low % b == 0, (den.render(), b)
+
+
+def _scan_to_cauchy_bound(den):
+    """The integer roots b >= 2 of den, found by evaluating every b up to its
+    Cauchy root bound 1 + max|a_i| / |a_n|."""
+    nums = den.numerators
+    bound = 1 + max(abs(c) for c in nums) // abs(nums[-1])
+    return {b for b in range(2, bound + 1) if not den.eval(b)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-4, 7), max_size=3),  # planted integer roots
+    st.integers(1, 12),  # content
+    st.integers(0, 3),  # power of b
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(lambda cs: cs[-1]),
+)
+def test_excluded_bases_match_a_scan_to_the_cauchy_bound(roots, content, m, cofactor):
+    den = PolyInB((content,)) * B**m * PolyInB(tuple(cofactor))
+    for r in roots:
+        den = den * poly(-r, 1)
+    g = GeneralForm(1, ((RationalFnInB(poly(1), den), B),))
+    excluded = g.excluded_bases()
+    assert excluded == _scan_to_cauchy_bound(g.terms[0][0].denominator)
+    assert {r for r in roots if r >= 2} <= excluded
 
 
 GOLDEN_P4 = (
@@ -493,6 +536,13 @@ def test_specialize_excluded_base():
     with pytest.raises(ExcludedBaseError):
         specialize(g, 3)
     assert specialize(g, 4).terms == (((F(1),), 4),)
+
+
+def test_specialize_refuses_a_growth_base_that_is_not_a_positive_integer():
+    for fam, b in ((poly(-5, 1), 2), (poly(0, F(1, 2)), 3), (poly(-2, 1), 2)):
+        g = GeneralForm(1, ((RationalFnInB(poly(1)), fam),))
+        with pytest.raises(ValueError, match="not a positive integer"):
+            specialize(g, b)
 
 
 def test_general_form_invariants():
