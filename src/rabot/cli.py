@@ -5,12 +5,11 @@ Exit codes are fixed so CI can tell failure modes apart: 2 for usage or
 invalid input (including a refused over-cap enumeration or check sweep, an
 empty base range, a power or check --p-max above MAX_POWER, a k above MAX_K
 or with max(p, 3)*k*bit_length(b) above 12*MAX_K, a closed-form --base or a
-general-form --b-max over that size at its table depth, table_depth(p,
-depth): k = 2p + 1, or a closed-form --depth above that (so a --depth at or
-below 2p is size-checked at 2p + 1), a general-form power above
-MAX_GENERAL_FORM_POWER, a general-form range of more than
-MAX_GENERAL_FORM_BASES bases or a general-form --b-min below 2, each refused
-before any table is built), 3 when the two engines disagree (the
+general-form --b-max over that size at its table depth, table_depth(p) =
+2p + 1, a general-form power above MAX_GENERAL_FORM_POWER, a general-form
+range of more than MAX_GENERAL_FORM_BASES bases or whose cross-check tables
+total more than MAX_GENERAL_FORM_SIZE, or a general-form --b-min below 2,
+each refused before any table is built), 3 when the two engines disagree (the
 bug-detection signal), 4 when fitting or verification fails.  All numeric
 output is exact; big integers are printed as decimal strings and rationals
 as numerator/denominator, never floats.
@@ -42,17 +41,28 @@ EXIT_NO_FIT = 4
 MAX_GENERAL_FORM_POWER = 7
 
 # general-form cross-checks its specialization at every base of its range,
-# about 0.2 ms per base at p = 2 and 4 ms at p = 7, so wider ranges are
-# refused.
+# about 0.3 ms per base at p = 2 and 3.2 ms at p = 7 (10-bit bases), so wider
+# ranges are refused.
 MAX_GENERAL_FORM_BASES = 1000
 
+# Each cross-check builds a table of about max(p, 3)*(2p + 1)*bit_length(b)
+# bits, and its time grows with that size: at p = 7 it took 3.2 ms per base at
+# 10 bits, 10.5 ms at 40, 102 ms at 167 and 335 ms at 333 (Python 3.11.7, one
+# core of a shared 2-vCPU Xeon VM).  So the range's count of bases times that
+# size at --b-max is held to what 1000 bases below 1024 need at p = 7,
+# 1000*7*15*10: about 3-4 s, and about 10 s for the 30 bases it allows at 333
+# bits, where the table's own size limit stops p = 7.
+MAX_GENERAL_FORM_SIZE = 1_050_000
+
 # `sum`, `seq` and `closed-form` refuse --power above this: the state has
-# (p+1)(p+2)/2 sequences, and `closed-form --base 1000000` takes about 0.6 s
-# at p = 16, its fit and proof 0.4 s there and 1.3 s at p = 20 (2 vCPUs).
+# (p+1)(p+2)/2 sequences, and `closed-form --base 1000000 --power 16` took
+# 0.55-0.6 s end to end, closed_form(10**6, p) 0.3-0.4 s at p = 16 and
+# 1.3-1.55 s at p = 20 (three runs each, Python 3.11.7, one core of a shared
+# 2-vCPU Xeon VM).
 MAX_POWER = 16
 
 # Values grow linearly in k and their decimal printing more than linearly, so
-# `sum --k`, `seq --kmax` and `closed-form --depth` above this are refused:
+# `sum --k` and `seq --kmax` above this are refused:
 # `seq --base 10 --power 3 --kmax 3000` builds and prints in about 3.5 s.
 # Their size, about p*k*bit_length(b) bits, also grows with the digits of the
 # base and with the power, so max(p, 3)*k*bit_length(b) is held to 12*MAX_K,
@@ -112,19 +122,24 @@ def _enum_cap() -> int:
     return cap
 
 
+def _named(flag: str, base: int) -> str:
+    # a long base is named by its size, so that an error stays one short line
+    bits = base.bit_length()
+    return f"{flag} {base}" if bits <= 64 else f"a {bits}-bit {flag}"
+
+
 def _check_k(flag: str, k: int, base: int, power: int, base_flag: str = "--base") -> None:
     if power > MAX_POWER:
         raise ValueError(f"--power {power} is above the limit of {MAX_POWER}")
+    if k < 1:
+        raise ValueError(f"{flag} must be >= 1, got {k}")
     if k > MAX_K:
         raise ValueError(f"{flag} {k} is above the limit of {MAX_K}")
-    bits = base.bit_length()
-    size, limit = k * bits, 12 * MAX_K // max(power, 3)
+    size, limit = k * base.bit_length(), 12 * MAX_K // max(power, 3)
     if size > limit:
-        # a long base is named by its size, so that the error stays one short line
-        named = f"{base_flag} {base}" if bits <= 64 else f"a {bits}-bit {base_flag}"
         raise ValueError(
-            f"{flag} {k} at {named} and --power {power}: k*bit_length(b) = {size}"
-            f" is above the size limit of {limit}"
+            f"{flag} {k} at {_named(base_flag, base)} and --power {power}:"
+            f" k*bit_length(b) = {size} is above the size limit of {limit}"
         )
 
 
@@ -142,6 +157,8 @@ def _check_sweep_size(args: argparse.Namespace, cap: int) -> None:
         raise ValueError(f"--p-max must be >= 0, got {args.p_max}")
     if args.p_max > MAX_POWER:
         raise ValueError(f"--p-max {args.p_max} is above the limit of {MAX_POWER}")
+    if args.k_max < 1:
+        raise ValueError(f"--k-max must be >= 1, got {args.k_max}")
     total = 0
     for k in range(1, args.k_max + 1):
         for b in _base_range(args):
@@ -225,12 +242,9 @@ def cmd_sum(args: argparse.Namespace) -> int:
 
 
 def cmd_closed_form(args: argparse.Namespace) -> int:
-    depth = table_depth(args.power, args.depth)
-    _check_k("--depth" if depth == args.depth else "the table depth", depth, args.base, args.power)
-    form, verdict = closed_form(args.base, args.power, depth=args.depth)
+    _check_k("the table depth", table_depth(args.power), args.base, args.power)
+    form, verdict = closed_form(args.base, args.power)
     inputs = {"base": str(args.base), "power": str(args.power)}
-    if args.depth is not None:
-        inputs["depth"] = str(args.depth)
     result = {
         "formula": form.render(),
         "terms": _form_terms_json(form),
@@ -254,13 +268,22 @@ def cmd_general_form(args: argparse.Namespace) -> int:
             f"--power {args.power} is above the general-form limit of {MAX_GENERAL_FORM_POWER}"
         )
     bases = _base_range(args)
-    if args.b_max - args.b_min + 1 > MAX_GENERAL_FORM_BASES:
+    count = args.b_max - args.b_min + 1  # len(bases) overflows past sys.maxsize
+    if count > MAX_GENERAL_FORM_BASES:
         raise ValueError(
             f"--b-min {args.b_min} to --b-max {args.b_max} is above the general-form"
             f" limit of {MAX_GENERAL_FORM_BASES} bases"
         )
     # the cross-check tables go to table_depth, and --b-max is the largest base
-    _check_k("the table depth", table_depth(args.power), args.b_max, args.power, "--b-max")
+    depth = table_depth(args.power)
+    _check_k("the table depth", depth, args.b_max, args.power, "--b-max")
+    size = count * max(args.power, 3) * depth * args.b_max.bit_length()
+    if size > MAX_GENERAL_FORM_SIZE:
+        raise ValueError(
+            f"{count} bases up to {_named('--b-max', args.b_max)} at --power {args.power}:"
+            f" count*max(p, 3)*(2p + 1)*bit_length(b) = {size} is above the general-form"
+            f" limit of {MAX_GENERAL_FORM_SIZE}"
+        )
     digits.check_base(args.b_min)
     g = guess_general_form(args.power, bases)
     excluded = sorted(g.excluded_bases())
@@ -394,12 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--power", type=int, required=True)
-    p.add_argument(
-        "--depth",
-        type=int,
-        default=None,
-        help="verification depth; raised to the proof depth when below it",
-    )
     p.set_defaults(func=cmd_closed_form)
 
     p = sub.add_parser(

@@ -92,13 +92,15 @@ class ExponentialForm:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of checking a form against exact table values.
+    """Outcome of checking a form against exact table values at k = 1..2p.
 
-    proven:     matched at k = 1..2p or further, and both premises of the
-                proof hold (see verify)
-    consistent: matched at every checked k, but fewer than 2p of them or
-                with a premise failing
-    refuted:    mismatch, with witness (k, table value, form value)
+    proven:     matched at k = 1..2p, and both premises of the proof hold
+                (see verify)
+    consistent: matched at k = 1..2p, but a premise fails: a term lies
+                outside the spectrum multiset, or the annihilator does not
+                vanish
+    refuted:    mismatch at some k <= 2p, with witness (k, table value,
+                form value)
     """
 
     status: str
@@ -144,17 +146,19 @@ def fit_closed_form(
     return ExponentialForm(base, power, tuple(terms))
 
 
-def table_depth(power: int, depth: int | None = None) -> int:
-    """The last column verify reads for a form of this power checked to
-    depth: max(depth, 2p + 1), as the annihilator reads column 2p + 1."""
-    return max(2 * power + 1, depth or 0)
+def table_depth(power: int) -> int:
+    """The last column verify reads for a form of this power: 2p + 1, as the
+    annihilator reads column 2p + 1 while the values are compared at
+    k = 1..2p.  The proof needs p >= 1, so other powers raise ValueError."""
+    if not isinstance(power, int) or power < 1:
+        raise ValueError(f"power must be a positive integer, got {power!r}")
+    return 2 * power + 1
 
 
-def verify(form: ExponentialForm, table: MomentTable, depth: int | None = None) -> Verdict:
-    """Compare a form against exact table values at k = 1..depth.
+def verify(form: ExponentialForm, table: MomentTable) -> Verdict:
+    """Compare a form against exact table values at k = 1..2p, the proof depth.
 
-    depth defaults to the proof depth 2p, and the table must reach
-    table_depth(p, depth).  Agreement at depth >= 2p is proof (see module
+    The table must reach table_depth(p).  Agreement is proof (see module
     docstring) when every term fits inside candidate_bases(b, p) and the
     annihilator over that multiset kills the table's state at k = 1;
     otherwise it is only consistent.
@@ -163,13 +167,10 @@ def verify(form: ExponentialForm, table: MomentTable, depth: int | None = None) 
         raise ValueError(f"table is for base {table.base}, form for base {form.base}")
     if table.max_power < form.power:
         raise ValueError(f"table only covers powers up to {table.max_power}")
-    required = 2 * form.power
-    checked = required if depth is None else depth
-    if checked < 1:
-        raise ValueError("verification depth must be at least 1")
-    need = table_depth(form.power, checked)
+    need = table_depth(form.power)
     if table.max_k < need:
         raise DepthError(f"table depth {table.max_k} is below {need}, the depth verify reads")
+    checked = 2 * form.power
     for k in range(1, checked + 1):
         expected = moment_value(table, form.power, k)
         actual = form.eval_at(k)
@@ -177,27 +178,19 @@ def verify(form: ExponentialForm, table: MomentTable, depth: int | None = None) 
             return Verdict("refuted", checked_depth=k, witness=(k, expected, actual))
     bases = candidate_bases(form.base, form.power)
     in_spectrum = all(len(poly) <= bases.count(lam) for poly, lam in form.terms)
-    proven = checked >= required and in_spectrum and annihilates(table, bases, form.power)
+    proven = in_spectrum and annihilates(table, bases, form.power)
     return Verdict("proven" if proven else "consistent", checked_depth=checked)
 
 
-def closed_form(
-    base: int, power: int, *, depth: int | None = None
-) -> tuple[ExponentialForm, Verdict]:
+def closed_form(base: int, power: int) -> tuple[ExponentialForm, Verdict]:
     """Fit and verify the closed form of S(power, .) for a fixed base.
 
     Fits the candidate-base multiset to the 2p exact table values at
-    k = 1..2p and verifies the form to depth max(2p, depth), on a table
-    that reaches table_depth(power, depth).
+    k = 1..2p and verifies the form on a table that reaches
+    table_depth(power).
     """
     check_base(base)
-    if not isinstance(power, int) or power < 1:
-        raise ValueError(f"power must be a positive integer, got {power!r}")
-    if depth is not None and depth < 1:
-        raise ValueError("verification depth must be at least 1")
-    required = 2 * power
-    checked = required if depth is None else max(depth, required)
-    table = build_table(base, power, table_depth(power, depth))
-    values = [moment_value(table, power, k) for k in range(1, required + 1)]
+    table = build_table(base, power, table_depth(power))
+    values = [moment_value(table, power, k) for k in range(1, 2 * power + 1)]
     form = fit_closed_form(values, candidate_bases(base, power), base=base, power=power)
-    return form, verify(form, table, depth=checked)
+    return form, verify(form, table)

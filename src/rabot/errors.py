@@ -21,8 +21,8 @@ class NoFitError(RuntimeError):
 
 
 class DepthError(ValueError):
-    """Raised when a table is too shallow for verify: below the requested
-    depth, or below k = 2p + 1, the last column the annihilator check reads."""
+    """Raised when a table is too shallow for verify: below k = 2p + 1, the
+    last column the annihilator check reads."""
 
 
 class ExcludedBaseError(ValueError):

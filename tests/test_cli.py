@@ -199,22 +199,16 @@ def test_closed_form_first_moment(capsys):
 
 
 def test_closed_form_depth_flag(capsys):
-    code, out, _ = run(
-        capsys, "closed-form", "--base", "2", "--power", "1", "--depth", "25", "--json"
-    )
-    assert code == 0
-    record = OutputRecord.from_json(out)
-    assert record.result["verdict"] == {"status": "proven", "checked_depth": "25"}
-
-
-def test_closed_form_depth_below_one_exits_2(capsys):
-    for depth in ("0", "-3"):
+    # the proof depth is 2p, so no flag sets it: --depth is an unknown option
+    for depth in ("5", "25", "0", "-3"):
         code, out, err = run(
-            capsys, "closed-form", "--base", "2", "--power", "1", "--depth", depth
+            capsys, "closed-form", "--base", "2", "--power", "2", "--depth", depth
         )
-        assert code == 2
+        assert code == 2, depth
         assert out == ""
-        assert "depth" in err
+        assert err.startswith("usage: rabot "), depth
+        assert err.endswith(f"rabot: error: unrecognized arguments: --depth {depth}\n"), depth
+        assert "Traceback" not in err
 
 
 def test_general_form_golden(capsys):
@@ -288,11 +282,29 @@ def test_general_form_range_above_limit_exits_2(capsys, monkeypatch):
         assert code == 2, argv
         assert out == ""
         assert f"limit of {limit} bases" in err
+    # within the count limit, the range's cross-check tables are held to a
+    # total size: count*max(p, 3)*(2p + 1)*bit_length(b_max)
+    huge = 10**100  # bit_length 333
+    for count in (limit, 31):
+        argv = ("general-form", "--power", "7", "--b-min", str(huge - count + 1), "--b-max", str(huge))
+        code, out, err = run(capsys, *argv)
+        assert code == 2, count
+        assert out == ""
+        assert err == (
+            f"error: {count} bases up to a 333-bit --b-max at --power 7:"
+            f" count*max(p, 3)*(2p + 1)*bit_length(b) = {count * 7 * 15 * 333} is above"
+            f" the general-form limit of {cli.MAX_GENERAL_FORM_SIZE}\n"
+        ), count
     assert calls == []
-    # a range of exactly the limit reaches the derivation
+    # a range of exactly the limit reaches the derivation, as do 1000 bases
+    # below 1024 and 30 at 333 bits at the top power
     code, _, _ = run(capsys, "general-form", "--power", "2", "--b-min", "7", "--b-max", str(limit + 6))
     assert code == 4
-    assert calls == [limit]
+    code, _, _ = run(capsys, "general-form", "--power", "7", "--b-min", "2", "--b-max", "1001")
+    assert code == 4
+    code, _, _ = run(capsys, "general-form", "--power", "7", "--b-min", str(huge - 29), "--b-max", str(huge))
+    assert code == 4
+    assert calls == [limit, limit, 30]
 
 
 def test_general_form_b_max_above_size_limit_exits_2_before_derivation(capsys, monkeypatch):
@@ -407,16 +419,27 @@ def test_seq_oeis_without_matches_says_so(capsys, monkeypatch):
     assert out == "1,4,14,46,146\nOEIS: no matches\n"
 
 
-def test_k_max_below_one_exits_2(capsys):
-    for argv in (
-        ("seq", "--base", "2", "--power", "1", "--kmax", "0"),
-        ("check", "--k-max", "0"),
+def test_k_max_below_one_exits_2(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused k must build no table and enumerate nothing")
+
+    monkeypatch.setattr(cli, "build_table", no_work)
+    monkeypatch.setattr(cli, "brute_moment", no_work)
+    # one line naming the flag, whatever the engine
+    for argv, flag, k in (
+        (("seq", "--base", "2", "--power", "1", "--kmax", "0"), "--kmax", 0),
+        (("check", "--k-max", "0"), "--k-max", 0),
+        (("check", "--k-max", "-1"), "--k-max", -1),
+        *(
+            (("sum", "--base", "2", "--power", "1", "--k", k, "--engine", engine), "--k", int(k))
+            for engine in ("recurrence", "brute", "both")
+            for k in ("0", "-3")
+        ),
     ):
         code, out, err = run(capsys, *argv)
-        assert code == 2
+        assert code == 2, argv
         assert out == ""
-        assert "max_k must be an integer >= 1" in err
-        assert "new_max_k" not in err
+        assert err == f"error: {flag} must be >= 1, got {k}\n", argv
 
 
 def test_check_sweep_passes(capsys):
@@ -553,7 +576,6 @@ def test_k_above_limit_exits_2_before_any_work(capsys, monkeypatch):
         ("sum", "--base", "10", "--power", "2", "--k", over),
         ("sum", "--engine", "brute", "--base", "3", "--power", "1", "--k", "20000000"),
         ("seq", "--base", "10", "--power", "3", "--kmax", over),
-        ("closed-form", "--base", "2", "--power", "1", "--depth", over),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
@@ -565,7 +587,8 @@ def test_k_above_limit_exits_2_before_any_work(capsys, monkeypatch):
         ("sum", "--base", "1000", "--power", "2", "--k", "1201"),
         ("sum", "--engine", "brute", "--base", "1000", "--power", "1", "--k", "1201"),
         ("seq", "--base", "1000", "--power", "3", "--kmax", str(cli.MAX_K)),
-        ("closed-form", "--base", str(10**6), "--power", "1", "--depth", "601"),
+        # the table depth 2p + 1 = 3 at a 4001-bit base
+        ("closed-form", "--base", str(2**4000), "--power", "1"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
@@ -586,7 +609,6 @@ def test_power_above_limit_exits_2_before_any_work(capsys, monkeypatch):
             ("sum", "--engine", "both", "--base", "2", "--power", str(power), "--k", "1"),
             ("seq", "--base", "10", "--power", str(power), "--kmax", "1"),
             ("closed-form", "--base", "2", "--power", str(power)),
-            ("closed-form", "--base", "2", "--power", str(power), "--depth", "3"),
         ):
             code, out, err = run(capsys, *argv)
             assert code == 2, argv
@@ -602,7 +624,8 @@ def test_size_limit_falls_with_the_power(capsys, monkeypatch):
         (("sum", "--base", "10", "--power", "12", "--k", "3000"), 3000),
         (("sum", "--base", "10", "--power", "12", "--k", "751"), 3000),
         (("seq", "--base", "10", "--power", "4", "--kmax", "2251"), 9000),
-        (("closed-form", "--base", "2", "--power", "16", "--depth", "1126"), 2250),
+        # the table depth 2p + 1 = 33 at a 69-bit base
+        (("closed-form", "--base", str(2**68), "--power", "16"), 2250),
         (("sum", "--base", huge, "--power", "12", "--k", "3"), 3000),
     ):
         code, out, err = run(capsys, *argv)
@@ -624,27 +647,20 @@ def test_size_limit_falls_with_the_power(capsys, monkeypatch):
 
 
 def test_closed_form_base_above_size_limit_exits_2_before_any_work(capsys, monkeypatch):
-    # the table goes to k = max(--depth, 2p + 1), and the size limit holds there
+    # the table goes to k = 2p + 1, and the size limit holds there
     def no_work(*args, **kwargs):
         raise AssertionError("a refused base must build no table")
 
     monkeypatch.setattr(cli, "build_table", no_work)
     monkeypatch.setattr(cli, "closed_form", no_work)
     huge = 10**1000  # bit_length 3322
-    # a --depth at or below 2p still builds the table to k = 2p + 1 = 17
-    for depth in ([], ["--depth", "1"], ["--depth", "16"]):
-        code, out, err = run(capsys, "closed-form", "--base", str(huge), "--power", "8", *depth)
-        assert code == 2, depth
-        assert out == ""
-        assert err == (
-            "error: the table depth 17 at a 3322-bit --base and --power 8:"
-            " k*bit_length(b) = 56474 is above the size limit of 4500\n"
-        ), depth
-    # a deeper --depth sets the table, and is named
-    for depth in ("17", "25"):
-        code, out, err = run(capsys, "closed-form", "--base", str(huge), "--power", "8", "--depth", depth)
-        assert code == 2, depth
-        assert err.startswith(f"error: --depth {depth} at a 3322-bit --base and --power 8:"), depth
+    code, out, err = run(capsys, "closed-form", "--base", str(huge), "--power", "8")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: the table depth 17 at a 3322-bit --base and --power 8:"
+        " k*bit_length(b) = 56474 is above the size limit of 4500\n"
+    )
     # at p = 4 the limit 9000 allows bit_length(b) <= 1000 at k = 9
     code, out, err = run(capsys, "closed-form", "--base", str(2**1000), "--power", "4")
     assert code == 2

@@ -76,15 +76,20 @@ def test_fit_reads_one_value_per_base():
 
 
 def test_fit_residual_mismatch():
-    # a value past the fitted ones that the form misses is refuted by verify at that k
-    form = fit_closed_form([1, 4, 14, 47], [1, 2, 3], base=2, power=1)
-    t = build_table(2, 1, 4)
-    moments = [list(map(list, column)) for column in t.moments]
-    moments[4][1][0] = 47
-    mismatched = MomentTable(2, 1, t.max_k, tuple(tuple(map(tuple, c)) for c in moments))
-    assert moment_value(mismatched, 1, 4) == 47
-    assert verify(form, mismatched, depth=4) == Verdict("refuted", checked_depth=4, witness=(4, 47, 46))
-    assert verify(form, t, depth=4).status == "proven"
+    # a table value at any k <= 2p that the form misses is refuted by verify at that k
+    for p in range(1, 4):
+        form, verdict = closed_form(3, p)
+        assert verdict == Verdict("proven", checked_depth=2 * p)
+        t = build_table(3, p, table_depth(p))
+        for k in range(1, 2 * p + 1):
+            moments = [list(map(list, column)) for column in t.moments]
+            moments[k][p][0] += 1
+            mismatched = MomentTable(3, p, t.max_k, tuple(tuple(map(tuple, c)) for c in moments))
+            value = moment_value(t, p, k)
+            assert moment_value(mismatched, p, k) == value + 1
+            assert verify(form, mismatched) == Verdict(
+                "refuted", checked_depth=k, witness=(k, value + 1, value)
+            ), (p, k)
 
 
 def test_fit_unsolvable_system_is_no_fit():
@@ -130,13 +135,12 @@ def test_verify_proven_and_refuted():
 
 
 def test_verify_depth_semantics():
-    t = build_table(2, 1, 12)
+    # the proof depth is 2p whatever the table's reach, and no caller sets it
     form = ExponentialForm(2, 1, (((F(-1, 2),), 2), ((F(2, 3),), 3)))
-    assert verify(form, t).checked_depth == 2
-    assert verify(form, t, depth=1).status == "consistent"
-    assert verify(form, t, depth=12).status == "proven"
-    with pytest.raises(DepthError):
-        verify(form, t, depth=13)
+    for max_k in (3, 12):
+        assert verify(form, build_table(2, 1, max_k)) == Verdict("proven", checked_depth=2)
+    with pytest.raises(TypeError):
+        verify(form, build_table(2, 1, 12), depth=12)
     # the values reach k = 2, but the annihilator reads k = 3
     with pytest.raises(DepthError):
         verify(form, build_table(2, 1, 2))
@@ -144,22 +148,24 @@ def test_verify_depth_semantics():
         verify(form, build_table(3, 1, 12))
     with pytest.raises(ValueError, match="only covers powers up to 0"):
         verify(form, build_table(2, 0, 12))
-    for bad in (0, -3):
-        with pytest.raises(ValueError, match="at least 1"):
-            verify(form, t, depth=bad)
+    # a form of power 0 has no proof depth
+    with pytest.raises(ValueError, match="power must be a positive integer, got 0"):
+        verify(ExponentialForm(2, 0, (((F(1),), 2),)), build_table(2, 0, 12))
 
 
 def test_table_depth_is_the_last_column_verify_reads(monkeypatch):
     import rabot.closedform as cf
 
     assert [table_depth(p) for p in (1, 2, 8)] == [3, 5, 17]
-    assert [table_depth(8, d) for d in (1, 16, 17, 25)] == [17, 17, 17, 25]
-    form = ExponentialForm(2, 1, (((F(-1, 2),), 2), ((F(2, 3),), 3)))
-    for depth in (None, 1, 2, 3, 7):
-        need = table_depth(1, depth)
-        assert verify(form, build_table(2, 1, need), depth=depth).status in ("proven", "consistent")
+    for bad in (0, -1, 1.5):
+        with pytest.raises(ValueError, match="power must be a positive integer"):
+            table_depth(bad)
+    for p in (1, 2, 3):
+        form, _ = closed_form(2, p)
+        need = table_depth(p)
+        assert verify(form, build_table(2, p, need)) == Verdict("proven", checked_depth=2 * p)
         with pytest.raises(DepthError, match=f"below {need},"):
-            verify(form, build_table(2, 1, need - 1), depth=depth)
+            verify(form, build_table(2, p, need - 1))
     built = []
 
     def recording(base, power, max_k):
@@ -167,9 +173,9 @@ def test_table_depth_is_the_last_column_verify_reads(monkeypatch):
         return build_table(base, power, max_k)
 
     monkeypatch.setattr(cf, "build_table", recording)
-    for depth in (None, 1, 5, 6, 9):
-        assert cf.closed_form(2, 2, depth=depth)[1].status == "proven"
-    assert built == [5, 5, 5, 6, 9]
+    for p in range(1, 5):
+        assert cf.closed_form(2, p)[1].status == "proven"
+    assert built == [3, 5, 7, 9]
 
 
 def test_verify_requires_bases_in_spectrum():
@@ -219,7 +225,7 @@ def test_closed_form_fits_2p_values_on_2p_bases(monkeypatch):
 
     monkeypatch.setattr(cf, "fit_closed_form", spy)
     for p in range(1, 6):
-        cf.closed_form(2, p, depth=20)
+        cf.closed_form(2, p)
     assert seen == [(2 * p, 2 * p) for p in range(1, 6)]
 
 
@@ -335,15 +341,12 @@ def test_fallback_rejects_irrational_roots():
 
 
 def test_pipeline_depth_request():
-    form, verdict = closed_form(2, 1, depth=15)
-    assert verdict.status == "proven"
-    assert verdict.checked_depth == 15
-    # a depth below the proof depth 2p is raised, never lowered
-    _, verdict = closed_form(2, 1, depth=1)
-    assert verdict.checked_depth == 2
-    for bad in (0, -3):
-        with pytest.raises(ValueError):
-            closed_form(2, 1, depth=bad)
+    # the proof depth is 2p, and no caller can request another
+    _, verdict = closed_form(2, 1)
+    assert verdict == Verdict("proven", checked_depth=2)
+    for depth in (1, 15):
+        with pytest.raises(TypeError):
+            closed_form(2, 1, depth=depth)
     for bad in (0, -2, 1.5):
         with pytest.raises(ValueError, match="power must be a positive integer"):
             closed_form(2, bad)

@@ -1,0 +1,41 @@
+"""The README's library example runs and prints what its comments say."""
+import ast
+import pathlib
+import re
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+# each expression the example comments with a result, and that result
+EXPECTED = {
+    "brute_moment(MomentQuery(base=2, power=2, k=2))": 10,
+    "form.render()": "(-1/6)*2^k + (-2/3)*3^k + (2/3)*5^k",
+    "verdict.status": "proven",
+    "g.excluded_bases()": frozenset(),
+}
+
+
+def _library_block() -> str:
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"^## Library\n+```python\n(.*?)^```", text, re.S | re.M)
+    assert match, "README has no python block under ## Library"
+    return match.group(1)
+
+
+def test_readme_library_example_matches_its_comments():
+    source = _library_block()
+    lines = source.splitlines()
+    namespace: dict = {}
+    results = {}
+    for node in ast.parse(source).body:
+        segment = ast.get_source_segment(source, node)
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README", "eval"), namespace)
+            comment = lines[node.lineno - 1].partition("#")[2].strip()
+            results[segment] = (value, comment)
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    for expression, expected in EXPECTED.items():
+        assert expression in results, expression
+        value, comment = results[expression]
+        assert value == expected, expression
+        assert comment.startswith(repr(expected)), (expression, comment)
