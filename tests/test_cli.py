@@ -198,17 +198,26 @@ def test_closed_form_first_moment(capsys):
     assert out.splitlines()[0] == "(-1)*3^k + (6/5)*5^k"
 
 
+def assert_depth_refused(capsys, depth):
+    code, out, err = run(
+        capsys, "closed-form", "--base", "2", "--power", "2", "--depth", depth
+    )
+    assert code == 2, depth
+    assert out == ""
+    assert err.startswith("usage: rabot "), depth
+    assert err.endswith(f"rabot: error: unrecognized arguments: --depth {depth}\n"), depth
+    assert "Traceback" not in err
+
+
 def test_closed_form_depth_flag(capsys):
     # the proof depth is 2p, so no flag sets it: --depth is an unknown option
-    for depth in ("5", "25", "0", "-3"):
-        code, out, err = run(
-            capsys, "closed-form", "--base", "2", "--power", "2", "--depth", depth
-        )
-        assert code == 2, depth
-        assert out == ""
-        assert err.startswith("usage: rabot "), depth
-        assert err.endswith(f"rabot: error: unrecognized arguments: --depth {depth}\n"), depth
-        assert "Traceback" not in err
+    for depth in ("5", "25"):
+        assert_depth_refused(capsys, depth)
+
+
+def test_closed_form_depth_below_one_exits_2(capsys):
+    for depth in ("0", "-3"):
+        assert_depth_refused(capsys, depth)
 
 
 def test_general_form_golden(capsys):
