@@ -56,9 +56,9 @@ MAX_GENERAL_FORM_SIZE = 1_050_000
 
 # `sum`, `seq` and `closed-form` refuse --power above this: the state has
 # (p+1)(p+2)/2 sequences, and `closed-form --base 1000000 --power 16` took
-# 0.55-0.6 s end to end, closed_form(10**6, p) 0.3-0.4 s at p = 16 and
-# 1.3-1.55 s at p = 20 (three runs each, Python 3.11.7, one core of a shared
-# 2-vCPU Xeon VM).
+# 0.4-0.6 s end to end, closed_form(10**6, p) 0.18-0.22 s at p = 16 and
+# 0.66-0.7 s at p = 20 (three to eight runs each, Python 3.11.7, one core of
+# a shared 2-vCPU Xeon VM).
 MAX_POWER = 16
 
 # Values grow linearly in k and their decimal printing more than linearly, so
@@ -129,6 +129,8 @@ def _named(flag: str, base: int) -> str:
 
 
 def _check_k(flag: str, k: int, base: int, power: int, base_flag: str = "--base") -> None:
+    if power < 0:
+        raise ValueError(f"--power must be >= 0, got {power}")
     if power > MAX_POWER:
         raise ValueError(f"--power {power} is above the limit of {MAX_POWER}")
     if k < 1:

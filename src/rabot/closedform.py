@@ -55,7 +55,7 @@ class ExponentialForm:
         bases = [lam for _, lam in self.terms]
         if any(a >= b for a, b in zip(bases, bases[1:])):
             raise ValueError("growth bases must be strictly increasing")
-        # cleared once to integer numerators over one denominator, for eval_at
+        # cleared once to integer numerators over one denominator, for eval_at and _numerators
         den = lcm(*(c.denominator for poly, _ in self.terms for c in poly))
         scaled = [([c.numerator * (den // c.denominator) for c in p], lam) for p, lam in self.terms]
         object.__setattr__(self, "_scaled", (den, scaled))
@@ -73,6 +73,25 @@ class ExponentialForm:
                 coeff = coeff * k + c
             total += coeff * lam**k
         return Fraction(total, den)
+
+    def _numerators(self, n: int) -> tuple[int, list[int]]:
+        """The form at k = 1..n as one denominator and its numerators, the
+        values eval_at gives: each coefficient of P(k) * lam**k is stepped
+        from k - 1 by one multiplication by lam, rather than lam**k raised
+        afresh, and no Fraction is built."""
+        den, scaled = self._scaled
+        running = [(list(poly), lam) for poly, lam in scaled]
+        out = []
+        for k in range(1, n + 1):
+            total = 0
+            for poly, lam in running:
+                coeff = 0
+                for e in reversed(range(len(poly))):
+                    poly[e] *= lam
+                    coeff = coeff * k + poly[e]
+                total += coeff
+            out.append(total)
+        return den, out
 
     def render(self) -> str:
         if not self.terms:
@@ -171,11 +190,11 @@ def verify(form: ExponentialForm, table: MomentTable) -> Verdict:
     if table.max_k < need:
         raise DepthError(f"table depth {table.max_k} is below {need}, the depth verify reads")
     checked = 2 * form.power
-    for k in range(1, checked + 1):
+    den, numerators = form._numerators(checked)
+    for k, num in enumerate(numerators, 1):
         expected = moment_value(table, form.power, k)
-        actual = form.eval_at(k)
-        if actual != expected:
-            return Verdict("refuted", checked_depth=k, witness=(k, expected, actual))
+        if num != expected * den:
+            return Verdict("refuted", checked_depth=k, witness=(k, expected, Fraction(num, den)))
     bases = candidate_bases(form.base, form.power)
     in_spectrum = all(len(poly) <= bases.count(lam) for poly, lam in form.terms)
     proven = in_spectrum and annihilates(table, bases, form.power)

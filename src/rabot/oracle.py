@@ -8,11 +8,21 @@ over a prefix array (a digit survives shortening iff it equals the digit
 before it), which an increment updates only from the changed digit on.
 Nothing is shared with the recurrence engine.  A configurable cap refuses
 enumerations that are too large to finish at desk scale.
+
+brute_moment_parallel sums large slices in one process pool per process.
+The pool starts on the first call that needs it, not at import, and is
+reused by every later call, so its start (about 10-15 ms) is paid once per
+process.  It lives until interpreter exit, when concurrent.futures' own
+exit hook joins its workers.  A forked child starts a pool of its own, and
+a broken pool is replaced once per call.  Calls from several threads take
+turns on the pool.
 """
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -21,9 +31,20 @@ from .errors import EnumerationCapError, InvalidDigitError
 
 DEFAULT_ENUM_CAP = 10**8
 
-# Chunks smaller than this are summed in-process; forking a worker pool
-# costs more than the enumeration itself.
+# Chunks smaller than this are summed in-process: handing them to the warm
+# pool costs more than the enumeration itself.  With the pool already
+# started, two slices broke even at about 1.5-7k numbers each (b = 2, 3 and
+# 7, best of seven, Python 3.11, shared 2-vCPU VM); the start itself is paid
+# once per process, not per call.
 _PARALLEL_MIN_CHUNK = 4096
+
+# The shared pool, its worker count, and the id of the process it belongs to.
+# The lock is held across each pooled call, so that no thread replaces the
+# pool while another sums on it.
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
+_pool_pid = 0
+_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -148,8 +169,11 @@ def brute_moment_parallel(
 
     The range is split into `partitions` contiguous slices summed
     independently and added in slice order, so the result does not depend
-    on scheduling.  Slices large enough to amortize a fork run in a
-    process pool; small ones are summed in-process.
+    on scheduling.  Slices of at least _PARALLEL_MIN_CHUNK numbers run in
+    the process's warm pool (see the module docstring), with
+    min(partitions, available CPUs) workers; smaller ones are summed
+    in-process.  A call that finds the pool broken retries once on a fresh
+    one, and raises BrokenProcessPool if that one breaks too.
     """
     if not isinstance(partitions, int) or partitions < 1:
         raise ValueError(f"partitions must be a positive integer, got {partitions!r}")
@@ -163,15 +187,37 @@ def brute_moment_parallel(
             _sum_range(q.base, q.power, q.k, q.last_digit, a, b)
             for a, b in zip(starts, stops)
         )
-    workers = min(partitions, os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(
-            _sum_range,
-            repeat(q.base),
-            repeat(q.power),
-            repeat(q.k),
-            repeat(q.last_digit),
-            starts,
-            stops,
-        )
-        return sum(parts)
+    workers = min(partitions, _available_cpus())
+
+    def total(pool: ProcessPoolExecutor) -> int:
+        base, power, k, digit = repeat(q.base), repeat(q.power), repeat(q.k), repeat(q.last_digit)
+        return sum(pool.map(_sum_range, base, power, k, digit, starts, stops))
+
+    with _pool_lock:
+        try:
+            return total(_warm_pool(workers))
+        except BrokenProcessPool:
+            return total(_warm_pool(workers, broken=True))
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on: os.cpu_count() overstates them under a
+    restricted affinity."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _warm_pool(workers: int, broken: bool = False) -> ProcessPoolExecutor:
+    """The process's pool, started when there is none yet, and replaced when
+    it has fewer than `workers` workers, is `broken`, or was inherited
+    through a fork.  An inherited pool belongs to the parent and is left
+    alone; this process's own is shut down before it is replaced."""
+    global _pool, _pool_workers, _pool_pid
+    pid = os.getpid()
+    if broken or _pool is None or _pool_pid != pid or _pool_workers < workers:
+        if _pool is not None and _pool_pid == pid:
+            _pool.shutdown()
+        _pool = ProcessPoolExecutor(max_workers=workers)
+        _pool_workers, _pool_pid = workers, pid
+    return _pool

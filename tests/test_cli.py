@@ -495,6 +495,31 @@ def test_check_negative_power_exits_2(capsys):
     assert "--p-max" in err
 
 
+def _refuses_negative_power(capsys, monkeypatch, argvs):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused --power must build no table and enumerate nothing")
+
+    monkeypatch.setattr(cli, "build_table", no_work)
+    monkeypatch.setattr(cli, "brute_moment", no_work)
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: --power must be >= 0, got -1\n"), argv
+
+
+def test_sum_negative_power_exits_2(capsys, monkeypatch):
+    _refuses_negative_power(capsys, monkeypatch, [
+        ("sum", "--base", "2", "--power", "-1", "--k", "2", "--engine", engine)
+        for engine in ("recurrence", "brute", "both")
+    ])
+
+
+def test_seq_negative_power_exits_2(capsys, monkeypatch):
+    _refuses_negative_power(capsys, monkeypatch, [
+        ("seq", "--base", "2", "--power", "-1", "--kmax", "2"),
+        ("seq", "--base", "2", "--power", "-1", "--kmax", "2", "--json"),
+    ])
+
+
 def test_check_power_above_limit_exits_2_before_any_work(capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a refused --p-max must build no table and enumerate nothing")

@@ -403,6 +403,22 @@ def test_fit_returns_the_drawn_terms_at_any_multiplicity(case):
     form = fit_closed_form(values, bases, base=2, power=1)
     assert form.terms == terms
     assert [form.eval_at(k) for k in range(1, len(values) + 1)] == values
+    assert _stepped(form, len(values)) == values
+
+
+def _stepped(form, n):
+    """The values verify reads: its stepped numerators over their denominator."""
+    den, numerators = form._numerators(n)
+    return [F(num, den) for num in numerators]
+
+
+def test_stepped_values_are_what_eval_at_gives():
+    form = ExponentialForm(2, 1, (((F(1, 3), F(-2, 5), F(1, 7)), 1), ((F(-1, 2),), 2), ((F(2, 3), F(1)), 3)))
+    assert _stepped(form, 12) == [form.eval_at(k) for k in range(1, 13)]
+    assert _stepped(form, 0) == []
+    assert _stepped(ExponentialForm(2, 1, ()), 3) == [0, 0, 0]
+    wide, _ = closed_form(10**6, 4)
+    assert _stepped(wide, 8) == [wide.eval_at(k) for k in range(1, 9)]
 
 
 def test_fit_with_a_consistent_root_zero():

@@ -1,5 +1,13 @@
 """Brute-force moment oracle."""
+import multiprocessing
+import os
 import random
+import select
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +22,7 @@ from rabot import (
     brute_moment_parallel,
     raboter,
 )
+from rabot import oracle
 from rabot.oracle import _sum_range
 
 
@@ -91,6 +100,106 @@ def test_parallel_large_chunks_spawn_pool():
     # big enough that chunks cross the in-process threshold
     q = MomentQuery(3, 1, 9)
     assert brute_moment_parallel(q, 4) == brute_moment(q)
+
+
+# 39366 numbers: two slices of 19683 each reach the pool
+POOLED = MomentQuery(3, 1, 9)
+
+
+def _worker_pids():
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def test_pooled_calls_reuse_the_workers():
+    expected = brute_moment(POOLED)
+    assert brute_moment_parallel(POOLED, 2) == expected
+    workers = _worker_pids()
+    assert workers
+    assert brute_moment_parallel(POOLED, 2) == expected
+    assert _worker_pids() == workers
+
+
+def _exit_status(pid, seconds=60):
+    """The exit status of our child `pid`, killed if it runs past `seconds`."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return status
+        time.sleep(0.01)
+    os.kill(pid, signal.SIGKILL)  # a child stuck on the parent's pool
+    return os.waitpid(pid, 0)[1]
+
+
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_sums_in_a_pool_of_its_own():
+    expected = brute_moment(POOLED)
+    brute_moment_parallel(POOLED, 2)  # the pool is warm when the child forks
+    workers = _worker_pids()
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child reports its value and never returns into pytest
+        code = 1
+        try:
+            value = brute_moment_parallel(POOLED, 2)
+            os.write(write, f"{value} {oracle._pool_pid == os.getpid()}".encode())
+            oracle._pool.shutdown()  # its workers exit with it: os._exit skips the exit hook
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    status = _exit_status(pid)
+    report = os.read(read, 4096).decode() if select.select([read], [], [], 0)[0] else ""
+    os.close(read)
+    assert (status, report) == (0, f"{expected} True")
+    # the parent's pool is untouched by the child's
+    assert brute_moment_parallel(POOLED, 2) == expected
+    assert _worker_pids() == workers
+
+
+def test_killed_workers_are_replaced():
+    brute_moment_parallel(POOLED, 2)
+    killed = _worker_pids()
+    for pid in killed:
+        os.kill(pid, signal.SIGKILL)
+    assert brute_moment_parallel(POOLED, 2) == brute_moment(POOLED)
+    assert _worker_pids()
+    assert not set(_worker_pids()) & set(killed)
+
+
+def test_a_pool_that_breaks_twice_raises(monkeypatch):
+    calls = []
+
+    class Broken:
+        def map(self, *args):
+            raise BrokenProcessPool("worker died")
+
+    def broken_pool(workers, broken=False):
+        calls.append(broken)
+        return Broken()
+
+    monkeypatch.setattr(oracle, "_warm_pool", broken_pool)
+    with pytest.raises(BrokenProcessPool):
+        brute_moment_parallel(POOLED, 2)
+    assert calls == [False, True]
+
+
+def test_import_and_serial_sums_start_no_process():
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import multiprocessing, threading\n"
+        "import rabot\n"
+        "from rabot import MomentQuery, brute_moment, brute_moment_parallel\n"
+        "assert rabot.oracle._pool is None\n"
+        "brute_moment(MomentQuery(3, 1, 9))\n"
+        "brute_moment_parallel(MomentQuery(3, 1, 4), 2)  # slices below the pool threshold\n"
+        "print(rabot.oracle._pool, multiprocessing.active_children(), threading.active_count())\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert done.stdout == "None [] 1\n"
 
 
 def test_eight_partitions_match_one():
