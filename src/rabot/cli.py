@@ -26,7 +26,13 @@ from . import digits, oeis
 from .closedform import ExponentialForm, closed_form, table_depth
 from .errors import EnumerationCapError, NoFitError
 from .generalform import guess_general_form
-from .oracle import DEFAULT_ENUM_CAP, MomentQuery, brute_moment
+from .oracle import (
+    DEFAULT_ENUM_CAP,
+    MomentQuery,
+    available_cpus,
+    brute_moment,
+    brute_moment_parallel,
+)
 from .recurrence import build_table, moment_value
 
 EXIT_OK = 0
@@ -350,13 +356,15 @@ def cmd_check(args: argparse.Namespace) -> int:
         "k_max": str(args.k_max),
     }
     queries = 0
+    # a sweep makes many oracle calls, so the pool's start is paid once
+    partitions = available_cpus()
     for b in _base_range(args):
         table = build_table(b, args.p_max, args.k_max)
         for p in range(args.p_max + 1):
             for k in range(1, args.k_max + 1):
                 for last in [None, *range(b)]:
                     expected = moment_value(table, p, k, last)
-                    actual = brute_moment(MomentQuery(b, p, k, last), cap=cap)
+                    actual = brute_moment_parallel(MomentQuery(b, p, k, last), partitions, cap=cap)
                     queries += 1
                     if expected != actual:
                         detail = {

@@ -78,7 +78,9 @@ class ExponentialForm:
         """The form at k = 1..n as one denominator and its numerators, the
         values eval_at gives: each coefficient of P(k) * lam**k is stepped
         from k - 1 by one multiplication by lam, rather than lam**k raised
-        afresh, and no Fraction is built."""
+        afresh, and no Fraction is built.  Stepping the coefficients, not a
+        running lam**k, is what pays at wide bases: it multiplies by lam
+        where the other multiplies two large numbers."""
         den, scaled = self._scaled
         running = [(list(poly), lam) for poly, lam in scaled]
         out = []

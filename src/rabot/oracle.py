@@ -12,10 +12,12 @@ enumerations that are too large to finish at desk scale.
 brute_moment_parallel sums large slices in one process pool per process.
 The pool starts on the first call that needs it, not at import, and is
 reused by every later call, so its start (about 10-15 ms) is paid once per
-process.  It lives until interpreter exit, when concurrent.futures' own
-exit hook joins its workers.  A forked child starts a pool of its own, and
-a broken pool is replaced once per call.  Calls from several threads take
-turns on the pool.
+process: the saving is for a process that makes several pooled calls, such
+as `rabot check`.  The pool's worker processes and its two management
+threads outlive the call; they live until interpreter exit, when
+concurrent.futures' own exit hook joins them.  A forked child forgets the
+parent's pool and starts one of its own, and a broken pool is replaced once
+per call.  Calls from several threads take turns on the pool.
 """
 from __future__ import annotations
 
@@ -38,13 +40,22 @@ DEFAULT_ENUM_CAP = 10**8
 # once per process, not per call.
 _PARALLEL_MIN_CHUNK = 4096
 
-# The shared pool, its worker count, and the id of the process it belongs to.
-# The lock is held across each pooled call, so that no thread replaces the
-# pool while another sums on it.
+# The shared pool and its worker count.  The lock is held across each pooled
+# call, so that no thread replaces the pool while another sums on it.
 _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
-_pool_pid = 0
 _pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """In a forked child: the inherited pool belongs to the parent, and the
+    lock may have been held by a thread that does not exist here."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass(frozen=True)
@@ -187,7 +198,7 @@ def brute_moment_parallel(
             _sum_range(q.base, q.power, q.k, q.last_digit, a, b)
             for a, b in zip(starts, stops)
         )
-    workers = min(partitions, _available_cpus())
+    workers = min(partitions, available_cpus())
 
     def total(pool: ProcessPoolExecutor) -> int:
         base, power, k, digit = repeat(q.base), repeat(q.power), repeat(q.k), repeat(q.last_digit)
@@ -200,7 +211,7 @@ def brute_moment_parallel(
             return total(_warm_pool(workers, broken=True))
 
 
-def _available_cpus() -> int:
+def available_cpus() -> int:
     """CPUs this process may run on: os.cpu_count() overstates them under a
     restricted affinity."""
     if hasattr(os, "sched_getaffinity"):
@@ -209,15 +220,13 @@ def _available_cpus() -> int:
 
 
 def _warm_pool(workers: int, broken: bool = False) -> ProcessPoolExecutor:
-    """The process's pool, started when there is none yet, and replaced when
-    it has fewer than `workers` workers, is `broken`, or was inherited
-    through a fork.  An inherited pool belongs to the parent and is left
-    alone; this process's own is shut down before it is replaced."""
-    global _pool, _pool_workers, _pool_pid
-    pid = os.getpid()
-    if broken or _pool is None or _pool_pid != pid or _pool_workers < workers:
-        if _pool is not None and _pool_pid == pid:
+    """The process's pool, started when there is none yet, and replaced (the
+    old one shut down first) when it has fewer than `workers` workers or is
+    `broken`."""
+    global _pool, _pool_workers
+    if broken or _pool is None or _pool_workers < workers:
+        if _pool is not None:
             _pool.shutdown()
         _pool = ProcessPoolExecutor(max_workers=workers)
-        _pool_workers, _pool_pid = workers, pid
+        _pool_workers = workers
     return _pool

@@ -7,6 +7,7 @@ import sys
 
 import rabot.cli as cli
 import rabot.oeis as oeis_module
+import rabot.oracle as oracle
 from rabot.cli import OutputRecord, main
 from rabot.errors import NoFitError
 from rabot.oeis import LookupResult
@@ -434,6 +435,7 @@ def test_k_max_below_one_exits_2(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "build_table", no_work)
     monkeypatch.setattr(cli, "brute_moment", no_work)
+    monkeypatch.setattr(cli, "brute_moment_parallel", no_work)
     # one line naming the flag, whatever the engine
     for argv, flag, k in (
         (("seq", "--base", "2", "--power", "1", "--kmax", "0"), "--kmax", 0),
@@ -459,8 +461,22 @@ def test_check_sweep_passes(capsys):
     assert "agree" in out
 
 
+def test_check_sums_on_the_available_cpus(capsys, monkeypatch):
+    partitions = []
+
+    def spy(q, parts, cap=None):
+        partitions.append(parts)
+        return oracle.brute_moment_parallel(q, parts, cap=cap)
+
+    monkeypatch.setattr(cli, "brute_moment_parallel", spy)
+    # b = 2, k = 13: 8192 numbers, slices that reach the pool on two CPUs
+    code, out, _ = run(capsys, "check", "--b-max", "2", "--p-max", "0", "--k-max", "13")
+    assert (code, out) == (0, "checked 39 queries: recurrence and brute force agree\n")
+    assert set(partitions) == {oracle.available_cpus()}
+
+
 def test_check_disagreement_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "brute_moment", lambda q, cap=None: 10**9)
+    monkeypatch.setattr(cli, "brute_moment_parallel", lambda q, partitions, cap=None: 10**9)
     code, out, _ = run(capsys, "check", "--b-max", "2", "--p-max", "1", "--k-max", "2")
     assert code == 3
     assert "disagreement" in out
@@ -473,10 +489,10 @@ def test_check_caps_the_whole_sweep(capsys, monkeypatch):
     assert code == 0
     assert "agree" in out
 
-    def no_query(q, cap=None):
+    def no_query(q, partitions, cap=None):
         raise AssertionError("a refused sweep must run no query")
 
-    monkeypatch.setattr(cli, "brute_moment", no_query)
+    monkeypatch.setattr(cli, "brute_moment_parallel", no_query)
     for argv in (
         ("check", "--b-max", "3", "--k-max", "4"),
         ("check", "--b-max", str(10**12)),
@@ -525,7 +541,7 @@ def test_check_power_above_limit_exits_2_before_any_work(capsys, monkeypatch):
         raise AssertionError("a refused --p-max must build no table and enumerate nothing")
 
     monkeypatch.setattr(cli, "build_table", no_work)
-    monkeypatch.setattr(cli, "brute_moment", no_work)
+    monkeypatch.setattr(cli, "brute_moment_parallel", no_work)
     for p_max in (cli.MAX_POWER + 1, 300):
         code, out, err = run(capsys, "check", "--b-max", "2", "--k-max", "1", "--p-max", str(p_max))
         assert code == 2

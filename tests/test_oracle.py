@@ -6,6 +6,7 @@ import select
 import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 
@@ -131,18 +132,17 @@ def _exit_status(pid, seconds=60):
     return os.waitpid(pid, 0)[1]
 
 
-@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-def test_forked_child_sums_in_a_pool_of_its_own():
-    expected = brute_moment(POOLED)
-    brute_moment_parallel(POOLED, 2)  # the pool is warm when the child forks
-    workers = _worker_pids()
+def _sum_in_forked_child(pool):
+    """Fork a child that sums POOLED and reports the value and whether its
+    pool is a new one, not `pool`; return its exit status and report."""
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child reports its value and never returns into pytest
         code = 1
         try:
+            signal.alarm(60)  # a child stuck on an inherited lock dies here
             value = brute_moment_parallel(POOLED, 2)
-            os.write(write, f"{value} {oracle._pool_pid == os.getpid()}".encode())
+            os.write(write, f"{value} {oracle._pool is not pool}".encode())
             oracle._pool.shutdown()  # its workers exit with it: os._exit skips the exit hook
             code = 0
         finally:
@@ -151,10 +151,42 @@ def test_forked_child_sums_in_a_pool_of_its_own():
     status = _exit_status(pid)
     report = os.read(read, 4096).decode() if select.select([read], [], [], 0)[0] else ""
     os.close(read)
-    assert (status, report) == (0, f"{expected} True")
+    return status, report
+
+
+MULTI_THREADED_FORK = "ignore:This process .* is multi-threaded:DeprecationWarning"
+
+
+@pytest.mark.filterwarnings(MULTI_THREADED_FORK)
+def test_forked_child_sums_in_a_pool_of_its_own():
+    expected = brute_moment(POOLED)
+    brute_moment_parallel(POOLED, 2)  # the pool is warm when the child forks
+    workers = _worker_pids()
+    assert _sum_in_forked_child(oracle._pool) == (0, f"{expected} True")
     # the parent's pool is untouched by the child's
     assert brute_moment_parallel(POOLED, 2) == expected
     assert _worker_pids() == workers
+
+
+@pytest.mark.filterwarnings(MULTI_THREADED_FORK)
+def test_a_fork_during_another_threads_pooled_call_does_not_hang():
+    expected = brute_moment(POOLED)
+    brute_moment_parallel(POOLED, 2)
+    # about a million numbers: the other thread holds the pool's lock well
+    # past the fork
+    long = MomentQuery(2, 1, 20)
+    results = []
+    other = threading.Thread(target=lambda: results.append(brute_moment_parallel(long, 2)))
+    other.start()
+    deadline = time.monotonic() + 60
+    while not oracle._pool_lock.locked():
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+    outcome = _sum_in_forked_child(oracle._pool)
+    other.join(60)
+    assert not other.is_alive()
+    assert outcome == (0, f"{expected} True")
+    assert results == [brute_moment(long)]
 
 
 def test_killed_workers_are_replaced():
