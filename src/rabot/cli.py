@@ -3,8 +3,9 @@ forms uniform in b, sequence export, and recurrence-vs-brute-force sweeps.
 
 Exit codes are fixed so CI can tell failure modes apart: 2 for usage or
 invalid input (including a refused over-cap enumeration or check sweep, an
-empty base range, a power or check --p-max above MAX_POWER, a k above MAX_K
-or with max(p, 3)*k*bit_length(b) above 12*MAX_K, a closed-form --base or a
+empty base range, a power or check --p-max above MAX_POWER, a closed-form
+or general-form power below 1, a k above MAX_K or with
+max(p, 3)*k*bit_length(b) above 12*MAX_K, a closed-form --base or a
 general-form --b-max over that size at its table depth, table_depth(p) =
 2p + 1, a general-form power above MAX_GENERAL_FORM_POWER, a general-form
 range of more than MAX_GENERAL_FORM_BASES bases or whose cross-check tables
@@ -151,6 +152,12 @@ def _check_k(flag: str, k: int, base: int, power: int, base_flag: str = "--base"
         )
 
 
+def _check_form_power(power: int) -> None:
+    # a form's proof needs p >= 1; refused by flag name before table_depth
+    if power < 1:
+        raise ValueError(f"--power must be >= 1, got {power}")
+
+
 def _check_sweep_size(args: argparse.Namespace, cap: int) -> None:
     """Refuse a check sweep that enumerates more than cap numbers in total.
 
@@ -250,6 +257,7 @@ def cmd_sum(args: argparse.Namespace) -> int:
 
 
 def cmd_closed_form(args: argparse.Namespace) -> int:
+    _check_form_power(args.power)
     _check_k("the table depth", table_depth(args.power), args.base, args.power)
     form, verdict = closed_form(args.base, args.power)
     inputs = {"base": str(args.base), "power": str(args.power)}
@@ -271,6 +279,7 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
 
 
 def cmd_general_form(args: argparse.Namespace) -> int:
+    _check_form_power(args.power)
     if args.power > MAX_GENERAL_FORM_POWER:
         raise ValueError(
             f"--power {args.power} is above the general-form limit of {MAX_GENERAL_FORM_POWER}"

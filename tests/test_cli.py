@@ -536,6 +536,32 @@ def test_seq_negative_power_exits_2(capsys, monkeypatch):
     ])
 
 
+def _refuses_power_below_one(capsys, monkeypatch, argvs):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused --power must fit and prove nothing")
+
+    monkeypatch.setattr(cli, "closed_form", no_work)
+    monkeypatch.setattr(cli, "guess_general_form", no_work)
+    for argv in argvs:
+        power = argv[argv.index("--power") + 1]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: --power must be >= 1, got {power}\n"), argv
+
+
+def test_closed_form_power_below_one_exits_2(capsys, monkeypatch):
+    _refuses_power_below_one(capsys, monkeypatch, [
+        ("closed-form", "--base", "2", "--power", power, *json)
+        for power in ("0", "-1") for json in ((), ("--json",))
+    ])
+
+
+def test_general_form_power_below_one_exits_2(capsys, monkeypatch):
+    _refuses_power_below_one(capsys, monkeypatch, [
+        ("general-form", "--power", power, *json)
+        for power in ("0", "-1") for json in ((), ("--json",))
+    ])
+
+
 def test_check_power_above_limit_exits_2_before_any_work(capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a refused --p-max must build no table and enumerate nothing")

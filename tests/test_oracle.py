@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -313,6 +314,100 @@ def test_sum_range_matches_direct_sum(case):
     q, start, stop = case
     expected = sum(raboter(q.base, n) ** q.power for n in _enumerated(q, start, stop))
     assert _sum_range(q.base, q.power, q.k, q.last_digit, start, stop) == expected
+
+
+@st.composite
+def block_slices(draw):
+    """Slices of queries with up to about 2*10^4 numbers at b = 2..17: the
+    blocks at b <= 16, the one-digit sweep above, and ranges too short for
+    a block."""
+    b = draw(st.integers(2, 17))
+    digit = draw(st.none() | st.integers(0, b - 1))
+    k_max = 1
+    while MomentQuery(b, 0, k_max + 1, digit).count() <= 20_000:
+        k_max += 1
+    q = MomentQuery(b, draw(st.integers(0, 3)), draw(st.integers(1, k_max)), digit)
+    start = draw(st.integers(0, q.count()))
+    return q, start, draw(st.integers(start, q.count()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_slices())
+@example((MomentQuery(2, 2, 10), 256, 512))  # exactly one block of 256
+@example((MomentQuery(2, 3, 10, 1), 255, 257))  # one number each side of a block edge
+@example((MomentQuery(3, 2, 8, 2), 728, 1459))  # one before, one whole and one after
+@example((MomentQuery(5, 2, 1, 3), 0, 4))  # k = 1 with a last digit: no suffix digit
+@example((MomentQuery(16, 2, 2), 100, 3000))  # b = 16: a table of 256
+@example((MomentQuery(16, 1, 3, 15), 0, 3840))  # b = 16, every block
+@example((MomentQuery(17, 2, 2), 100, 4000))  # b = 17: the one-digit sweep
+@example((MomentQuery(300, 2, 1), 1000, 5000))  # b = 300: the one-digit sweep
+def test_blocks_match_direct_sum(case):
+    q, start, stop = case
+    expected = sum(raboter(q.base, n) ** q.power for n in _enumerated(q, start, stop))
+    assert _sum_range(q.base, q.power, q.k, q.last_digit, start, stop) == expected
+
+
+def _table_entries():
+    return sum(map(len, oracle._tables.values()))
+
+
+def test_blocks_retain_bounded_tables(monkeypatch):
+    monkeypatch.setattr(oracle, "_tables", {})
+    tracemalloc.start()
+    try:
+        for b in range(2, 8):  # the bases of a crosscheck sweep, every digit
+            for digit in (None, *range(b)):
+                brute_moment(MomentQuery(b, 2, oracle._block_width(b) + 1, digit))
+        kept = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(True, oracle.__file__)])
+    finally:
+        tracemalloc.stop()
+    # all 33 tables are kept, in well under 0.5 MB
+    assert len(oracle._tables) == 33
+    assert _table_entries() <= oracle._TABLE_BUDGET
+    assert sum(stat.size for stat in kept.statistics("filename")) < 500_000
+    for b in range(2, 17):  # a table past the budget drops the others
+        for digit in (None, *range(b)):
+            _sum_range(b, 2, oracle._block_width(b) + 1, digit, 0, 10)
+            assert (b, digit) in oracle._tables
+            assert _table_entries() <= oracle._TABLE_BUDGET
+
+
+def test_threads_share_the_tables(monkeypatch):
+    # four threads on two cores build, read and drop the same tables: the
+    # b = 11..16 ones overflow the budget, so a table is dropped while
+    # another thread sums from it
+    monkeypatch.setattr(oracle, "_tables", {})
+    queries = [
+        MomentQuery(b, 2, oracle._block_width(b) + 1, digit)
+        for b in range(2, 17)
+        for digit in (None, *range(0, b, 4))
+    ]
+    slices = [(q, 100, min(q.count(), 2100)) for q in queries]
+    expected = {
+        i: sum(raboter(q.base, n) ** 2 for n in _enumerated(q, start, stop))
+        for i, (q, start, stop) in enumerate(slices)
+    }
+    results = [None] * 4
+
+    def sweep(thread):
+        order = list(enumerate(slices))
+        results[thread] = {
+            i: _sum_range(q.base, 2, q.k, q.last_digit, start, stop)
+            for i, (q, start, stop) in (order if thread % 2 else order[::-1])
+        }
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 4
 
 
 @settings(max_examples=25, deadline=None)
