@@ -48,17 +48,17 @@ EXIT_NO_FIT = 4
 MAX_GENERAL_FORM_POWER = 7
 
 # general-form cross-checks its specialization at every base of its range,
-# about 0.3 ms per base at p = 2 and 3.2 ms at p = 7 (10-bit bases), so wider
-# ranges are refused.
+# about 0.1 ms per base at p = 2 and 1.0-1.1 ms at p = 7 (b = 2..201), so
+# wider ranges are refused.
 MAX_GENERAL_FORM_BASES = 1000
 
 # Each cross-check builds a table of about max(p, 3)*(2p + 1)*bit_length(b)
-# bits, and its time grows with that size: at p = 7 it took 3.2 ms per base at
-# 10 bits, 10.5 ms at 40, 102 ms at 167 and 335 ms at 333 (Python 3.11.7, one
-# core of a shared 2-vCPU Xeon VM).  So the range's count of bases times that
-# size at --b-max is held to what 1000 bases below 1024 need at p = 7,
-# 1000*7*15*10: about 3-4 s, and about 10 s for the 30 bases it allows at 333
-# bits, where the table's own size limit stops p = 7.
+# bits, and its time grows with that size: at p = 7 it took 1.1-1.7 ms per
+# base at 10 bits, 3.9-4.7 ms at 40, 33-46 ms at 167 and 100-135 ms at 333
+# (Python 3.11.7, one core of a shared 2-vCPU Xeon VM).  So the range's count
+# of bases times that size at --b-max is held to what 1000 bases below 1024
+# need at p = 7, 1000*7*15*10: about 1.7-2 s, and about 4-5 s for the 30 bases
+# it allows at 333 bits, where the table's own size limit stops p = 7.
 MAX_GENERAL_FORM_SIZE = 1_050_000
 
 # `sum`, `seq` and `closed-form` refuse --power above this: the state has

@@ -44,6 +44,14 @@ def _frac_str(f: Fraction) -> str:
     return str(f) if f.denominator == 1 else f"({f})"
 
 
+def _horner(coefficients: tuple[int, ...], b: int | Fraction) -> int | Fraction:
+    """The polynomial with these coefficients, constant term first, at b."""
+    value = 0
+    for c in reversed(coefficients):
+        value = value * b + c
+    return value
+
+
 @dataclass(frozen=True)
 class PolyInB:
     """Polynomial in the base variable b: integer numerators, constant term
@@ -77,10 +85,7 @@ class PolyInB:
         return bool(self.numerators)
 
     def eval(self, b: int | Fraction) -> Fraction:
-        value = 0
-        for c in reversed(self.numerators):
-            value = value * b + c
-        return Fraction(value, self.denominator)
+        return Fraction(_horner(self.numerators, b), self.denominator)
 
     def __add__(self, other: PolyInB | int) -> PolyInB:
         if isinstance(other, int):
@@ -100,8 +105,9 @@ class PolyInB:
             return PolyInB(tuple(c * other for c in self.numerators), self.denominator)
         out = [0] * (len(self.numerators) + len(other.numerators) - 1)
         for i, x in enumerate(self.numerators):
-            for j, y in enumerate(other.numerators):
-                out[i + j] += x * y
+            if x:  # powers of b are sparse
+                for j, y in enumerate(other.numerators):
+                    out[i + j] += x * y
         return PolyInB(tuple(out), self.denominator * other.denominator)
 
     __rmul__ = __mul__
@@ -109,7 +115,14 @@ class PolyInB:
     def __pow__(self, exponent: int) -> PolyInB:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
-        return self * self ** (exponent - 1) if exponent else _ONE
+        result, square = _ONE, self
+        while exponent:  # square-and-multiply, so the depth is not the exponent
+            if exponent & 1:
+                result = result * square
+            exponent >>= 1
+            if exponent:
+                square = square * square
+        return result
 
     def __floordiv__(self, divisor: int) -> PolyInB:
         return PolyInB(self.numerators, self.denominator * divisor)  # exact over Q
@@ -326,20 +339,20 @@ def specialize(g: GeneralForm, b: int) -> ExponentialForm:
 
     Growth bases that collide numerically at b are merged by summing their
     coefficients (so a four-family form can specialize to three terms);
-    zero coefficients are dropped.
+    zero coefficients are dropped.  Each coefficient's numerator and
+    denominator, integer polynomials, and each family are evaluated in
+    integers, so a term builds one Fraction.
     """
     check_base(b)
     merged: dict[int, Fraction] = {}
     for fn, fam in g.terms:
-        try:
-            c = fn.eval(b)
-        except ZeroDivisionError:
-            raise ExcludedBaseError(
-                f"coefficient {fn.render()} has a denominator zero at b={b}"
-            ) from None
-        lam = fam.eval(b)
-        if lam.denominator != 1 or lam < 1:
+        den = _horner(fn.denominator.numerators, b)
+        if not den:
+            raise ExcludedBaseError(f"coefficient {fn.render()} has a denominator zero at b={b}")
+        c = Fraction(_horner(fn.numerator.numerators, b), den)
+        lam, rest = divmod(_horner(fam.numerators, b), fam.denominator)
+        if rest or lam < 1:
             raise ValueError(f"growth base {fam.render()} is not a positive integer at b={b}")
-        merged[int(lam)] = merged.get(int(lam), Fraction(0)) + c
+        merged[lam] = merged[lam] + c if lam in merged else c
     terms = tuple(((c,), lam) for lam, c in sorted(merged.items()) if c != 0)
     return ExponentialForm(b, g.power, terms)

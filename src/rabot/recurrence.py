@@ -67,8 +67,9 @@ def annihilates(table: MomentTable, roots: Sequence, power: int | None = None) -
             f"table depth {table.max_k} is below {len(roots) + 1}, the depth the annihilator reads"
         )
     e = pole_product(roots)[::-1]
+    columns = table.moments[1 : len(e) + 1]
     return not any(
-        sum(c * table.moments[1 + i][q][j] for i, c in enumerate(e))
+        sum([c * column[q][j] for c, column in zip(e, columns)])
         for q in range(power + 1)
         for j in range(power - q + 1)
     )
@@ -120,27 +121,44 @@ def _power_sums(base: int, power: int) -> list[int]:
 
 
 def extend(t: MomentTable, new_max_k: int) -> MomentTable:
-    """Extend a table to new_max_k digits-minus-one via the update."""
+    """Extend a table to new_max_k digits-minus-one via the update.
+
+    The update is laid out once per call as a plan with one row per (q, j):
+    its growth b**q - 1, F_j, and the entries (C(q, i)*b**(q-i), q-i, j+i),
+    i = 1..q, it reads from the previous column.  F_j comes off the k = 0
+    column, T(j, 0, 0) = F_j - [j = 0], so no power sum is recomputed.  Each
+    new column is then stepped with plain loops over the plan.
+    """
     if not isinstance(new_max_k, int) or new_max_k < t.max_k:
         raise ValueError(f"new_max_k must be an integer >= {t.max_k}, got {new_max_k!r}")
     b, p = t.base, t.max_power
-    faulhaber = _power_sums(b, p)
-    growth = [b**q - 1 for q in range(p + 1)]
-    weights = [[comb(q, i) * b ** (q - i) for i in range(q + 1)] for q in range(p + 1)]
+    one_digit = t.moments[0][0]
+    faulhaber = [one_digit[0] + 1, *one_digit[1:]]
+    plan = []
+    for q in range(p + 1):
+        growth = b**q - 1
+        weights = [(comb(q, i) * b ** (q - i), i) for i in range(1, q + 1)]
+        plan.append(
+            [
+                (growth, faulhaber[j], [(w, q - i, j + i) for w, i in weights])
+                for j in range(p - q + 1)
+            ]
+        )
     columns = list(t.moments)
     for _ in range(t.max_k, new_max_k):
         prev = columns[-1]
-        columns.append(
-            tuple(
-                tuple(
-                    growth[q] * prev[q][j]
-                    + faulhaber[j] * prev[q][0]
-                    + sum(weights[q][i] * prev[q - i][j + i] for i in range(1, q + 1))
-                    for j in range(p - q + 1)
-                )
-                for q in range(p + 1)
-            )
-        )
+        column = []
+        for q, rows in enumerate(plan):
+            own = prev[q]
+            total = own[0]  # T(0, q, k-1) = S(q, k-1)
+            row = []
+            for j, (growth, f, reads) in enumerate(rows):
+                value = growth * own[j] + f * total
+                for w, r, c in reads:
+                    value += w * prev[r][c]
+                row.append(value)
+            column.append(tuple(row))
+        columns.append(tuple(column))
     return MomentTable(b, p, new_max_k, tuple(columns))
 
 
@@ -180,13 +198,16 @@ def moment_value(
     if not (isinstance(l, int) and 0 <= l < t.base):
         raise IndexError(f"last digit {l!r} out of range [0, {t.base - 1}]")
     b = t.base
+    growth = [b**q - 1 for q in range(power + 1)]
+    weights = [
+        [(comb(q, i) * l**i * b ** (q - i), q - i) for i in range(1, q + 1)]
+        for q in range(power + 1)
+    ]
     chain = [int(q == 0 and l >= 1) for q in range(power + 1)]
     for kk in range(1, k + 1):
         sums = t.moments[kk - 1]
         chain = [
-            (b**q - 1) * chain[q]
-            + sums[q][0]
-            + sum(comb(q, i) * l**i * b ** (q - i) * chain[q - i] for i in range(1, q + 1))
+            growth[q] * chain[q] + sums[q][0] + sum([w * chain[r] for w, r in weights[q]])
             for q in range(power + 1)
         ]
     return chain[power]

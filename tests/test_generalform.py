@@ -20,7 +20,7 @@ from rabot import (
     guess_general_form,
     specialize,
 )
-from rabot.generalform import moment_polynomials
+from rabot.generalform import _derive, moment_polynomials
 from rabot.recurrence import _build
 
 F = Fraction
@@ -67,6 +67,19 @@ def test_poly_pow_rejects_negative_and_non_int_exponents():
     for exponent in (-1, -5, 1.0, F(2)):
         with pytest.raises(ValueError):
             B ** exponent
+
+
+def test_poly_pow_is_repeated_multiplication_and_needs_no_recursion():
+    a = poly(F(1, 3), -2, 1)
+    product = poly(1)
+    for n in range(30):
+        assert a**n == product, n
+        product = product * a
+    # the exponent is far past the recursion limit, and b**50 is sparse
+    step, product = B**50, poly(1)
+    for _ in range(100):
+        product = product * step
+    assert B**5000 == product == PolyInB((0,) * 5000 + (1,))
 
 
 _rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -503,6 +516,42 @@ def test_specialize_equals_closed_form_at_every_base_in_range(p, lo, extra):
         except ExcludedBaseError:
             continue
         assert spec.terms == closed_form(b, p)[0].terms, b
+
+
+def _fraction_specialize(g, b):
+    """specialize through Fraction arithmetic: each coefficient and family
+    evaluated as a Fraction, colliding growth bases merged."""
+    merged = {}
+    for fn, fam in g.terms:
+        try:
+            c = fn.eval(b)
+        except ZeroDivisionError:
+            raise ExcludedBaseError(
+                f"coefficient {fn.render()} has a denominator zero at b={b}"
+            ) from None
+        lam = fam.eval(b)
+        assert lam.denominator == 1 and lam >= 1
+        merged[int(lam)] = merged.get(int(lam), F(0)) + c
+    return tuple(((c,), lam) for lam, c in sorted(merged.items()) if c != 0)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_specialize_equals_the_fraction_route(p):
+    g = _derive(p)
+    excluded = 0
+    for b in range(2, 61):
+        try:
+            expected = _fraction_specialize(g, b)
+        except ExcludedBaseError as err:
+            excluded += 1
+            with pytest.raises(ExcludedBaseError) as got:
+                specialize(g, b)
+            assert str(got.value) == str(err), b
+            continue
+        spec = specialize(g, b)
+        assert spec.terms == expected, b
+        assert all(type(c) is F for (c,), _ in spec.terms)
+    assert excluded == (1 if p >= 3 else 0)  # b = 2, from p = 3 on
 
 
 def test_specialize_merges_colliding_bases():

@@ -1,7 +1,10 @@
 """Recurrence engine versus formulas and the brute-force oracle."""
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rabot import (
     DepthError,
@@ -234,3 +237,59 @@ def test_zero_polynomial_is_falsy_like_zero():
     assert not PolyInB(()) and not PolyInB((0, 0)) and not 0
     assert PolyInB((0, 1)) and PolyInB((5,))
     assert not any(PolyInB((1, 2)) - PolyInB((1, 2)) for _ in range(3))
+
+
+def _power_sum(b, j):
+    """F_j = sum_{l<b} l**j (0**0 = 1): the sum itself for small b, else the
+    Lagrange interpolant through the sums at b = 1..j+2 (F_j is a polynomial
+    of degree j + 1 in b)."""
+    if b <= 60:
+        return sum(l**j for l in range(b))
+    nodes = range(1, j + 3)
+    total = Fraction(0)
+    for x in nodes:
+        weight = Fraction(sum(l**j for l in range(x)))
+        for y in nodes:
+            if y != x:
+                weight *= Fraction(b - y, x - y)
+        total += weight
+    assert total.denominator == 1
+    return int(total)
+
+
+def _direct_table(b, p, max_k):
+    """T(j, q, k) for k = 0..max_k from the module docstring's update, one
+    entry at a time: moments[k][q][j]."""
+    f = [_power_sum(b, j) for j in range(p + 1)]
+    t = {(j, q): (f[j] - (j == 0) if q == 0 else 0) for q in range(p + 1) for j in range(p - q + 1)}
+    columns = [t]
+    for _ in range(max_k):
+        new = {}
+        for q in range(p + 1):
+            for j in range(p - q + 1):
+                value = (b**q - 1) * t[(j, q)] + f[j] * t[(0, q)]
+                for i in range(1, q + 1):
+                    value += comb(q, i) * b ** (q - i) * t[(j + i, q - i)]
+                new[(j, q)] = value
+        t = new
+        columns.append(t)
+    return [
+        tuple(tuple(c[(j, q)] for j in range(p - q + 1)) for q in range(p + 1)) for c in columns
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.integers(2, 50), st.integers(10**30 - 50, 10**30 + 50)),
+    st.integers(0, 6),
+    st.integers(1, 8),
+    st.integers(1, 8),
+)
+@example(10**30 + 7, 6, 8, 3)
+def test_table_is_the_update_rule_entry_by_entry(b, p, k, mid):
+    direct = _direct_table(b, p, k)
+    assert list(build_table(b, p, k).moments) == direct
+    start = build_table(b, p, min(mid, k))
+    extended = extend(start, k)
+    assert list(extended.moments) == direct
+    assert all(a is c for a, c in zip(start.moments, extended.moments))
