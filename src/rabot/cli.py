@@ -365,7 +365,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         "k_max": str(args.k_max),
     }
     queries = 0
-    # a sweep makes many oracle calls, so the pool's start is paid once
+    # one slice per CPU; the workers are forked once and serve the whole sweep
     partitions = available_cpus()
     for b in _base_range(args):
         table = build_table(b, args.p_max, args.k_max)

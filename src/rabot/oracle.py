@@ -14,39 +14,52 @@ survive) and A = the value of those surviving digits, by the same rule.
 Nothing is shared with the recurrence engine.  A configurable cap refuses
 enumerations that are too large to finish at desk scale.
 
-brute_moment_parallel sums large slices in one process pool per process.
-The pool starts on the first call that needs it, not at import, and is
-reused by every later call, so its start (about 10-15 ms) is paid once per
-process: the saving is for a process that makes several pooled calls, such
-as `rabot check`.  The pool's worker processes and its two management
-threads outlive the call; they live until interpreter exit, when
-concurrent.futures' own exit hook joins them.  A forked child forgets the
-parent's pool and starts one of its own, and a broken pool is replaced once
-per call.  Calls from several threads take turns on the pool.
+Large queries are summed on every available CPU.  Above _PARALLEL_MIN_CHUNK
+numbers per slice, the range is split into contiguous slices: the caller
+sends every slice but the first to the process's workers, sums the first
+itself, and then reads the workers' sums and adds them in slice order.  The
+available_cpus() - 1 workers are forked on the first call that needs them,
+not at import, and reused by every later call.  Each holds one end of a
+duplex pipe and loops: receive a query and its slices, send back their sum.
+No thread is started, so no management thread competes with the caller for
+the interpreter lock.  At exit the process kills and reaps its workers; if
+it exits without running its exit hooks, each worker reads end of file and
+exits.  A forked child forgets the parent's workers and forks its own, and
+calls from several threads take turns on the workers.
 """
 from __future__ import annotations
 
+import atexit
 import os
+import signal
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from itertools import repeat
+from typing import TYPE_CHECKING
 
 from .digits import check_base, from_value
 from .errors import EnumerationCapError, InvalidDigitError
 
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
+
 DEFAULT_ENUM_CAP = 10**8
 
-# Chunks smaller than this are summed in-process.  With the pool warm, two
-# slices broke even at about 4-8k numbers each.  In-process against pooled,
-# best of fifteen at p = 2 (Python 3.11, shared 2-vCPU VM): 4096 numbers at
-# b = 2 took 1.0-1.3 against 1.0-1.2 ms, 6561 at b = 3 1.1 against 1.3 ms,
-# 7203 at b = 7 1.6-1.8 against 1.6 ms and 8192 at b = 2 1.5 against
-# 1.5-1.6 ms; the pool won from 16384 (b = 2, 3.1 against 2.3 ms) and 19683
-# (b = 3, 4.7 against 3.1 ms) on.  The pool's start is paid once per
-# process, not per call.
-_PARALLEL_MIN_CHUNK = 4096
+# Slices smaller than this are summed in-process.  The caller and one warm
+# worker broke even at about 1-2k numbers a slice.  In-process against
+# caller plus worker at p = 2, b = 2, best and median of 41 (Python 3.11.7,
+# shared 2-vCPU VM): two slices of 512 took 0.085/0.088 against
+# 0.130/0.145 ms, of 1024 0.164/0.172 against 0.191/0.212 ms, of 2048
+# 0.327/0.353 against 0.234/0.281 ms and of 4096 0.67/0.74 against
+# 0.54/0.65 ms.  On perfbench's crosscheck, whose ops enumerate 6480 to
+# 16384 numbers, 15 s runs (seeds 1-3) read wall_s 0.093-0.102 s at 1024,
+# 0.081-0.108 s at 2048 and 0.095-0.104 s at 4096 (where the b = 6 ops stay
+# in-process); over ten alternating 50 s pairs its median went from 0.123 s
+# with the executor pool this replaced to 0.077 s.  The fork is paid once
+# per process: cold, `rabot sum --engine brute --base 2 --power 2` took a
+# median of 148 against 165 ms with the pool at 16k numbers, where the
+# lighter import saves more than the fork costs, and 309 against 433 ms at
+# 2M numbers.
+_PARALLEL_MIN_CHUNK = 2048
 
 # Bases up to 16 (b*b <= _BLOCK) are summed a block of at least _BLOCK
 # numbers at a time (see _sum_range); above 16 each carry of the one-digit
@@ -67,22 +80,27 @@ _BLOCK = 256
 _TABLE_BUDGET = 50_000
 _tables: dict[tuple[int, int | None], list[tuple[int, int]]] = {}
 
-# The shared pool and its worker count.  The lock is held across each pooled
-# call, so that no thread replaces the pool while another sums on it.
-_pool: ProcessPoolExecutor | None = None
-_pool_workers = 0
-_pool_lock = threading.Lock()
+# The worker processes, as (pid, our end of its pipe), or None before the
+# first call that needs them.  The lock is held across each call that sums on
+# them, so that each reply is read by the call that asked for it and no
+# thread replaces a worker while another sums on it.
+_workers: list[tuple[int, Connection]] | None = None
+_lock = threading.Lock()
 
 
-def _forget_pool() -> None:
-    """In a forked child: the inherited pool belongs to the parent, and the
-    lock may have been held by a thread that does not exist here."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+def _forget_workers() -> None:
+    """In a forked child: the workers belong to the parent.  Close the child's
+    copies of their pipe ends, so that each worker still sees end of file when
+    the parent exits, and take a new lock: the old one may have been held by a
+    thread that does not exist here."""
+    global _workers, _lock
+    for _, conn in _workers or ():
+        conn.close()
+    _workers, _lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_forget_workers)
 
 
 @dataclass(frozen=True)
@@ -306,10 +324,12 @@ def brute_moment(q: MomentQuery, cap: int | None = DEFAULT_ENUM_CAP) -> int:
     """Exact moment sum by direct enumeration.
 
     Refuses (rather than silently grinding) when the enumeration count
-    exceeds `cap`; pass cap=None to lift the limit.
+    exceeds `cap`; pass cap=None to lift the limit.  The range is summed in
+    one slice per available CPU, or in fewer where that would leave a slice
+    below _PARALLEL_MIN_CHUNK numbers, and one slice is summed in-process
+    (see the module docstring).
     """
-    _check_cap(q, cap)
-    return _sum_range(q.base, q.power, q.k, q.last_digit, 0, q.count())
+    return _moment(q, None, cap)
 
 
 def brute_moment_parallel(
@@ -317,37 +337,73 @@ def brute_moment_parallel(
 ) -> int:
     """Same value as brute_moment(q) for every partition count.
 
-    The range is split into `partitions` contiguous slices summed
-    independently and added in slice order, so the result does not depend
-    on scheduling.  Slices of at least _PARALLEL_MIN_CHUNK numbers run in
-    the process's warm pool (see the module docstring), with
-    min(partitions, available CPUs) workers; smaller ones are summed
-    in-process.  A call that finds the pool broken retries once on a fresh
-    one, and raises BrokenProcessPool if that one breaks too.
+    The range is split into `partitions` contiguous slices, each summed
+    exactly on its own, so the result does not depend on scheduling.  Slices
+    of at least _PARALLEL_MIN_CHUNK numbers are shared out over the caller
+    and up to partitions - 1 workers (see the module docstring); smaller
+    ones are summed in-process.  A call that finds a worker dead replaces it
+    and retries once, and raises EOFError or ConnectionError if a worker is
+    found dead again.
     """
     if not isinstance(partitions, int) or partitions < 1:
         raise ValueError(f"partitions must be a positive integer, got {partitions!r}")
+    return _moment(q, partitions, cap)
+
+
+def _moment(q: MomentQuery, partitions: int | None, cap: int | None) -> int:
+    """brute_moment(q, cap) when `partitions` is None, and otherwise
+    brute_moment_parallel(q, partitions, cap)."""
     _check_cap(q, cap)
     count = q.count()
-    bounds = [i * count // partitions for i in range(partitions + 1)]
-    starts = bounds[:-1]
-    stops = bounds[1:]
-    if partitions == 1 or count // partitions < _PARALLEL_MIN_CHUNK:
-        return sum(
-            _sum_range(q.base, q.power, q.k, q.last_digit, a, b)
-            for a, b in zip(starts, stops)
-        )
-    workers = min(partitions, available_cpus())
+    args = (q.base, q.power, q.k, q.last_digit)
+    slices = count // _PARALLEL_MIN_CHUNK if partitions is None else partitions
+    if slices > 1 and count // slices >= _PARALLEL_MIN_CHUNK:
+        with _lock:
+            workers = _ready_workers()
+            if workers:
+                if partitions is None:
+                    slices = min(slices, len(workers) + 1)
+                bounds = [i * count // slices for i in range(slices + 1)]
+                try:
+                    return _sum_on_workers(args, bounds, workers)
+                except (EOFError, ConnectionError):  # a worker died; it was replaced
+                    return _sum_on_workers(args, bounds, workers)
+    return _sum_range(*args, 0, count)
 
-    def total(pool: ProcessPoolExecutor) -> int:
-        base, power, k, digit = repeat(q.base), repeat(q.power), repeat(q.k), repeat(q.last_digit)
-        return sum(pool.map(_sum_range, base, power, k, digit, starts, stops))
 
-    with _pool_lock:
-        try:
-            return total(_warm_pool(workers))
-        except BrokenProcessPool:
-            return total(_warm_pool(workers, broken=True))
+def _sum_on_workers(
+    args: tuple[int, int, int, int | None], bounds: list[int], workers: list[tuple[int, Connection]]
+) -> int:
+    """Sum the slices between consecutive `bounds` on the caller and the
+    workers, for n = min(slices, workers + 1): slice i goes to the caller when
+    i % n is 0 and to worker i % n - 1 otherwise.
+
+    The caller sends the workers their slices, sums its own, then reads the
+    replies in order.  If it raises before reading them all, every worker
+    whose reply it did not read is replaced first, so no reply is left for a
+    later call.  An exception raised in a worker comes back as its reply and
+    is raised here once every reply has been read.
+    """
+    slices = list(zip(bounds, bounds[1:]))
+    n = min(len(slices), len(workers) + 1)
+    unread = []
+    replies = []
+    try:
+        for i, worker in enumerate(workers[: n - 1], 1):
+            unread.append(worker)
+            worker[1].send((args, slices[i::n]))
+        total = sum(_sum_range(*args, start, stop) for start, stop in slices[::n])
+        while unread:
+            replies.append(unread[0][1].recv())
+            del unread[0]
+    except BaseException:
+        _replace(unread)
+        raise
+    for reply in replies:
+        if isinstance(reply, BaseException):
+            raise reply
+        total += reply
+    return total
 
 
 def available_cpus() -> int:
@@ -358,14 +414,79 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _warm_pool(workers: int, broken: bool = False) -> ProcessPoolExecutor:
-    """The process's pool, started when there is none yet, and replaced (the
-    old one shut down first) when it has fewer than `workers` workers or is
-    `broken`."""
-    global _pool, _pool_workers
-    if broken or _pool is None or _pool_workers < workers:
-        if _pool is not None:
-            _pool.shutdown()
-        _pool = ProcessPoolExecutor(max_workers=workers)
-        _pool_workers = workers
-    return _pool
+def _ready_workers() -> list[tuple[int, Connection]]:
+    """The process's workers: available_cpus() - 1 of them, forked on the
+    first call, or none where the platform cannot fork."""
+    global _workers
+    if _workers is None:
+        _workers = []
+        if hasattr(os, "fork"):
+            for _ in range(available_cpus() - 1):
+                _workers.append(_start_worker())
+    return _workers
+
+
+def _start_worker() -> tuple[int, Connection]:
+    """Fork a worker on one end of a new duplex pipe; return its pid and the
+    other end."""
+    from multiprocessing import Pipe
+
+    ours, theirs = Pipe()
+    pid = os.fork()
+    if not pid:  # the worker never returns into its parent's code
+        try:
+            ours.close()
+            _serve(theirs)
+        finally:
+            os._exit(0)
+    theirs.close()
+    return pid, ours
+
+
+def _serve(conn: Connection) -> None:
+    """A worker's loop: receive a query's arguments and slices and send back
+    the slices' sum, or the exception that summing them raised, until end of
+    file.  Interrupts are ignored: the caller replaces the workers whose
+    replies it did not read."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            args, slices = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = sum(_sum_range(*args, start, stop) for start, stop in slices)
+        except Exception as exc:  # raised by the caller
+            reply = exc
+        conn.send(reply)
+
+
+def _replace(stale: list[tuple[int, Connection]]) -> None:
+    """Stop the workers in `stale` and fork as many new ones."""
+    for worker in stale:
+        _workers.remove(worker)
+    _stop(stale)
+    for _ in stale:
+        _workers.append(_start_worker())
+
+
+def _stop(workers: list[tuple[int, Connection]]) -> None:
+    """Close our ends of the workers' pipes, then kill and reap them."""
+    for pid, conn in workers:
+        conn.close()
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):  # reaped elsewhere already
+            pass
+
+
+def _stop_workers() -> None:
+    """Stop every worker: at exit, so that none outlives the process, not
+    even as a zombie."""
+    global _workers
+    _stop(_workers or [])
+    _workers = None
+
+
+atexit.register(_stop_workers)

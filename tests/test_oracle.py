@@ -1,5 +1,4 @@
 """Brute-force moment oracle."""
-import multiprocessing
 import os
 import random
 import select
@@ -9,7 +8,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import example, given, settings
@@ -104,20 +102,57 @@ def test_parallel_large_chunks_spawn_pool():
     assert brute_moment_parallel(q, 4) == brute_moment(q)
 
 
-# 39366 numbers: two slices of 19683 each reach the pool
+# 39366 numbers: two slices of 19683 each, one summed by the caller and one
+# by a worker
 POOLED = MomentQuery(3, 1, 9)
+# 131072 numbers, a different value from any slice of POOLED: a reply left
+# unread by an earlier call would be taken for part of it
+OTHER = MomentQuery(2, 2, 16)
+
+needs_workers = pytest.mark.skipif(
+    oracle.available_cpus() < 2 or not hasattr(os, "fork"),
+    reason="every sum is in-process without a second CPU and os.fork",
+)
 
 
 def _worker_pids():
-    return sorted(p.pid for p in multiprocessing.active_children())
+    return sorted(pid for pid, _ in oracle._workers or ())
 
 
-def test_pooled_calls_reuse_the_workers():
+@pytest.fixture
+def fresh_workers():
+    """No workers when the test starts, and none of its own after it ends:
+    its workers may have forked with a patched function."""
+    oracle._stop_workers()
+    yield
+    oracle._stop_workers()
+
+
+@pytest.fixture
+def deadline():
+    """Raise TimeoutError in the test after 60 s, rather than let a read of
+    a pipe that never answers hang the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its 60 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@needs_workers
+def test_pooled_calls_reuse_the_workers(deadline):
     expected = brute_moment(POOLED)
     assert brute_moment_parallel(POOLED, 2) == expected
     workers = _worker_pids()
-    assert workers
+    assert len(workers) == oracle.available_cpus() - 1
     assert brute_moment_parallel(POOLED, 2) == expected
+    assert brute_moment(POOLED) == expected
     assert _worker_pids() == workers
 
 
@@ -129,22 +164,25 @@ def _exit_status(pid, seconds=60):
         if done:
             return status
         time.sleep(0.01)
-    os.kill(pid, signal.SIGKILL)  # a child stuck on the parent's pool
+    os.kill(pid, signal.SIGKILL)  # a child stuck on the parent's workers
     return os.waitpid(pid, 0)[1]
 
 
-def _sum_in_forked_child(pool):
-    """Fork a child that sums POOLED and reports the value and whether its
-    pool is a new one, not `pool`; return its exit status and report."""
+def _sum_in_forked_child(parent_workers):
+    """Fork a child that sums POOLED and reports the value, whether it closed
+    its copies of `parent_workers`' pipe ends, and whether it summed on
+    workers of its own; return its exit status and report."""
     read, write = os.pipe()
     pid = os.fork()
-    if pid == 0:  # the child reports its value and never returns into pytest
+    if pid == 0:  # the child reports and never returns into pytest
         code = 1
         try:
             signal.alarm(60)  # a child stuck on an inherited lock dies here
+            closed = all(conn.closed for _, conn in parent_workers)
             value = brute_moment_parallel(POOLED, 2)
-            os.write(write, f"{value} {oracle._pool is not pool}".encode())
-            oracle._pool.shutdown()  # its workers exit with it: os._exit skips the exit hook
+            own = bool(_worker_pids()) and not set(_worker_pids()) & {p for p, _ in parent_workers}
+            os.write(write, f"{value} {closed} {own}".encode())
+            oracle._stop_workers()  # reaped here: os._exit skips the exit hook
             code = 0
         finally:
             os._exit(code)
@@ -158,79 +196,190 @@ def _sum_in_forked_child(pool):
 MULTI_THREADED_FORK = "ignore:This process .* is multi-threaded:DeprecationWarning"
 
 
+@needs_workers
 @pytest.mark.filterwarnings(MULTI_THREADED_FORK)
-def test_forked_child_sums_in_a_pool_of_its_own():
+def test_forked_child_sums_in_a_pool_of_its_own(deadline):
     expected = brute_moment(POOLED)
-    brute_moment_parallel(POOLED, 2)  # the pool is warm when the child forks
+    brute_moment_parallel(POOLED, 2)  # the workers are up when the child forks
     workers = _worker_pids()
-    assert _sum_in_forked_child(oracle._pool) == (0, f"{expected} True")
-    # the parent's pool is untouched by the child's
+    assert _sum_in_forked_child(list(oracle._workers)) == (0, f"{expected} True True")
+    # the parent's workers are untouched by the child's
     assert brute_moment_parallel(POOLED, 2) == expected
     assert _worker_pids() == workers
 
 
+@needs_workers
 @pytest.mark.filterwarnings(MULTI_THREADED_FORK)
-def test_a_fork_during_another_threads_pooled_call_does_not_hang():
+def test_a_fork_during_another_threads_pooled_call_does_not_hang(deadline):
     expected = brute_moment(POOLED)
     brute_moment_parallel(POOLED, 2)
-    # about a million numbers: the other thread holds the pool's lock well
+    # about a million numbers: the other thread holds the workers' lock well
     # past the fork
     long = MomentQuery(2, 1, 20)
     results = []
     other = threading.Thread(target=lambda: results.append(brute_moment_parallel(long, 2)))
     other.start()
     deadline = time.monotonic() + 60
-    while not oracle._pool_lock.locked():
+    while not oracle._lock.locked():
         assert time.monotonic() < deadline
         time.sleep(0.001)
-    outcome = _sum_in_forked_child(oracle._pool)
+    outcome = _sum_in_forked_child(list(oracle._workers))
     other.join(60)
     assert not other.is_alive()
-    assert outcome == (0, f"{expected} True")
+    assert outcome == (0, f"{expected} True True")
     assert results == [brute_moment(long)]
 
 
-def test_killed_workers_are_replaced():
+@needs_workers
+def test_killed_workers_are_replaced(deadline):
     brute_moment_parallel(POOLED, 2)
     killed = _worker_pids()
     for pid in killed:
         os.kill(pid, signal.SIGKILL)
     assert brute_moment_parallel(POOLED, 2) == brute_moment(POOLED)
-    assert _worker_pids()
+    assert len(_worker_pids()) == len(killed)
     assert not set(_worker_pids()) & set(killed)
 
 
-def test_a_pool_that_breaks_twice_raises(monkeypatch):
-    calls = []
+@needs_workers
+def test_a_pool_that_breaks_twice_raises(monkeypatch, fresh_workers, deadline):
+    tries = []
+    once = oracle._sum_on_workers
 
-    class Broken:
-        def map(self, *args):
-            raise BrokenProcessPool("worker died")
+    def counted(*args):
+        tries.append(args)
+        return once(*args)
 
-    def broken_pool(workers, broken=False):
-        calls.append(broken)
-        return Broken()
-
-    monkeypatch.setattr(oracle, "_warm_pool", broken_pool)
-    with pytest.raises(BrokenProcessPool):
+    monkeypatch.setattr(oracle, "_sum_on_workers", counted)
+    monkeypatch.setattr(oracle, "_serve", lambda conn: None)  # every worker exits at once
+    with pytest.raises((EOFError, ConnectionError)):
         brute_moment_parallel(POOLED, 2)
-    assert calls == [False, True]
+    assert len(tries) == 2
+    monkeypatch.undo()
+    # the dead workers are found and replaced once more, by working ones
+    assert brute_moment_parallel(POOLED, 2) == brute_moment(POOLED)
+
+
+@needs_workers
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_a_call_that_raises_in_its_own_slice_replaces_the_unread_workers(
+    monkeypatch, fresh_workers, deadline, error
+):
+    expected = brute_moment(OTHER)
+    before = _worker_pids()
+    parent = os.getpid()
+    real = oracle._sum_range
+
+    def failing_in_the_caller(*args):
+        if os.getpid() == parent:
+            raise error("the caller's slice")
+        return real(*args)
+
+    # the replacements fork with it, but only the caller's slice raises
+    monkeypatch.setattr(oracle, "_sum_range", failing_in_the_caller)
+    with pytest.raises(error):
+        brute_moment_parallel(POOLED, 2)
+    monkeypatch.undo()
+    assert len(_worker_pids()) == len(before)
+    assert not set(_worker_pids()) & set(before)
+    assert brute_moment_parallel(OTHER, 2) == expected
+
+
+@needs_workers
+def test_an_exception_in_a_worker_is_raised_after_the_other_replies(monkeypatch, fresh_workers, deadline):
+    parent = os.getpid()
+    real = oracle._sum_range
+
+    def failing_in_workers(base, power, k, last_digit, start, stop):
+        if power == 3 and os.getpid() != parent:
+            raise ValueError(f"a worker's slice from {start}")
+        return real(base, power, k, last_digit, start, stop)
+
+    monkeypatch.setattr(oracle, "_sum_range", failing_in_workers)  # the workers fork with it
+    expected = brute_moment(OTHER)
+    workers = _worker_pids()
+    with pytest.raises(ValueError, match="a worker's slice"):
+        brute_moment_parallel(MomentQuery(3, 3, 9), 4)
+    # the workers stay, and every reply of the failed call was read
+    assert _worker_pids() == workers
+    assert brute_moment_parallel(OTHER, 4) == expected
+
+
+def test_threads_take_turns_on_the_workers(deadline):
+    # four threads on two cores; with a lost turn, a call would read the
+    # reply to another thread's query
+    mine = [MomentQuery(b, p, k) for b, p, k in ((2, 2, 13), (3, 1, 8), (5, 2, 5), (7, 0, 5))]
+    expected = [brute_moment(q) for q in mine]
+    results = [[] for _ in mine]
+
+    def calls(i):
+        for _ in range(5):
+            q = mine[i]
+            results[i].append(brute_moment(q) if i % 2 else brute_moment_parallel(q, 3))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=calls, args=(i,)) for i in range(len(mine))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[value] * 5 for value in expected]
+
+
+def _running(pid):
+    """Whether `pid` is a process that has not exited: a zombie has."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            state = stat.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state != "Z"
+
+
+def _env_with_src():
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+# os._exit skips the exit hook that stops the workers: they read end of file
+@pytest.mark.parametrize("ending", ["", "os._exit(0)\n"], ids=["exit", "os_exit"])
+def test_a_process_that_summed_on_workers_leaves_none_running(ending):
+    code = (
+        "import os\n"
+        "from rabot import MomentQuery, brute_moment, oracle\n"
+        "brute_moment(MomentQuery(3, 1, 9))\n"
+        "print(*(pid for pid, _ in oracle._workers), flush=True)\n"
+    ) + ending
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=_env_with_src(), capture_output=True, text=True, check=True, timeout=60
+    )
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) == oracle.available_cpus() - 1
+    deadline = time.monotonic() + 30
+    while any(map(_running, pids)):
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
 
 
 def test_import_and_serial_sums_start_no_process():
-    src = os.path.dirname(os.path.dirname(oracle.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
-        "import multiprocessing, threading\n"
+        "import sys, threading\n"
         "import rabot\n"
         "from rabot import MomentQuery, brute_moment, brute_moment_parallel\n"
-        "assert rabot.oracle._pool is None\n"
-        "brute_moment(MomentQuery(3, 1, 9))\n"
-        "brute_moment_parallel(MomentQuery(3, 1, 4), 2)  # slices below the pool threshold\n"
-        "print(rabot.oracle._pool, multiprocessing.active_children(), threading.active_count())\n"
+        "lazy = {'multiprocessing', 'concurrent.futures'}\n"
+        "assert not lazy & set(sys.modules), lazy & set(sys.modules)\n"
+        "brute_moment(MomentQuery(2, 1, 11))  # 2048 numbers: two slices would be below the threshold\n"
+        "brute_moment_parallel(MomentQuery(3, 1, 4), 2)  # slices below the threshold\n"
+        "print(rabot.oracle._workers, sorted(lazy & set(sys.modules)), threading.active_count())\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+        [sys.executable, "-c", code], env=_env_with_src(), capture_output=True, text=True, check=True, timeout=60
     )
     assert done.stdout == "None [] 1\n"
 
