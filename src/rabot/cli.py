@@ -30,9 +30,7 @@ from .generalform import guess_general_form
 from .oracle import (
     DEFAULT_ENUM_CAP,
     MomentQuery,
-    available_cpus,
     brute_moment,
-    brute_moment_parallel,
 )
 from .recurrence import build_table, moment_value
 
@@ -48,17 +46,19 @@ EXIT_NO_FIT = 4
 MAX_GENERAL_FORM_POWER = 7
 
 # general-form cross-checks its specialization at every base of its range,
-# about 0.1 ms per base at p = 2 and 1.0-1.1 ms at p = 7 (b = 2..201), so
-# wider ranges are refused.
+# many bases to one lane table, about 0.08 ms per base at p = 2 and 1.0 ms at
+# p = 7 (b = 2..201, _derive cached), so wider ranges are refused.
 MAX_GENERAL_FORM_BASES = 1000
 
 # Each cross-check builds a table of about max(p, 3)*(2p + 1)*bit_length(b)
-# bits, and its time grows with that size: at p = 7 it took 1.1-1.7 ms per
-# base at 10 bits, 3.9-4.7 ms at 40, 33-46 ms at 167 and 100-135 ms at 333
-# (Python 3.11.7, one core of a shared 2-vCPU Xeon VM).  So the range's count
-# of bases times that size at --b-max is held to what 1000 bases below 1024
-# need at p = 7, 1000*7*15*10: about 1.7-2 s, and about 4-5 s for the 30 bases
-# it allows at 333 bits, where the table's own size limit stops p = 7.
+# bits, and its time grows with that size: at p = 7 it took 1.1 ms per base
+# at 10 bits, 2.4-4.4 ms at 40, 35-36 ms at 167 and 113-122 ms at 333, where
+# the big-integer products, not the interpreter, take the time and lanes save
+# nothing (Python 3.11.7, one core of a shared 2-vCPU Xeon VM).  So the
+# range's count of bases times that size at --b-max is held to what 1000
+# bases below 1024 need at p = 7, 1000*7*15*10: about 1.0-1.25 s, and about
+# 3.6-4.2 s for the 30 bases it allows at 333 bits, where the table's own size
+# limit stops p = 7.
 MAX_GENERAL_FORM_SIZE = 1_050_000
 
 # `sum`, `seq` and `closed-form` refuse --power above this: the state has
@@ -365,15 +365,15 @@ def cmd_check(args: argparse.Namespace) -> int:
         "k_max": str(args.k_max),
     }
     queries = 0
-    # one slice per CPU; the workers are forked once and serve the whole sweep
-    partitions = available_cpus()
+    # brute_moment picks the slices per query; the workers are forked once and
+    # serve the whole sweep
     for b in _base_range(args):
         table = build_table(b, args.p_max, args.k_max)
         for p in range(args.p_max + 1):
             for k in range(1, args.k_max + 1):
                 for last in [None, *range(b)]:
                     expected = moment_value(table, p, k, last)
-                    actual = brute_moment_parallel(MomentQuery(b, p, k, last), partitions, cap=cap)
+                    actual = brute_moment(MomentQuery(b, p, k, last), cap=cap)
                     queries += 1
                     if expected != actual:
                         detail = {

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from operator import mul
+from typing import Callable, Sequence
 
 from .digits import check_base
 from .errors import DepthError, NoFitError
@@ -80,18 +81,19 @@ class ExponentialForm:
         from k - 1 by one multiplication by lam, rather than lam**k raised
         afresh, and no Fraction is built.  Stepping the coefficients, not a
         running lam**k, is what pays at wide bases: it multiplies by lam
-        where the other multiplies two large numbers."""
+        where the other multiplies two large numbers.  The coefficients of
+        k**e are kept together, stepped by one map and summed at once, and
+        Horner in k combines the sums."""
         den, scaled = self._scaled
-        running = [(list(poly), lam) for poly, lam in scaled]
+        degree = max((len(poly) for poly, _ in scaled), default=0)
+        coefficients = [[poly[e] for poly, _ in scaled if len(poly) > e] for e in range(degree)]
+        growth = [[lam for poly, lam in scaled if len(poly) > e] for e in range(degree)]
         out = []
         for k in range(1, n + 1):
             total = 0
-            for poly, lam in running:
-                coeff = 0
-                for e in reversed(range(len(poly))):
-                    poly[e] *= lam
-                    coeff = coeff * k + poly[e]
-                total += coeff
+            for e in reversed(range(degree)):
+                coefficients[e] = list(map(mul, coefficients[e], growth[e]))
+                total = total * k + sum(coefficients[e])
             out.append(total)
         return den, out
 
@@ -176,13 +178,38 @@ def table_depth(power: int) -> int:
     return 2 * power + 1
 
 
+def judge(
+    form: ExponentialForm,
+    values: Sequence[int],
+    bases: Sequence[int],
+    annihilated: Callable[[], bool],
+) -> Verdict:
+    """verify's rules, from S(p, k) at k = 1..2p and the candidate multiset.
+
+    Refuted at the first k where the form differs from values[k-1];
+    otherwise proven when every term fits inside `bases` and annihilated()
+    reports that the annihilator over `bases` kills the state at k = 1,
+    else consistent.  annihilated is called only in that last case.
+    """
+    checked = 2 * form.power
+    if len(values) != checked:
+        raise ValueError(f"need the {checked} values at k = 1..{checked}, got {len(values)}")
+    den, numerators = form._numerators(checked)
+    for k, (num, expected) in enumerate(zip(numerators, values), 1):
+        if num != expected * den:
+            return Verdict("refuted", checked_depth=k, witness=(k, expected, Fraction(num, den)))
+    in_spectrum = all(len(poly) <= bases.count(lam) for poly, lam in form.terms)
+    proven = in_spectrum and annihilated()
+    return Verdict("proven" if proven else "consistent", checked_depth=checked)
+
+
 def verify(form: ExponentialForm, table: MomentTable) -> Verdict:
     """Compare a form against exact table values at k = 1..2p, the proof depth.
 
     The table must reach table_depth(p).  Agreement is proof (see module
     docstring) when every term fits inside candidate_bases(b, p) and the
     annihilator over that multiset kills the table's state at k = 1;
-    otherwise it is only consistent.
+    otherwise it is only consistent (judge holds these rules).
     """
     if table.base != form.base:
         raise ValueError(f"table is for base {table.base}, form for base {form.base}")
@@ -191,16 +218,9 @@ def verify(form: ExponentialForm, table: MomentTable) -> Verdict:
     need = table_depth(form.power)
     if table.max_k < need:
         raise DepthError(f"table depth {table.max_k} is below {need}, the depth verify reads")
-    checked = 2 * form.power
-    den, numerators = form._numerators(checked)
-    for k, num in enumerate(numerators, 1):
-        expected = moment_value(table, form.power, k)
-        if num != expected * den:
-            return Verdict("refuted", checked_depth=k, witness=(k, expected, Fraction(num, den)))
+    values = [moment_value(table, form.power, k) for k in range(1, 2 * form.power + 1)]
     bases = candidate_bases(form.base, form.power)
-    in_spectrum = all(len(poly) <= bases.count(lam) for poly, lam in form.terms)
-    proven = in_spectrum and annihilates(table, bases, form.power)
-    return Verdict("proven" if proven else "consistent", checked_depth=checked)
+    return judge(form, values, bases, lambda: annihilates(table, bases, form.power))
 
 
 def closed_form(base: int, power: int) -> tuple[ExponentialForm, Verdict]:

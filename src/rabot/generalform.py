@@ -21,8 +21,12 @@ result is a theorem, and its one premise is checked, not assumed:
   one does.
 
 At every requested base outside those, guess_general_form also
-cross-checks the specialized form with verify against a recurrence table
-the derivation did not read.  That check is independent, not the proof.
+cross-checks the specialized form by verify's rules (closedform.judge)
+against a recurrence table the derivation did not read.  That check is
+independent, not the proof.  It steps the integer tables of a chunk of
+bases together, each entry one integer per base (recurrence.build_lane_table),
+and runs one annihilator pass over them (recurrence.lanes_not_annihilated),
+so the interpreter's cost per step is paid once per chunk, not per base.
 """
 from __future__ import annotations
 
@@ -33,11 +37,25 @@ from itertools import zip_longest
 from math import gcd, isqrt, lcm
 from typing import Iterable
 
-from .closedform import ExponentialForm, table_depth, verify
+from .closedform import ExponentialForm, judge, table_depth
 from .digits import check_base
 from .errors import ExcludedBaseError, NoFitError
 from .linalg import taylor_at_roots
-from .recurrence import _build, annihilates, build_table, eigenvalue_families, moment_value
+from .recurrence import (
+    _build,
+    annihilates,
+    build_lane_table,
+    candidate_bases,
+    eigenvalue_families,
+    lanes_not_annihilated,
+    moment_value,
+)
+
+# guess_general_form cross-checks a range in ascending chunks of bases, each
+# closed once their bit lengths reach this and judged from one lane table, so
+# that a chunk's table stays a few MB: at p = 7 it holds 16 columns of 36
+# entries per base, of up to about 7*15 times the base's bit length each.
+LANE_CHUNK_BITS = 640
 
 
 def _frac_str(f: Fraction) -> str:
@@ -317,21 +335,52 @@ def guess_general_form(power: int, b_range: Iterable[int]) -> GeneralForm:
     only selects the bases it is cross-checked at.
 
     At each base in the range outside excluded_bases(), the specialized form
-    must be proven by verify against that base's own recurrence table, or
-    NoFitError naming the base is raised.  An exponential form with distinct
-    integer bases is unique, so this is the same as equality with the proven
+    must get the verdict proven from verify's rules (closedform.judge)
+    against that base's own recurrence table, or NoFitError naming the
+    smallest such base is raised.  An exponential form with distinct integer
+    bases is unique, so this is the same as equality with the proven
     per-base closed form: a cross-check against a table the derivation did
-    not read, not the proof.
+    not read, not the proof.  The bases are specialized in ascending order
+    and judged in chunks of LANE_CHUNK_BITS (see _judge_lanes); where
+    specialize raises, the bases before it are judged first, so the error is
+    the one checking base after base would meet first.
     """
     bs = set(b_range)
     if not bs:
         raise ValueError("the base range is empty")
     g = _derive(power)
+    chunk, bits = [], 0
     for b in sorted(bs - g.excluded_bases()):
-        verdict = verify(specialize(g, b), build_table(b, power, table_depth(power)))
-        if verdict.status != "proven":
-            raise NoFitError(f"the general form at b={b} is {verdict.status}, not proven")
+        try:
+            form = specialize(g, b)
+        except ValueError:
+            _judge_lanes(power, chunk)  # the smaller bases first, as base after base would
+            raise
+        chunk.append(form)
+        bits += b.bit_length()
+        if bits >= LANE_CHUNK_BITS:
+            _judge_lanes(power, chunk)
+            chunk, bits = [], 0
+    _judge_lanes(power, chunk)
     return g
+
+
+def _judge_lanes(power: int, forms: list[ExponentialForm]) -> None:
+    """The verdict of each of these specialized forms, in order, from one lane
+    table and one lane annihilator pass for all their bases: the verdict
+    verify would give against build_table(b, power, table_depth(power)).
+    NoFitError at the first that is not proven."""
+    if not forms:
+        return
+    bases = [form.base for form in forms]
+    table = build_lane_table(bases, power, table_depth(power))
+    spectra = [candidate_bases(b, power) for b in bases]
+    failing = set(lanes_not_annihilated(table, spectra, power))
+    values = zip(*(table.moments[k][power][0] for k in range(1, 2 * power + 1)))
+    for form, spectrum, lane_values in zip(forms, spectra, values):
+        verdict = judge(form, lane_values, spectrum, lambda: form.base not in failing)
+        if verdict.status != "proven":
+            raise NoFitError(f"the general form at b={form.base} is {verdict.status}, not proven")
 
 
 def specialize(g: GeneralForm, b: int) -> ExponentialForm:

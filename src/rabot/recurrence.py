@@ -24,11 +24,19 @@ whose size does not depend on b:
 with F_j = sum_{l<b} l**j (0**0 = 1) and S(q, k) = T(0, q, k).  Both chains
 start from the one-digit numbers at k = 0, whose raboter value is 0:
 T(j, 0, 0) = F_j - [j = 0], S(l, 0, 0) = [l >= 1], all else 0.
+
+The update's reads are laid out once per power (_update_layout).  extend
+steps one base's table by them; build_lane_table steps the tables of many
+bases together, one integer per base in each entry, for the general form's
+cross-check over a range of bases.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
 from math import comb
+from operator import add, mul
 from typing import Sequence
 
 from .digits import check_base
@@ -105,9 +113,8 @@ def candidate_bases(base: int, power: int) -> list[int]:
     2b - 1 = b**2 - 1 = 3 is listed twice), and a base listed m times may
     carry a coefficient polynomial in k of degree < m."""
     check_base(base)
-    return sorted(
-        sum(c * base**e for e, c in enumerate(fam)) for fam in eigenvalue_families(power)
-    )
+    powers = [base**e for e in range(power + 1)]
+    return sorted([sum(map(mul, fam, powers)) for fam in eigenvalue_families(power)])
 
 
 def _power_sums(base: int, power: int) -> list[int]:
@@ -120,30 +127,42 @@ def _power_sums(base: int, power: int) -> list[int]:
     return sums
 
 
+@lru_cache(maxsize=None)
+def _update_layout(power: int) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]:
+    """The reads of the update, laid out once per power: for each (q, j),
+    j + q <= power, the triples (C(q, i), q - i, j + i), i = 1..q, as
+    T(j, q, k) reads C(q, i) * b**(q-i) * T(j+i, q-i, k-1).  The weight's
+    power of b is the row it reads, q - i.  extend and build_lane_table
+    both step by it, so the update rule is written here alone."""
+    return tuple(
+        tuple(tuple((comb(q, i), q - i, j + i) for i in range(1, q + 1)) for j in range(power - q + 1))
+        for q in range(power + 1)
+    )
+
+
 def extend(t: MomentTable, new_max_k: int) -> MomentTable:
     """Extend a table to new_max_k digits-minus-one via the update.
 
-    The update is laid out once per call as a plan with one row per (q, j):
-    its growth b**q - 1, F_j, and the entries (C(q, i)*b**(q-i), q-i, j+i),
-    i = 1..q, it reads from the previous column.  F_j comes off the k = 0
-    column, T(j, 0, 0) = F_j - [j = 0], so no power sum is recomputed.  Each
-    new column is then stepped with plain loops over the plan.
+    The update is laid out as a plan with one row per (q, j): its growth
+    b**q - 1, F_j, and the entries (C(q, i)*b**(q-i), q-i, j+i), i = 1..q,
+    of _update_layout, that it reads from the previous column.  F_j comes
+    off the k = 0 column, T(j, 0, 0) = F_j - [j = 0], so no power sum is
+    recomputed.  Each new column is then stepped with plain loops over the
+    plan.
     """
     if not isinstance(new_max_k, int) or new_max_k < t.max_k:
         raise ValueError(f"new_max_k must be an integer >= {t.max_k}, got {new_max_k!r}")
     b, p = t.base, t.max_power
     one_digit = t.moments[0][0]
     faulhaber = [one_digit[0] + 1, *one_digit[1:]]
-    plan = []
-    for q in range(p + 1):
-        growth = b**q - 1
-        weights = [(comb(q, i) * b ** (q - i), i) for i in range(1, q + 1)]
-        plan.append(
-            [
-                (growth, faulhaber[j], [(w, q - i, j + i) for w, i in weights])
-                for j in range(p - q + 1)
-            ]
-        )
+    powers = [b**r for r in range(p + 1)]
+    plan = [
+        [
+            (powers[q] - 1, faulhaber[j], [(c * powers[r], r, col) for c, r, col in reads])
+            for j, reads in enumerate(rows)
+        ]
+        for q, rows in enumerate(_update_layout(p))
+    ]
     columns = list(t.moments)
     for _ in range(t.max_k, new_max_k):
         prev = columns[-1]
@@ -178,6 +197,104 @@ def _build(base, max_power: int, max_k: int) -> MomentTable:
     one_digit = tuple(f - (j == 0) for j, f in enumerate(_power_sums(base, max_power)))
     seed = (one_digit,) + tuple((0,) * (max_power - q + 1) for q in range(1, max_power + 1))
     return extend(MomentTable(base, max_power, 0, (seed,)), max_k)
+
+
+@dataclass(frozen=True)
+class LaneTable:
+    """The moment tables of several bases, stepped together as lanes:
+    moments[k][q][j] holds T(j, q, k) at each base of `bases`, in order, so
+    lane i of every entry is build_table(bases[i], ...)'s.
+
+    An entry is a list, not a tuple: CPython builds a tuple from a map by
+    resizing it, and keeps every freed tuple of up to 20 items on a free
+    list of its size, where tuples of each lane count would pile up, a few
+    MB over a few thousand small ranges.  Entries may be shared: read them,
+    never write them."""
+
+    bases: tuple[int, ...]
+    max_power: int
+    max_k: int
+    moments: tuple[tuple[tuple[list[int], ...], ...], ...]
+
+
+def build_lane_table(bases: Sequence[int], max_power: int, max_k: int) -> LaneTable:
+    """build_table at every base of a non-empty sequence at once.
+
+    Each read of _update_layout runs once per table entry, over all lanes at
+    C speed (map over operator.mul and add), not once per base, so this pays
+    where many bases share one power and depth.  A single lane costs more
+    than it saves: build_table is 2.5-3x faster at one base, p = 2..3.
+    """
+    bases = tuple(bases)
+    if not bases:
+        raise ValueError("a lane table needs at least one base")
+    for b in bases:
+        check_base(b)
+    if not isinstance(max_power, int) or max_power < 0:
+        raise ValueError(f"max_power must be a non-negative integer, got {max_power!r}")
+    if not isinstance(max_k, int) or max_k < 1:
+        raise ValueError(f"max_k must be an integer >= 1, got {max_k!r}")
+    p = max_power
+    layout = _update_layout(p)
+    faulhaber = list(zip(*[_power_sums(b, p) for b in bases]))  # faulhaber[j]: F_j per lane
+    zero = [0] * len(bases)
+    seed = (tuple([f - (j == 0) for f in lanes] for j, lanes in enumerate(faulhaber)),)
+    seed += tuple((zero,) * (p - q + 1) for q in range(1, p + 1))
+    powers = [[b**r for b in bases] for r in range(p + 1)]
+    # C(q, i) * b**(q-i) per lane; every row of one q reads the same (C(q, i), q - i)
+    weights = {(c, r): [c * x for x in powers[r]] for rows in layout for c, r, _ in rows[0]}
+    plan = [
+        [
+            ([x - 1 for x in powers[q]], faulhaber[j], [(weights[c, r], r, col) for c, r, col in reads])
+            for j, reads in enumerate(rows)
+        ]
+        for q, rows in enumerate(layout)
+    ]
+    columns = [seed]
+    for _ in range(max_k):
+        prev = columns[-1]
+        column = []
+        for q, rows in enumerate(plan):
+            own = prev[q]
+            total = own[0]
+            row = []
+            for j, (growth, f, reads) in enumerate(rows):
+                value = map(add, map(mul, growth, own[j]), map(mul, f, total))
+                for w, r, c in reads:
+                    value = map(add, value, map(mul, w, prev[r][c]))
+                row.append(list(value))
+            column.append(tuple(row))
+        columns.append(tuple(column))
+    return LaneTable(bases, p, max_k, tuple(columns))
+
+
+def lanes_not_annihilated(
+    table: LaneTable, roots: Sequence[Sequence[int]], power: int | None = None
+) -> list[int]:
+    """annihilates at every lane: the bases of the table, in lane order,
+    where prod_lam (U - lam) over that lane's multiset roots[i] does not
+    kill the state at k = 1.  Each lane's e_i are the coefficients of
+    pole_product(roots[i]), reversed, and zero past its own multiset's size.
+    """
+    power = table.max_power if power is None else power
+    if len(roots) != len(table.bases):
+        raise ValueError(f"{len(roots)} root multisets for {len(table.bases)} lanes")
+    size = max(map(len, roots))
+    if table.max_k < size + 1:
+        raise DepthError(
+            f"table depth {table.max_k} is below {size + 1}, the depth the annihilator reads"
+        )
+    e = list(zip(*[pole_product(r)[::-1] + [0] * (size - len(r)) for r in roots]))
+    columns = table.moments[1 : size + 2]
+    lanes = range(len(table.bases))
+    failing: set[int] = set()
+    for q in range(power + 1):
+        for j in range(power - q + 1):
+            value = map(mul, e[0], columns[0][q][j])
+            for c, column in zip(e[1:], columns[1:]):
+                value = map(add, value, map(mul, c, column[q][j]))
+            failing.update(compress(lanes, value))
+    return [table.bases[i] for i in sorted(failing)]
 
 
 def moment_value(

@@ -374,12 +374,12 @@ def test_general_form_unproven_input_exits_4(capsys, monkeypatch):
     import rabot.generalform as gf
     from rabot import Verdict
 
-    real_verify = gf.verify
+    real_judge = gf.judge
 
-    def unproven(form, table):
-        return Verdict("consistent", real_verify(form, table).checked_depth)
+    def unproven(form, values, bases, annihilated):
+        return Verdict("consistent", real_judge(form, values, bases, annihilated).checked_depth)
 
-    monkeypatch.setattr(gf, "verify", unproven)
+    monkeypatch.setattr(gf, "judge", unproven)
     code, _, err = run(capsys, "general-form", "--power", "1")
     assert code == 4
     assert "not proven" in err
@@ -435,7 +435,6 @@ def test_k_max_below_one_exits_2(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "build_table", no_work)
     monkeypatch.setattr(cli, "brute_moment", no_work)
-    monkeypatch.setattr(cli, "brute_moment_parallel", no_work)
     # one line naming the flag, whatever the engine
     for argv, flag, k in (
         (("seq", "--base", "2", "--power", "1", "--kmax", "0"), "--kmax", 0),
@@ -462,21 +461,29 @@ def test_check_sweep_passes(capsys):
 
 
 def test_check_sums_on_the_available_cpus(capsys, monkeypatch):
-    partitions = []
+    # every query goes through brute_moment, which picks its slices from the
+    # available CPUs itself
+    queries = []
 
-    def spy(q, parts, cap=None):
-        partitions.append(parts)
-        return oracle.brute_moment_parallel(q, parts, cap=cap)
+    def spy(q, cap=None):
+        queries.append((q, cap))
+        return oracle.brute_moment(q, cap=cap)
 
-    monkeypatch.setattr(cli, "brute_moment_parallel", spy)
-    # b = 2, k = 13: 8192 numbers, slices that reach the pool on two CPUs
+    def refuse(*args, **kwargs):
+        raise AssertionError("check must not choose the slices itself")
+
+    monkeypatch.setattr(cli, "brute_moment", spy)
+    monkeypatch.setattr(oracle, "brute_moment_parallel", refuse)
+    # b = 2, k = 13: 8192 numbers, slices that reach the workers on two CPUs
     code, out, _ = run(capsys, "check", "--b-max", "2", "--p-max", "0", "--k-max", "13")
     assert (code, out) == (0, "checked 39 queries: recurrence and brute force agree\n")
-    assert set(partitions) == {oracle.available_cpus()}
+    assert len(queries) == 39
+    assert {cap for _, cap in queries} == {cli._enum_cap()}
+    assert oracle.MomentQuery(2, 0, 13) in {q for q, _ in queries}
 
 
 def test_check_disagreement_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "brute_moment_parallel", lambda q, partitions, cap=None: 10**9)
+    monkeypatch.setattr(cli, "brute_moment", lambda q, cap=None: 10**9)
     code, out, _ = run(capsys, "check", "--b-max", "2", "--p-max", "1", "--k-max", "2")
     assert code == 3
     assert "disagreement" in out
@@ -489,10 +496,10 @@ def test_check_caps_the_whole_sweep(capsys, monkeypatch):
     assert code == 0
     assert "agree" in out
 
-    def no_query(q, partitions, cap=None):
+    def no_query(q, cap=None):
         raise AssertionError("a refused sweep must run no query")
 
-    monkeypatch.setattr(cli, "brute_moment_parallel", no_query)
+    monkeypatch.setattr(cli, "brute_moment", no_query)
     for argv in (
         ("check", "--b-max", "3", "--k-max", "4"),
         ("check", "--b-max", str(10**12)),
@@ -567,7 +574,7 @@ def test_check_power_above_limit_exits_2_before_any_work(capsys, monkeypatch):
         raise AssertionError("a refused --p-max must build no table and enumerate nothing")
 
     monkeypatch.setattr(cli, "build_table", no_work)
-    monkeypatch.setattr(cli, "brute_moment_parallel", no_work)
+    monkeypatch.setattr(cli, "brute_moment", no_work)
     for p_max in (cli.MAX_POWER + 1, 300):
         code, out, err = run(capsys, "check", "--b-max", "2", "--k-max", "1", "--p-max", str(p_max))
         assert code == 2

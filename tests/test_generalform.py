@@ -407,7 +407,7 @@ def test_derivation_builds_no_integer_table(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the derivation must not sample integer bases")
 
-    monkeypatch.setattr(gf, "build_table", refuse)
+    monkeypatch.setattr(gf, "build_lane_table", refuse)
     gf._derive.cache_clear()
     # golden: `rabot general-form --power 3`, line 1
     assert gf._derive(3).render() == (
@@ -443,16 +443,87 @@ def test_guess_rejects_unproven_per_base_form(monkeypatch):
     import rabot.generalform as gf
     from rabot import Verdict
 
-    real_verify = gf.verify
+    real_judge = gf.judge
 
-    def unproven(form, table):
-        return Verdict("consistent", real_verify(form, table).checked_depth)
+    def unproven(form, values, bases, annihilated):
+        return Verdict("consistent", real_judge(form, values, bases, annihilated).checked_depth)
 
-    monkeypatch.setattr(gf, "verify", unproven)
+    monkeypatch.setattr(gf, "judge", unproven)
     with pytest.raises(NoFitError) as err:
         guess_general_form(1, range(2, 9))
     assert "b=2" in str(err.value)
     assert "not proven" in str(err.value)
+
+
+def _shift_at(real_specialize, bad):
+    """specialize with 1/1000003 added to the first coefficient at the bases
+    in bad."""
+    from rabot import ExponentialForm
+
+    def shifted(g, b):
+        form = real_specialize(g, b)
+        if b not in bad:
+            return form
+        (c, *rest), lam = form.terms[0]
+        return ExponentialForm(b, form.power, (((c + F(1, 1000003), *rest), lam),) + form.terms[1:])
+
+    return shifted
+
+
+def test_guess_names_the_smallest_failing_base(monkeypatch):
+    import rabot.generalform as gf
+
+    monkeypatch.setattr(gf, "specialize", _shift_at(gf.specialize, {9, 4}))
+    with pytest.raises(NoFitError) as err:
+        guess_general_form(2, range(2, 13))
+    assert str(err.value) == "the general form at b=4 is refuted, not proven"
+
+
+@pytest.mark.parametrize("budget", [1, 5, 9, 640])
+def test_guess_judges_every_base_across_chunk_edges(budget, monkeypatch):
+    # budget 1 gives one-base chunks; 5 and 9 bits end chunks inside the range
+    import rabot.generalform as gf
+
+    real_specialize, real_judge_lanes = gf.specialize, gf._judge_lanes
+    chunks = []
+
+    def spy(power, forms):
+        chunks.append([form.base for form in forms])
+        real_judge_lanes(power, forms)
+
+    monkeypatch.setattr(gf, "LANE_CHUNK_BITS", budget)
+    monkeypatch.setattr(gf, "_judge_lanes", spy)
+    assert guess_general_form(3, range(2, 14)) == _derive(3)
+    assert sum(chunks, []) == list(range(3, 14))  # 2 is excluded at p = 3
+    for chunk in chunks[:-1]:
+        assert sum(b.bit_length() for b in chunk) >= budget
+        assert sum(b.bit_length() for b in chunk[:-1]) < budget
+    for bad in range(3, 14):
+        monkeypatch.setattr(gf, "specialize", _shift_at(real_specialize, {bad, 13}))
+        with pytest.raises(NoFitError, match=f"at b={bad} is refuted"):
+            guess_general_form(3, range(2, 14))
+
+
+def test_guess_judges_the_smaller_bases_before_a_specialize_error(monkeypatch):
+    # the error is the one that checking base after base meets first
+    import rabot.generalform as gf
+
+    shifted = _shift_at(gf.specialize, {5})
+
+    def refusing(at):
+        def specialize(g, b):
+            if b == at:
+                raise ValueError(f"refused at b={b}")
+            return shifted(g, b)
+
+        return specialize
+
+    monkeypatch.setattr(gf, "specialize", refusing(7))
+    with pytest.raises(NoFitError, match="at b=5 is refuted"):
+        guess_general_form(2, range(2, 10))
+    monkeypatch.setattr(gf, "specialize", refusing(4))
+    with pytest.raises(ValueError, match="refused at b=4"):
+        guess_general_form(2, range(2, 10))
 
 
 def test_guess_does_not_refit_per_base(monkeypatch):

@@ -19,7 +19,7 @@ from rabot import (
     moment_value,
     state_dimension_bound,
 )
-from rabot.recurrence import _build, annihilates
+from rabot.recurrence import _build, annihilates, build_lane_table, lanes_not_annihilated
 
 
 def test_seed_binary_first_moment():
@@ -293,3 +293,64 @@ def test_table_is_the_update_rule_entry_by_entry(b, p, k, mid):
     extended = extend(start, k)
     assert list(extended.moments) == direct
     assert all(a is c for a, c in zip(start.moments, extended.moments))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(2, 50), st.integers(10**30 - 50, 10**30 + 50)),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(0, 6).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, 2 * p + 1))),
+)
+@example([2], (0, 1))
+@example([10**30 + 7], (6, 13))
+def test_lane_table_is_build_table_at_every_lane(bases, power_and_depth):
+    # one-base tables included; k up to 2p + 1, the depth verify reads
+    p, k = power_and_depth
+    lanes = build_lane_table(bases, p, k)
+    assert lanes.bases == tuple(bases) and (lanes.max_power, lanes.max_k) == (p, k)
+    for i, b in enumerate(bases):
+        single = build_table(b, p, k).moments
+        at_lane = [tuple(tuple(entry[i] for entry in row) for row in column) for column in lanes.moments]
+        assert at_lane == list(single), b
+
+
+def test_lane_table_checks_like_build_table():
+    for bases in ([], [2, 1], [3, 2.0], [True]):
+        with pytest.raises(ValueError):
+            build_lane_table(bases, 2, 5)
+    with pytest.raises(ValueError):
+        build_lane_table([2, 3], -1, 5)
+    with pytest.raises(ValueError):
+        build_lane_table([2, 3], 2, 0)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_lane_annihilator_fails_exactly_the_mutated_lane(p):
+    # the lane version of annihilates: a multiset with its largest family
+    # dropped, or shifted by one, fails at its own lane and at no other
+    bases = [2, 3, 10, 10**6, 10**30]
+    table = build_lane_table(bases, p, 2 * p + 1)
+    roots = [candidate_bases(b, p) for b in bases]
+    assert lanes_not_annihilated(table, roots) == []
+    for i, b in enumerate(bases):
+        for wrong in (roots[i][:-1], roots[i][:-1] + [roots[i][-1] + 1]):
+            mutated = roots[:i] + [wrong] + roots[i + 1 :]
+            assert lanes_not_annihilated(table, mutated) == [b], (b, wrong)
+            single = build_table(b, p, 2 * p + 1)
+            assert not annihilates(single, wrong)
+
+
+def test_lane_annihilator_reads_one_column_past_its_roots():
+    roots = [candidate_bases(b, 1) for b in (2, 5)]
+    assert lanes_not_annihilated(build_lane_table([2, 5], 1, 3), roots) == []
+    with pytest.raises(DepthError):
+        lanes_not_annihilated(build_lane_table([2, 5], 1, 2), roots)
+    with pytest.raises(ValueError):
+        lanes_not_annihilated(build_lane_table([2, 5], 1, 3), roots[:1])
+    # rows above the given power need more roots, so they are skipped
+    wide = build_lane_table([2, 5], 2, 3)
+    assert lanes_not_annihilated(wide, roots, 1) == []
+    assert lanes_not_annihilated(wide, roots) == [2, 5]
