@@ -2,15 +2,8 @@
 forms uniform in b, sequence export, and recurrence-vs-brute-force sweeps.
 
 Exit codes are fixed so CI can tell failure modes apart: 2 for usage or
-invalid input (including a refused over-cap enumeration or check sweep, an
-empty base range, a power or check --p-max above MAX_POWER, a closed-form
-or general-form power below 1, a k above MAX_K or with
-max(p, 3)*k*bit_length(b) above 12*MAX_K, a closed-form --base or a
-general-form --b-max over that size at its table depth, table_depth(p) =
-2p + 1, a general-form power above MAX_GENERAL_FORM_POWER, a general-form
-range of more than MAX_GENERAL_FORM_BASES bases or whose cross-check tables
-total more than MAX_GENERAL_FORM_SIZE, or a general-form --b-min below 2,
-each refused before any table is built), 3 when the two engines disagree (the
+invalid input (outside LIMITS, or against a rule across inputs in _admit,
+refused before any command runs), 3 when the two engines disagree (the
 bug-detection signal), 4 when fitting or verification fails.  All numeric
 output is exact; big integers are printed as decimal strings and rationals
 as numerator/denominator, never floats.
@@ -30,6 +23,7 @@ from .generalform import guess_general_form
 from .oracle import (
     DEFAULT_ENUM_CAP,
     MomentQuery,
+    _check_cap,
     brute_moment,
 )
 from .recurrence import build_table, moment_value
@@ -75,6 +69,18 @@ MAX_POWER = 16
 # base and with the power, so max(p, 3)*k*bit_length(b) is held to 12*MAX_K,
 # what MAX_K allows at b = 10 and p = 3.
 MAX_K = 3000
+
+# Each subcommand's bounds on its integer inputs, flag -> (least, greatest or
+# None), checked in this order before the rules across inputs in _admit.  A
+# form's proof needs p >= 1, and a sum's p = 0 is a pure count.
+LIMITS: dict[str, dict[str, tuple[int, int | None]]] = {
+    "eval": {"--base": (2, None), "n": (0, None)},
+    "sum": {"--power": (0, MAX_POWER), "--k": (1, MAX_K), "--base": (2, None), "--last-digit": (0, None)},
+    "closed-form": {"--power": (1, MAX_POWER), "--base": (2, None)},
+    "general-form": {"--power": (1, MAX_GENERAL_FORM_POWER), "--b-min": (2, None)},
+    "seq": {"--power": (0, MAX_POWER), "--kmax": (1, MAX_K), "--base": (2, None), "--limit": (1, None)},
+    "check": {"--b-min": (2, None), "--p-max": (0, MAX_POWER), "--k-max": (1, None)},
+}
 
 
 @dataclass
@@ -135,27 +141,13 @@ def _named(flag: str, base: int) -> str:
     return f"{flag} {base}" if bits <= 64 else f"a {bits}-bit {flag}"
 
 
-def _check_k(flag: str, k: int, base: int, power: int, base_flag: str = "--base") -> None:
-    if power < 0:
-        raise ValueError(f"--power must be >= 0, got {power}")
-    if power > MAX_POWER:
-        raise ValueError(f"--power {power} is above the limit of {MAX_POWER}")
-    if k < 1:
-        raise ValueError(f"{flag} must be >= 1, got {k}")
-    if k > MAX_K:
-        raise ValueError(f"{flag} {k} is above the limit of {MAX_K}")
+def _check_size(flag: str, k: int, base: int, power: int, base_flag: str = "--base") -> None:
     size, limit = k * base.bit_length(), 12 * MAX_K // max(power, 3)
     if size > limit:
         raise ValueError(
             f"{flag} {k} at {_named(base_flag, base)} and --power {power}:"
             f" k*bit_length(b) = {size} is above the size limit of {limit}"
         )
-
-
-def _check_form_power(power: int) -> None:
-    # a form's proof needs p >= 1; refused by flag name before table_depth
-    if power < 1:
-        raise ValueError(f"--power must be >= 1, got {power}")
 
 
 def _check_sweep_size(args: argparse.Namespace, cap: int) -> None:
@@ -167,16 +159,9 @@ def _check_sweep_size(args: argparse.Namespace, cap: int) -> None:
     at once.
     """
     # b >= 2 and p >= 0 make every count positive, so the early stop holds
-    digits.check_base(args.b_min)
-    if args.p_max < 0:
-        raise ValueError(f"--p-max must be >= 0, got {args.p_max}")
-    if args.p_max > MAX_POWER:
-        raise ValueError(f"--p-max {args.p_max} is above the limit of {MAX_POWER}")
-    if args.k_max < 1:
-        raise ValueError(f"--k-max must be >= 1, got {args.k_max}")
     total = 0
     for k in range(1, args.k_max + 1):
-        for b in _base_range(args):
+        for b in range(args.b_min, args.b_max + 1):
             total += (args.p_max + 1) * 2 * (b - 1) * b**k
             if total > cap:
                 raise EnumerationCapError(
@@ -184,10 +169,55 @@ def _check_sweep_size(args: argparse.Namespace, cap: int) -> None:
                 )
 
 
-def _base_range(args: argparse.Namespace) -> range:
-    if args.b_min > args.b_max:
+def _admit(args: argparse.Namespace) -> None:
+    """Refuse an input outside LIMITS, then one that breaks a rule across
+    inputs, with a one-line ValueError or EnumerationCapError naming it.
+
+    Where brute force runs, the parsed RABOT_ENUM_CAP is kept as args.cap.
+    """
+    for flag, (least, greatest) in LIMITS[args.command].items():
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if value is None:  # an optional flag left out
+            continue
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
+        if greatest is not None and value > greatest:
+            raise ValueError(f"{flag} {value} is above the limit of {greatest}")
+    if args.command in ("general-form", "check") and args.b_min > args.b_max:
         raise ValueError(f"empty base range: --b-min {args.b_min} is above --b-max {args.b_max}")
-    return range(args.b_min, args.b_max + 1)
+    if args.command == "sum":
+        if args.last_digit is not None and args.last_digit >= args.base:
+            raise ValueError(
+                f"{_named('--last-digit', args.last_digit)} is not below {_named('--base', args.base)}"
+            )
+        _check_size("--k", args.k, args.base, args.power)
+        if args.engine != "recurrence":
+            args.cap = _enum_cap()
+            _check_cap(MomentQuery(args.base, args.power, args.k, args.last_digit), args.cap)
+    elif args.command == "seq":
+        _check_size("--kmax", args.kmax, args.base, args.power)
+    elif args.command == "closed-form":
+        _check_size("the table depth", table_depth(args.power), args.base, args.power)
+    elif args.command == "general-form":
+        count = args.b_max - args.b_min + 1  # len(range) overflows past sys.maxsize
+        if count > MAX_GENERAL_FORM_BASES:
+            raise ValueError(
+                f"--b-min {args.b_min} to --b-max {args.b_max} is above the general-form"
+                f" limit of {MAX_GENERAL_FORM_BASES} bases"
+            )
+        # the cross-check tables go to table_depth, and --b-max is the largest base
+        depth = table_depth(args.power)
+        _check_size("the table depth", depth, args.b_max, args.power, "--b-max")
+        size = count * max(args.power, 3) * depth * args.b_max.bit_length()
+        if size > MAX_GENERAL_FORM_SIZE:
+            raise ValueError(
+                f"{count} bases up to {_named('--b-max', args.b_max)} at --power {args.power}:"
+                f" count*max(p, 3)*(2p + 1)*bit_length(b) = {size} is above the general-form"
+                f" limit of {MAX_GENERAL_FORM_SIZE}"
+            )
+    elif args.command == "check":
+        args.cap = _enum_cap()
+        _check_sweep_size(args, args.cap)
 
 
 def _form_terms_json(form: ExponentialForm) -> list[dict]:
@@ -219,7 +249,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sum(args: argparse.Namespace) -> int:
-    _check_k("--k", args.k, args.base, args.power)
     q = MomentQuery(args.base, args.power, args.k, args.last_digit)
     inputs = {"base": str(args.base), "power": str(args.power), "k": str(args.k)}
     if args.last_digit is not None:
@@ -230,7 +259,7 @@ def cmd_sum(args: argparse.Namespace) -> int:
         table = build_table(args.base, args.power, args.k)
         values["recurrence"] = moment_value(table, args.power, args.k, args.last_digit)
     if args.engine in ("brute", "both"):
-        values["brute"] = brute_moment(q, cap=_enum_cap())
+        values["brute"] = brute_moment(q, cap=args.cap)
     if args.engine == "both":
         agree = values["recurrence"] == values["brute"]
         record = OutputRecord(
@@ -257,8 +286,6 @@ def cmd_sum(args: argparse.Namespace) -> int:
 
 
 def cmd_closed_form(args: argparse.Namespace) -> int:
-    _check_form_power(args.power)
-    _check_k("the table depth", table_depth(args.power), args.base, args.power)
     form, verdict = closed_form(args.base, args.power)
     inputs = {"base": str(args.base), "power": str(args.power)}
     result = {
@@ -279,29 +306,7 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
 
 
 def cmd_general_form(args: argparse.Namespace) -> int:
-    _check_form_power(args.power)
-    if args.power > MAX_GENERAL_FORM_POWER:
-        raise ValueError(
-            f"--power {args.power} is above the general-form limit of {MAX_GENERAL_FORM_POWER}"
-        )
-    bases = _base_range(args)
-    count = args.b_max - args.b_min + 1  # len(bases) overflows past sys.maxsize
-    if count > MAX_GENERAL_FORM_BASES:
-        raise ValueError(
-            f"--b-min {args.b_min} to --b-max {args.b_max} is above the general-form"
-            f" limit of {MAX_GENERAL_FORM_BASES} bases"
-        )
-    # the cross-check tables go to table_depth, and --b-max is the largest base
-    depth = table_depth(args.power)
-    _check_k("the table depth", depth, args.b_max, args.power, "--b-max")
-    size = count * max(args.power, 3) * depth * args.b_max.bit_length()
-    if size > MAX_GENERAL_FORM_SIZE:
-        raise ValueError(
-            f"{count} bases up to {_named('--b-max', args.b_max)} at --power {args.power}:"
-            f" count*max(p, 3)*(2p + 1)*bit_length(b) = {size} is above the general-form"
-            f" limit of {MAX_GENERAL_FORM_SIZE}"
-        )
-    digits.check_base(args.b_min)
+    bases = range(args.b_min, args.b_max + 1)
     g = guess_general_form(args.power, bases)
     excluded = sorted(g.excluded_bases())
     inputs = {
@@ -328,7 +333,6 @@ def cmd_general_form(args: argparse.Namespace) -> int:
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
-    _check_k("--kmax", args.kmax, args.base, args.power)
     table = build_table(args.base, args.power, args.kmax)
     values = [moment_value(table, args.power, k) for k in range(1, args.kmax + 1)]
     inputs = {
@@ -356,8 +360,6 @@ def cmd_seq(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    cap = _enum_cap()
-    _check_sweep_size(args, cap)
     inputs = {
         "b_min": str(args.b_min),
         "b_max": str(args.b_max),
@@ -367,13 +369,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     queries = 0
     # brute_moment picks the slices per query; the workers are forked once and
     # serve the whole sweep
-    for b in _base_range(args):
+    for b in range(args.b_min, args.b_max + 1):
         table = build_table(b, args.p_max, args.k_max)
         for p in range(args.p_max + 1):
             for k in range(1, args.k_max + 1):
                 for last in [None, *range(b)]:
                     expected = moment_value(table, p, k, last)
-                    actual = brute_moment(MomentQuery(b, p, k, last), cap=cap)
+                    actual = brute_moment(MomentQuery(b, p, k, last), cap=args.cap)
                     queries += 1
                     if expected != actual:
                         detail = {
@@ -477,10 +479,13 @@ def main(argv: list[str] | None = None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        # every refusal happens here, so a command runs only on admitted inputs
+        try:
+            _admit(args)
+        except (EnumerationCapError, ValueError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_USAGE
         return args.func(args)
-    except (EnumerationCapError, ValueError, IndexError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except NoFitError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NO_FIT

@@ -294,13 +294,6 @@ def base_families(power: int) -> list[PolyInB]:
     return sorted(families, key=lambda fam: (fam.degree(), fam.numerators[::-1]))
 
 
-def moment_polynomials(power: int, count: int) -> list[PolyInB]:
-    """S(power, k) for k = 1..count as polynomials in b, read from the
-    recurrence table built with b itself as the base."""
-    table = _build(_B, power, count)
-    return [moment_value(table, power, k) for k in range(1, count + 1)]
-
-
 @lru_cache(maxsize=8)
 def _derive(power: int) -> GeneralForm:
     """The general form of S(power, .) over Q(b), without zero terms; cached,

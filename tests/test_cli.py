@@ -354,7 +354,7 @@ def test_general_form_b_min_below_2_exits_2_before_derivation(capsys, monkeypatc
         code, out, err = run(capsys, "general-form", "--power", "7", "--b-min", b_min)
         assert code == 2, b_min
         assert out == ""
-        assert err == f"error: base must be an integer >= 2, got {b_min}\n"
+        assert err == f"error: --b-min must be >= 2, got {b_min}\n"
 
 
 def test_general_form_says_when_no_base_was_cross_checked(capsys):

@@ -4,14 +4,20 @@ from fractions import Fraction
 import pytest
 
 from rabot import build_table, moment_value
-from rabot.generalform import base_families, moment_polynomials
+from rabot.generalform import PolyInB, base_families
 from rabot.linalg import taylor_at_roots
+from rabot.recurrence import _build
+
+B = PolyInB((0, 1))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_symbolic_read_specializes_to_the_integer_read(p):
     families = base_families(p)
-    symbolic = taylor_at_roots(moment_polynomials(p, len(families)), families)
+    n = len(families)
+    over_b = _build(B, p, n)
+    sums = [moment_value(over_b, p, k) for k in range(1, n + 1)]
+    symbolic = taylor_at_roots(sums, families)
     for b in (3, 5, 11):
         table = build_table(b, p, 2 * p)
         values = [moment_value(table, p, k) for k in range(1, 2 * p + 1)]

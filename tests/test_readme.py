@@ -39,3 +39,23 @@ def test_readme_library_example_matches_its_comments():
         value, comment = results[expression]
         assert value == expected, expression
         assert comment.startswith(repr(expected)), (expression, comment)
+
+
+def test_readme_limits_table_mirrors_cli_limits():
+    from rabot.cli import LIMITS
+
+    text = README.read_text(encoding="utf-8")
+    header = "| subcommand     | input          | least | greatest |"
+    assert header in text, "README has no limits table"
+    rows = set()
+    for line in text.split(header, 1)[1].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        command, flag, least, greatest = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        rows.add((command, flag, int(least), int(greatest) if greatest else None))
+    expected = {
+        (command, flag, least, greatest)
+        for command, limits in LIMITS.items()
+        for flag, (least, greatest) in limits.items()
+    }
+    assert rows == expected
