@@ -26,7 +26,7 @@ from .oracle import (
     _check_cap,
     brute_moment,
 )
-from .recurrence import build_table, moment_value
+from .recurrence import _power_sums, build_table, moment_value
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -154,19 +154,22 @@ def _check_sweep_size(args: argparse.Namespace, cap: int) -> None:
     """Refuse a check sweep that enumerates more than cap numbers in total.
 
     Each (b, p, k) enumerates (b-1)*b**k numbers for the whole sum and as
-    many again over the last digits.  The total is summed with k outermost
-    and only until it passes cap, so a huge --b-max or --k-max is refused
-    at once.
+    many again over the last digits, and over k = 1..K that telescopes to
+    b**(K+1) - b at each base.  One k alone enumerates at least 2*b**k at
+    b = --b-max, above cap once (bit_length(b) - 1)*k >= bit_length(cap), so
+    K stops there and a huge --k-max costs nothing.  Over the bases, the sum
+    comes from the power sums F_j(n) = sum_{l<n} l**j, j <= K + 1, in about
+    K**2 products, or base by base where the range has at most K**2 bases,
+    so a huge --b-max costs nothing either.
     """
-    # b >= 2 and p >= 0 make every count positive, so the early stop holds
-    total = 0
-    for k in range(1, args.k_max + 1):
-        for b in range(args.b_min, args.b_max + 1):
-            total += (args.p_max + 1) * 2 * (b - 1) * b**k
-            if total > cap:
-                raise EnumerationCapError(
-                    f"the check sweep enumerates more than the cap of {cap} numbers"
-                )
+    k = min(args.k_max, cap.bit_length() // (args.b_max.bit_length() - 1) + 1)
+    if args.b_max - args.b_min < k * k:
+        numbers = sum(b ** (k + 1) - b for b in range(args.b_min, args.b_max + 1))
+    else:
+        above, below = _power_sums(args.b_max + 1, k + 1), _power_sums(args.b_min, k + 1)
+        numbers = above[k + 1] - below[k + 1] - (above[1] - below[1])
+    if (args.p_max + 1) * 2 * numbers > cap:
+        raise EnumerationCapError(f"the check sweep enumerates more than the cap of {cap} numbers")
 
 
 def _admit(args: argparse.Namespace) -> None:

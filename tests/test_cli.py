@@ -5,11 +5,13 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import rabot.cli as cli
 import rabot.oeis as oeis_module
 import rabot.oracle as oracle
 from rabot.cli import OutputRecord, main
-from rabot.errors import NoFitError
+from rabot.errors import EnumerationCapError, NoFitError
 from rabot.oeis import LookupResult
 from rabot.recurrence import build_table, moment_value
 
@@ -509,6 +511,40 @@ def test_check_caps_the_whole_sweep(capsys, monkeypatch):
         assert code == 2, argv
         assert out == ""
         assert "cap of 1000" in err
+
+
+def _sweep_count(b_min, b_max, p_max, k_max):
+    # the check sweep's count, one (b, p, k) at a time, whole sums and last digits
+    return sum(
+        (p_max + 1) * 2 * (b - 1) * b**k for k in range(1, k_max + 1) for b in range(b_min, b_max + 1)
+    )
+
+
+def test_check_sweep_at_the_cap_is_admitted_and_one_past_it_refused(monkeypatch):
+    for b_min, b_max, p_max, k_max in ((2, 2, 0, 1), (2, 5, 1, 3), (3, 40, 3, 4), (7, 7, 16, 9)):
+        count = _sweep_count(b_min, b_max, p_max, k_max)
+        argv = ["check", "--b-min", str(b_min), "--b-max", str(b_max),
+                "--p-max", str(p_max), "--k-max", str(k_max)]
+        monkeypatch.setenv("RABOT_ENUM_CAP", str(count))
+        cli._admit(cli.build_parser().parse_args(argv))
+        monkeypatch.setenv("RABOT_ENUM_CAP", str(count - 1))
+        with pytest.raises(EnumerationCapError) as refused:
+            cli._admit(cli.build_parser().parse_args(argv))
+        assert str(refused.value) == f"the check sweep enumerates more than the cap of {count - 1} numbers"
+
+
+def test_check_admission_time_does_not_grow_with_the_base_range():
+    # visiting each of the 10^20 bases would not finish
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env["RABOT_ENUM_CAP"] = str(10**42)
+    done = subprocess.run(
+        [sys.executable, "-m", "rabot", "check", "--b-max", str(10**20), "--k-max", "1", "--p-max", "0"],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"error: the check sweep enumerates more than the cap of {10**42} numbers\n"
+    )
 
 
 def test_check_negative_power_exits_2(capsys):

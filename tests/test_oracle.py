@@ -467,15 +467,16 @@ def test_sum_range_matches_direct_sum(case):
 
 @st.composite
 def block_slices(draw):
-    """Slices of queries with up to about 2*10^4 numbers at b = 2..17: the
-    blocks at b <= 16, the one-digit sweep above, and ranges too short for
-    a block."""
+    """Slices of queries with up to about 2*10^4 numbers at b = 2..17 and
+    p = 0..6: the blocks at b <= 16, with their own loops at p <= 3 and the
+    generic one above, the one-digit sweep above b = 16, and ranges too short
+    for a block."""
     b = draw(st.integers(2, 17))
     digit = draw(st.none() | st.integers(0, b - 1))
     k_max = 1
     while MomentQuery(b, 0, k_max + 1, digit).count() <= 20_000:
         k_max += 1
-    q = MomentQuery(b, draw(st.integers(0, 3)), draw(st.integers(1, k_max)), digit)
+    q = MomentQuery(b, draw(st.integers(0, 6)), draw(st.integers(1, k_max)), digit)
     start = draw(st.integers(0, q.count()))
     return q, start, draw(st.integers(start, q.count()))
 
@@ -490,6 +491,13 @@ def block_slices(draw):
 @example((MomentQuery(16, 1, 3, 15), 0, 3840))  # b = 16, every block
 @example((MomentQuery(17, 2, 2), 100, 4000))  # b = 17: the one-digit sweep
 @example((MomentQuery(300, 2, 1), 1000, 5000))  # b = 300: the one-digit sweep
+@example((MomentQuery(2, 0, 10), 255, 513))  # p = 0: across two block edges
+@example((MomentQuery(2, 1, 10), 255, 513))  # p = 1: across two block edges
+@example((MomentQuery(2, 2, 10), 255, 513))  # p = 2: across two block edges
+@example((MomentQuery(2, 3, 10), 255, 513))  # p = 3: across two block edges
+@example((MomentQuery(2, 4, 10), 255, 513))  # p = 4: across two block edges
+@example((MomentQuery(2, 5, 10), 255, 513))  # p = 5: across two block edges
+@example((MomentQuery(2, 6, 10), 255, 513))  # p = 6: across two block edges
 def test_blocks_match_direct_sum(case):
     q, start, stop = case
     expected = sum(raboter(q.base, n) ** q.power for n in _enumerated(q, start, stop))
