@@ -29,6 +29,7 @@ from .oracle import (
 from .recurrence import _power_sums, build_table, moment_value
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_USAGE = 2
 EXIT_DISAGREEMENT = 3
 EXIT_NO_FIT = 4
@@ -488,10 +489,17 @@ def main(argv: list[str] | None = None) -> int:
         except (EnumerationCapError, ValueError) as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_USAGE
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader raises here, not at exit
+        return code
     except NoFitError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NO_FIT
+    except BrokenPipeError:
+        # the reader closed stdout early (`rabot seq ... | head`): point stdout
+        # at os.devnull, so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)

@@ -1,21 +1,15 @@
 """Brute-force moment sums by direct enumeration.
 
 This is the independent ground truth the recurrence engine is checked
-against.  Every number of the range is visited once, in ascending order,
-and adds its own term r(b, n)**power: no values are counted or summed in
-closed form.  The value follows the definition of r over a prefix array:
-pre[i] is r of the first i + 1 digits, and a digit survives shortening iff
-it equals the digit before it.  An odometer over the leading digits updates
-pre only from the digit it changed.  The trailing digits are taken a block
-at a time: for a prefix ending in digit t with pre value low, a suffix s
-(the block's digits, and the fixed last digit of a last-digit query) gives
-r(n) = low*M(s|t) + A(s|t), where M = b**(number of digits of s that
-survive) and A = the value of those surviving digits, by the same rule.
-In a block, each number's term is 1 at power 0 (r**0 = 1 for every r, and
-0**0 = 1), so r is not evaluated there; powers 1 to 3 multiply its r out
-inline, and higher powers raise it with **.  Nothing is shared with the
-recurrence engine.  A configurable cap refuses enumerations that are too
-large to finish at desk scale.
+against, and it shares nothing with it.  Every number of the range is
+visited once, in ascending order, and adds its own term r(b, n)**power: no
+values are counted or summed in closed form.  The value follows the
+definition of r: a digit survives shortening iff it equals the digit before
+it.  One odometer steps over each number's leading digits and keeps r of
+them; the rest of the number, its tail, is a block of its last few digits
+at bases up to 16, valued from a per-base table, and its last digit alone
+otherwise (see _sum_range).  A configurable cap refuses enumerations that
+are too large to finish at desk scale.
 
 Large queries are summed on every available CPU.  Above _PARALLEL_MIN_CHUNK
 numbers per slice, the range is split into contiguous slices: the caller
@@ -147,27 +141,102 @@ def _sum_range(
     """Sum r(b, n)**power over the contiguous slice [start, stop) of the
     enumeration order (ascending n within the query's range).
 
-    pre[i] is the raboter value of digits[:i+1]: pre[0] = 0, and
-    pre[i] = pre[i-1]*b + digits[i] if digits[i] == digits[i-1], else
-    pre[i-1].  At bases up to 16 the last _block_width(b) variable digits,
-    with the fixed last digit if any, form a block of suffixes, and an
-    odometer over the digits before them steps once per block, recomputing
-    pre only from the digit it changed.  For a prefix ending in digit t with
-    pre value low, a suffix s gives r(n) = low*M(s|t) + A(s|t): M is
-    b**(number of digits of s that survive) and A the value of those
-    surviving digits, by the same survival rule.  Each number adds its own
-    r**power, in order, in the loop for its power (see _sum_blocks); nothing
-    is counted or summed in closed form.  Larger bases, and ranges with too
-    few digits for a block, sweep the last variable digit instead
-    (_sweep_range).
+    Each number is a prefix of digits followed by a tail, one of `size`
+    values.  An odometer steps over the prefix once per tail and recomputes
+    pre only from the digit it changed: pre[0] = 0, and pre[i] =
+    pre[i-1]*b + digits[i] if digits[i] == digits[i-1], else pre[i-1].  So
+    low = pre[-1] is r of the prefix, and t is its last digit.  The tail is
+    one of two kinds:
+    - a block, at bases up to 16 when the query has more variable digits
+      than _block_width(b): the last _block_width(b) of them, with the fixed
+      last digit if any.  A suffix s gives r(n) = low*M(s|t) + A(s|t), where
+      M is b**(number of digits of s that survive) and A the value of those
+      surviving digits, read from _suffix_table.  Each sub-block is summed
+      by one loop per power: 1 at power 0 (r**0 = 1 for every r, 0**0
+      included), r = head*M + A at power 1, r*r and r*r*r at powers 2 and 3,
+      and r**power above.
+    - otherwise the last variable digit x alone, swept: x survives iff
+      x == t, a fixed last digit survives iff it equals x, and each term is
+      raised with **.
+    With no prefix digit (k = 1 with a last digit: only the leading digit
+    varies), low is 0 and t equals no digit.
     """
     if stop <= start:
         return 0
     width = _block_width(base)
     variable = k + 1 if last_digit is None else k
-    if width is None or variable <= width:
-        return _sweep_range(base, power, k, last_digit, start, stop)
-    return _sum_blocks(base, power, k, last_digit, start, stop)
+    if width is not None and variable > width:
+        table = _suffix_table(base, last_digit)
+        size = len(table)
+    else:
+        table = None
+        size = base
+    step = size // base  # suffixes per first suffix digit
+    first = (base**k if last_digit is None else base ** (k - 1)) + start
+    digits = list(from_value(base, first // size).digits)
+    x0 = first % size
+    last = len(digits) - 1
+    pre = [0] * (last + 1)
+    total = 0
+    remaining = stop - start
+    pos = 1
+    while True:
+        for i in range(pos, last + 1):
+            d = digits[i]
+            pre[i] = pre[i - 1] * base + d if d == digits[i - 1] else pre[i - 1]
+        if digits:
+            low = pre[last]
+            t = digits[last]
+        else:
+            low = 0
+            t = -1
+        x1 = x0 + remaining
+        if x1 > size:
+            x1 = size
+        if table is None:
+            high = low * base + t
+            if last_digit is None:
+                for x in range(x0, x1):
+                    total += (high if x == t else low) ** power
+            else:
+                for x in range(x0, x1):
+                    value = high if x == t else low
+                    if x == last_digit:
+                        value = value * base + last_digit
+                    total += value**power
+        else:
+            # the sub-block whose first digit is t extends the prefix's value;
+            # the products skip the dispatch of CPython's int **, which took
+            # much of the loop's time at p <= 3 (p = 0 cost about as much as p = 2)
+            a = t * step
+            for head, lo, hi in ((low, x0, a), (low * base + t, a, a + step), (low, a + step, x1)):
+                if lo < x0:
+                    lo = x0
+                if hi > x1:
+                    hi = x1
+                if lo >= hi:
+                    continue
+                if power == 0:
+                    total += sum([1 for _ in table[lo:hi]])
+                elif power == 1:
+                    total += sum([head * scale + value for scale, value in table[lo:hi]])
+                elif power == 2:
+                    total += sum([(r := head * scale + value) * r for scale, value in table[lo:hi]])
+                elif power == 3:
+                    total += sum([(r := head * scale + value) * r * r for scale, value in table[lo:hi]])
+                else:
+                    total += sum([(head * scale + value) ** power for scale, value in table[lo:hi]])
+        remaining -= x1 - x0
+        if not remaining:
+            return total
+        x0 = 0
+        pos = last
+        while digits[pos] == base - 1:
+            digits[pos] = 0
+            pos -= 1
+        digits[pos] += 1
+        if not pos:
+            pos = 1
 
 
 def _block_width(base: int) -> int | None:
@@ -213,124 +282,6 @@ def _suffix_table(base: int, last_digit: int | None) -> list[tuple[int, int]]:
         _tables.clear()
     _tables[key] = table
     return table
-
-
-def _sum_blocks(
-    base: int, power: int, k: int, last_digit: int | None, start: int, stop: int
-) -> int:
-    """_sum_range one block of suffixes at a time: digits and pre cover only
-    the prefix, and [x0, x1) is the part of the block inside the slice.
-
-    Each sub-block is summed by one loop per power, which adds a term for
-    every suffix it enumerates: 1 at power 0 (r**0 = 1 for every r, 0**0
-    included), r = head*M + A at power 1, r*r and r*r*r at powers 2 and 3,
-    and r**power above.  The products skip the dispatch of CPython's int **,
-    which took much of the loop's time at p <= 3: with **, p = 0 cost about
-    as much as p = 2.
-    """
-    table = _suffix_table(base, last_digit)
-    size = len(table)
-    step = size // base  # suffixes per first suffix digit
-    first = (base**k if last_digit is None else base ** (k - 1)) + start
-    digits = list(from_value(base, first // size).digits)
-    x0 = first % size
-    last = len(digits) - 1
-    pre = [0] * (last + 1)
-    total = 0
-    remaining = stop - start
-    pos = 1
-    while True:
-        for i in range(pos, last + 1):
-            d = digits[i]
-            pre[i] = pre[i - 1] * base + d if d == digits[i - 1] else pre[i - 1]
-        low = pre[last]
-        t = digits[last]
-        x1 = x0 + remaining
-        if x1 > size:
-            x1 = size
-        # the sub-block whose first digit is t extends the prefix's value
-        a = t * step
-        for head, lo, hi in ((low, x0, a), (low * base + t, a, a + step), (low, a + step, x1)):
-            if lo < x0:
-                lo = x0
-            if hi > x1:
-                hi = x1
-            if lo >= hi:
-                continue
-            if power == 0:
-                total += sum([1 for _ in table[lo:hi]])
-            elif power == 1:
-                total += sum([head * scale + value for scale, value in table[lo:hi]])
-            elif power == 2:
-                total += sum([(r := head * scale + value) * r for scale, value in table[lo:hi]])
-            elif power == 3:
-                total += sum([(r := head * scale + value) * r * r for scale, value in table[lo:hi]])
-            else:
-                total += sum([(head * scale + value) ** power for scale, value in table[lo:hi]])
-        remaining -= x1 - x0
-        if not remaining:
-            return total
-        x0 = 0
-        pos = last
-        while digits[pos] == base - 1:
-            digits[pos] = 0
-            pos -= 1
-        digits[pos] += 1
-        if not pos:
-            pos = 1
-
-
-def _sweep_range(
-    base: int, power: int, k: int, last_digit: int | None, start: int, stop: int
-) -> int:
-    """_sum_range one sweep of the innermost variable digit at a time: it
-    evaluates each number from pre of the digits before it, and a carry
-    recomputes pre only from the carried position on."""
-    if last_digit is None:
-        digits = list(from_value(base, base**k + start).digits)
-    else:
-        digits = list(from_value(base, base ** (k - 1) + start).digits)
-    m = len(digits) - 1  # position of the innermost variable digit
-    pre = [0] * m
-    total = 0
-    remaining = stop - start
-    pos = 1
-    while True:
-        for i in range(pos, m):
-            d = digits[i]
-            pre[i] = pre[i - 1] * base + d if d == digits[i - 1] else pre[i - 1]
-        # the digit at m survives iff it equals prev; the leading digit never does
-        if m:
-            low = pre[m - 1]
-            prev = digits[m - 1]
-        else:
-            low = 0
-            prev = -1
-        high = low * base + prev
-        x0 = digits[m]
-        x1 = x0 + remaining
-        if x1 > base:
-            x1 = base
-        if last_digit is None:
-            for x in range(x0, x1):
-                total += (high if x == prev else low) ** power
-        else:
-            for x in range(x0, x1):
-                value = high if x == prev else low
-                if x == last_digit:
-                    value = value * base + last_digit
-                total += value**power
-        remaining -= x1 - x0
-        if not remaining:
-            return total
-        digits[m] = 0
-        pos = m - 1
-        while digits[pos] == base - 1:
-            digits[pos] = 0
-            pos -= 1
-        digits[pos] += 1
-        if not pos:
-            pos = 1
 
 
 def _check_cap(q: MomentQuery, cap: int | None) -> None:

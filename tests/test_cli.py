@@ -48,6 +48,20 @@ def test_python_dash_m_runs_the_cli():
     assert (done.returncode, done.stdout, done.stderr) == (0, "2\n", "")
 
 
+def test_a_reader_that_closes_stdout_early_gets_exit_1_and_an_empty_stderr():
+    # about 6 MB of output, far above a pipe buffer, so a write meets the closed pipe
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with subprocess.Popen(
+        [sys.executable, "-m", "rabot", "seq", "--base", "10", "--power", "3", "--kmax", "2000"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=30)
+    assert (head, proc.returncode, err) == (b"2025,27297", 1, b"")
+
+
 def test_eval_single_digit(capsys):
     code, out, _ = run(capsys, "eval", "--base", "5", "3")
     assert code == 0

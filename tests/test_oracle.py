@@ -491,6 +491,9 @@ def block_slices(draw):
 @example((MomentQuery(16, 1, 3, 15), 0, 3840))  # b = 16, every block
 @example((MomentQuery(17, 2, 2), 100, 4000))  # b = 17: the one-digit sweep
 @example((MomentQuery(300, 2, 1), 1000, 5000))  # b = 300: the one-digit sweep
+@example((MomentQuery(17, 3, 1, 16), 0, 16))  # b = 17, no prefix digit: the leading digit is swept
+@example((MomentQuery(2, 2, 7), 1, 127))  # a table base, too few digits for a block: many prefixes
+@example((MomentQuery(17, 2, 3, 4), 10, 4000))  # the swept digit with a last digit, across prefixes
 @example((MomentQuery(2, 0, 10), 255, 513))  # p = 0: across two block edges
 @example((MomentQuery(2, 1, 10), 255, 513))  # p = 1: across two block edges
 @example((MomentQuery(2, 2, 10), 255, 513))  # p = 2: across two block edges
