@@ -27,6 +27,7 @@ from .errors import (
     InvalidBaseError,
     InvalidDigitError,
     NoFitError,
+    WorkerError,
 )
 from .generalform import (
     GeneralForm,
@@ -82,6 +83,7 @@ __all__ = [
     "InvalidDigitError",
     "EnumerationCapError",
     "NoFitError",
+    "WorkerError",
     "DepthError",
     "ExcludedBaseError",
     "__version__",

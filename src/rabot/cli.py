@@ -4,7 +4,8 @@ forms uniform in b, sequence export, and recurrence-vs-brute-force sweeps.
 Exit codes are fixed so CI can tell failure modes apart: 2 for usage or
 invalid input (outside LIMITS, or against a rule across inputs in _admit,
 refused before any command runs), 3 when the two engines disagree (the
-bug-detection signal), 4 when fitting or verification fails.  All numeric
+bug-detection signal), 4 when fitting or verification fails, and 5 when a
+brute-force worker process dies twice in one sum.  All numeric
 output is exact; big integers are printed as decimal strings and rationals
 as numerator/denominator, never floats.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 from . import digits, oeis
 from .closedform import ExponentialForm, closed_form, table_depth
-from .errors import EnumerationCapError, NoFitError
+from .errors import EnumerationCapError, NoFitError, WorkerError
 from .generalform import guess_general_form
 from .oracle import (
     DEFAULT_ENUM_CAP,
@@ -33,6 +34,7 @@ EXIT_BROKEN_PIPE = 1
 EXIT_USAGE = 2
 EXIT_DISAGREEMENT = 3
 EXIT_NO_FIT = 4
+EXIT_WORKER = 5
 
 # The general-form derivation's time, its annihilator check included, about
 # doubles per power (cold: about 0.09 s at p = 6, 0.17-0.22 s at p = 7 and
@@ -495,6 +497,9 @@ def main(argv: list[str] | None = None) -> int:
     except NoFitError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NO_FIT
+    except WorkerError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_WORKER
     except BrokenPipeError:
         # the reader closed stdout early (`rabot seq ... | head`): point stdout
         # at os.devnull, so that the flush at exit does not raise again

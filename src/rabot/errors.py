@@ -13,6 +13,11 @@ class EnumerationCapError(RuntimeError):
     """Raised when a brute-force enumeration would exceed the configured cap."""
 
 
+class WorkerError(RuntimeError):
+    """Raised when an oracle worker process is found dead again in the call
+    that replaced it: something outside the process keeps killing them."""
+
+
 class NoFitError(RuntimeError):
     """Raised when no candidate closed form reproduces the given values, when
     the eigenvalue families do not annihilate the moment state over Q(b) (so

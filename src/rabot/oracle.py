@@ -2,14 +2,15 @@
 
 This is the independent ground truth the recurrence engine is checked
 against, and it shares nothing with it.  Every number of the range is
-visited once, in ascending order, and adds its own term r(b, n)**power: no
-values are counted or summed in closed form.  The value follows the
+visited once and adds its own term r(b, n)**power: no values are counted or
+summed in closed form.  The numbers are visited in ascending order, except
+inside a block, where they go group by group.  The value follows the
 definition of r: a digit survives shortening iff it equals the digit before
 it.  One odometer steps over each number's leading digits and keeps r of
-them; the rest of the number, its tail, is a block of its last few digits
-at bases up to 16, valued from a per-base table, and its last digit alone
-otherwise (see _sum_range).  A configurable cap refuses enumerations that
-are too large to finish at desk scale.
+them; the rest of the number, its tail, is a block of its last few digits,
+valued from a per-query table, or else its last digit alone (see _walk).  A
+configurable cap refuses enumerations that are too large to finish at desk
+scale.
 
 Large queries are summed on every available CPU.  Above _PARALLEL_MIN_CHUNK
 numbers per slice, the range is split into contiguous slices: the caller
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .digits import check_base, from_value
-from .errors import EnumerationCapError, InvalidDigitError
+from .errors import EnumerationCapError, InvalidDigitError, WorkerError
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -58,24 +59,31 @@ DEFAULT_ENUM_CAP = 10**8
 # 2M numbers.
 _PARALLEL_MIN_CHUNK = 2048
 
-# Bases up to 16 (b*b <= _BLOCK) are summed a block of at least _BLOCK
-# numbers at a time (see _sum_range); above 16 each carry of the one-digit
-# sweep already covers at least 17 numbers.  There, one-digit tables ran
-# 0.5-0.97x the sweep at b = 36, 256 and 2000 without a last digit, and
-# two-digit blocks 1.1-1.6x at b = 17, 24 and 36 (best of seven, p = 0 and 2,
-# Python 3.11, shared 2-vCPU VM), but each of b + 1 tables of a base would
-# hold b*b entries (48k at b = 36, about the whole _TABLE_BUDGET).
-_BLOCK = 256
+# A query's block is the widest that leaves a prefix digit and has at most
+# _BLOCK_MAX numbers (see _block_width), so short queries keep blocks, and
+# every base up to 50 has them.  Wider blocks ran faster: over crosscheck's
+# queries (b = 2..7, p = 0..3, every last digit and none, the largest k with
+# at most 3*10^4 numbers; one process, best of five, tables warm, Python
+# 3.11.7, shared 2-vCPU VM) the mean query took 0.64 ms at a cap of 256,
+# 0.40-0.45 at 1100, 0.38 at 2100, 0.35 at 2500 and 0.32 at 5000, and 0.47
+# with a fixed block of (M, A) pairs of at least 256 numbers at b <= 16.  At
+# 5000 their 33 tables would hold 62594 entries, over _TABLE_BUDGET.  The
+# terms are summed at least _BLOCK_MAX at a time.
+_BLOCK_MAX = 2500
 
-# The suffix tables, by (base, last digit), at about 9 bytes an entry: one
-# pointer each, and equal (M, A) pairs share a tuple.  The 33 that
-# crosscheck-sized sweeps over b = 2..7 with every last digit use hold 20530
-# entries, 0.18 MB.  A table that would take the kept ones over
-# _TABLE_BUDGET entries (about 0.45 MB) drops them all first.  Threads may
-# build a table twice or drop one another's: each sum keeps its own
-# reference, so the cache only saves work and needs no lock.
+# The suffix tables, by (base, last digit, width), at about 10 bytes an
+# entry: one pointer each, and an int for the few A values above 256.  In
+# the group where no digit survives, A is 0 throughout, so every table
+# shares _ZEROS for it, which is not counted.  Crosscheck's 33 tables hold
+# 33482 entries for their 52042 suffixes, 0.33 MB.  A table that would take
+# the kept ones over _TABLE_BUDGET entries (about 0.5 MB) drops them all
+# first.  Threads may build a table twice or drop one another's: each sum
+# keeps its own reference, so the cache only saves work and needs no lock.
 _TABLE_BUDGET = 50_000
-_tables: dict[tuple[int, int | None], list[tuple[int, int]]] = {}
+_ZEROS = [0] * _BLOCK_MAX
+# (b**j, A values, run starts) per group: see _suffix_table
+_Table = list[tuple[int, list[int], list[int]]]
+_tables: dict[tuple[int, int | None, int], _Table] = {}
 
 # The worker processes, as (pid, our end of its pipe), or None before the
 # first call that needs them.  The lock is held across each call that sums on
@@ -138,40 +146,56 @@ class MomentQuery:
 def _sum_range(
     base: int, power: int, k: int, last_digit: int | None, start: int, stop: int
 ) -> int:
-    """Sum r(b, n)**power over the contiguous slice [start, stop) of the
-    enumeration order (ascending n within the query's range).
+    """Sum r(b, n)**power over the numbers at positions [start, stop) of the
+    query's range in ascending order.
 
-    Each number is a prefix of digits followed by a tail, one of `size`
-    values.  An odometer steps over the prefix once per tail and recomputes
-    pre only from the digit it changed: pre[0] = 0, and pre[i] =
-    pre[i-1]*b + digits[i] if digits[i] == digits[i-1], else pre[i-1].  So
-    low = pre[-1] is r of the prefix, and t is its last digit.  The tail is
-    one of two kinds:
-    - a block, at bases up to 16 when the query has more variable digits
-      than _block_width(b): the last _block_width(b) of them, with the fixed
-      last digit if any.  A suffix s gives r(n) = low*M(s|t) + A(s|t), where
-      M is b**(number of digits of s that survive) and A the value of those
-      surviving digits, read from _suffix_table.  Each sub-block is summed
-      by one loop per power: 1 at power 0 (r**0 = 1 for every r, 0**0
-      included), r = head*M + A at power 1, r*r and r*r*r at powers 2 and 3,
-      and r**power above.
-    - otherwise the last variable digit x alone, swept: x survives iff
-      x == t, a fixed last digit survives iff it equals x, and each term is
-      raised with **.
-    With no prefix digit (k = 1 with a last digit: only the leading digit
-    varies), low is 0 and t equals no digit.
+    With a block width (see _block_width), the whole runs of the slice are
+    summed by blocks, and what the slice leaves of a run at either end is
+    swept; without one, the whole slice is swept (see _walk).
+    """
+    width = _block_width(base, k, last_digit)
+    if width is None:
+        return _walk(base, power, k, last_digit, start, stop, 1)
+    run = base ** (width - 1)
+    lo = min(-(-start // run) * run, stop)
+    hi = max(stop // run * run, lo)
+    return (
+        _walk(base, power, k, last_digit, start, lo, 1)
+        + _walk(base, power, k, last_digit, lo, hi, width)
+        + _walk(base, power, k, last_digit, hi, stop, 1)
+    )
+
+
+def _walk(
+    base: int, power: int, k: int, last_digit: int | None, start: int, stop: int, width: int
+) -> int:
+    """Sum [start, stop) as a prefix of digits followed by a tail of the last
+    `width` variable digits (and the fixed last digit, if any).
+
+    An odometer steps over the prefix once per tail and recomputes pre only
+    from the digit it changed: pre[0] = 0, and pre[i] = pre[i-1]*b +
+    digits[i] if digits[i] == digits[i-1], else pre[i-1].  So low = pre[-1]
+    is r of the prefix, and t is its last digit.  The tail is one of two
+    kinds:
+    - a block, at width >= 2, of which [start, stop) holds whole runs (the
+      numbers whose tail has the same first digit).  A suffix whose first
+      digit d does not survive gives r(n) = low*b**j + A, where j and A are
+      the number and the value of its digits that survive after d; if d
+      survives (d == t), r(n) = (low*b + t)*b**j + A.  _suffix_table groups
+      the suffixes by j, so each group takes one c per prefix and run and
+      each number one add, r = c + A.
+    - the last variable digit x alone, at width 1, swept: x survives iff
+      x == t, and a fixed last digit survives iff it equals x.  Its terms
+      are r itself, with c = 0.
+    Either way the terms are summed by _power_sum, at least _BLOCK_MAX of
+    them at a time.  With no prefix digit (k = 1 with a last digit: only the
+    leading digit varies), low is 0 and t equals no digit.
     """
     if stop <= start:
         return 0
-    width = _block_width(base)
-    variable = k + 1 if last_digit is None else k
-    if width is not None and variable > width:
-        table = _suffix_table(base, last_digit)
-        size = len(table)
-    else:
-        table = None
-        size = base
-    step = size // base  # suffixes per first suffix digit
+    size = base**width
+    table = _suffix_table(base, last_digit, width) if width > 1 else None
+    run = size // base
     first = (base**k if last_digit is None else base ** (k - 1)) + start
     digits = list(from_value(base, first // size).digits)
     x0 = first % size
@@ -180,6 +204,8 @@ def _sum_range(
     total = 0
     remaining = stop - start
     pos = 1
+    segments = []  # (c, A values) not yet summed
+    pending = 0  # numbers in them
     while True:
         for i in range(pos, last + 1):
             d = digits[i]
@@ -190,45 +216,43 @@ def _sum_range(
         else:
             low = 0
             t = -1
+        high = low * base + t
         x1 = x0 + remaining
         if x1 > size:
             x1 = size
         if table is None:
-            high = low * base + t
-            if last_digit is None:
-                for x in range(x0, x1):
-                    total += (high if x == t else low) ** power
-            else:
-                for x in range(x0, x1):
-                    value = high if x == t else low
-                    if x == last_digit:
-                        value = value * base + last_digit
-                    total += value**power
+            if x1 - x0 > _BLOCK_MAX:  # a wide base's digit, a part at a time
+                x1 = x0 + _BLOCK_MAX
+            terms = [low] * (x1 - x0)
+            if x0 <= t < x1:
+                terms[t - x0] = high
+            if last_digit is not None and x0 <= last_digit < x1:
+                terms[last_digit - x0] = terms[last_digit - x0] * base + last_digit
+            segments.append((0, terms))
         else:
-            # the sub-block whose first digit is t extends the prefix's value;
-            # the products skip the dispatch of CPython's int **, which took
-            # much of the loop's time at p <= 3 (p = 0 cost about as much as p = 2)
-            a = t * step
-            for head, lo, hi in ((low, x0, a), (low * base + t, a, a + step), (low, a + step, x1)):
-                if lo < x0:
-                    lo = x0
-                if hi > x1:
-                    hi = x1
-                if lo >= hi:
-                    continue
-                if power == 0:
-                    total += sum([1 for _ in table[lo:hi]])
-                elif power == 1:
-                    total += sum([head * scale + value for scale, value in table[lo:hi]])
-                elif power == 2:
-                    total += sum([(r := head * scale + value) * r for scale, value in table[lo:hi]])
-                elif power == 3:
-                    total += sum([(r := head * scale + value) * r * r for scale, value in table[lo:hi]])
-                else:
-                    total += sum([(head * scale + value) ** power for scale, value in table[lo:hi]])
+            r0 = x0 // run
+            r1 = x1 // run
+            for scale, values, starts in table:
+                c = low * scale
+                for head, lo, hi in ((c, r0, t), (high * scale, t, t + 1), (c, t + 1, r1)):
+                    if lo < r0:
+                        lo = r0
+                    if hi > r1:
+                        hi = r1
+                    if lo < hi:
+                        segments.append((head, values[starts[lo] : starts[hi]]))
         remaining -= x1 - x0
         if not remaining:
-            return total
+            return total + _power_sum(segments, power)
+        pending += x1 - x0
+        if pending >= _BLOCK_MAX:
+            total += _power_sum(segments, power)
+            segments = []
+            pending = 0
+        if x1 < size:  # the same prefix
+            x0 = x1
+            pos = last + 1
+            continue
         x0 = 0
         pos = last
         while digits[pos] == base - 1:
@@ -239,49 +263,94 @@ def _sum_range(
             pos = 1
 
 
-def _block_width(base: int) -> int | None:
-    """Digits per block: the least j >= 2 with base**j >= _BLOCK, or None
-    when two digits already exceed it."""
-    if base * base > _BLOCK:
-        return None
-    width = 2
-    while base**width < _BLOCK:
+def _power_sum(segments: list[tuple[int, list[int]]], power: int) -> int:
+    """Sum (c + A)**power over every A of every (c, values) in `segments`:
+    one add per A and the power's own products, 1 at power 0 (r**0 = 1 for
+    every r, 0**0 included), r*r and r*r*r at powers 2 and 3, and ** above.
+    The products skip the dispatch of CPython's int **, which took much of
+    the time at p <= 3."""
+    if power == 0:
+        return sum([1 for _, values in segments for _ in values])
+    if power == 1:
+        return sum([c + a for c, values in segments for a in values])
+    if power == 2:
+        return sum([(r := c + a) * r for c, values in segments for a in values])
+    if power == 3:
+        return sum([(r := c + a) * r * r for c, values in segments for a in values])
+    return sum([(c + a) ** power for c, values in segments for a in values])
+
+
+def _block_width(base: int, k: int, last_digit: int | None) -> int | None:
+    """Digits per block for a query: the widest that leaves at least one of
+    its variable digits to the prefix and has at most _BLOCK_MAX numbers, or
+    None below two digits, where the last digit is swept."""
+    variable = k + 1 if last_digit is None else k
+    width = 1
+    while width + 1 < variable and base ** (width + 1) <= _BLOCK_MAX:
         width += 1
-    return width
+    return width if width > 1 else None
 
 
-def _suffix_table(base: int, last_digit: int | None) -> list[tuple[int, int]]:
-    """(M, A) for every suffix of _block_width(base) variable digits (and
-    `last_digit`), indexed by the suffix's value, as if its first digit did
-    not survive.
-
-    A first digit that does survive (it equals the prefix's last digit t)
-    gives M(s|t) = b*M and A(s|t) = t*M + A, so one table serves every t:
-    r(n) = (low*b + t)*M + A on the block's t-th sub-block, and low*M + A
-    elsewhere.  A new table that would take the kept ones
-    over _TABLE_BUDGET entries in all drops them first.
+def _suffix_table(base: int, last_digit: int | None, width: int) -> _Table:
+    """The suffixes of `width` variable digits (and `last_digit`) as groups
+    (b**j, the A of each suffix, starts), one per j: j and A are the number
+    and the value of the suffix's digits that survive after its first one.
+    Each group lists its suffixes in ascending order, and starts[d] is the
+    index of its first suffix whose first digit is at least d (starts[b] is
+    its length).  The table is built from the last digit forwards, in one
+    pass over each group per digit.  A new table that would take the kept
+    ones over _TABLE_BUDGET entries in all drops them first.
     """
-    key = (base, last_digit)
+    key = (base, last_digit, width)
     table = _tables.get(key)
     if table is not None:
         return table
-    width = _block_width(base)
-    # M, A and the last digit of every suffix, one digit at a time
-    scales, values, lasts = [1] * base, [0] * base, list(range(base))
+    # the last variable digit x alone: j = 1 and A = last_digit where the
+    # last digit follows and survives (x == last_digit), else j = 0 and A = 0
+    if last_digit is None:
+        groups = {1: ([0] * base, list(range(base + 1)))}
+    else:
+        groups = {
+            1: ([0] * (base - 1), [d - (d > last_digit) for d in range(base + 1)]),
+            base: ([last_digit], [int(d > last_digit) for d in range(base + 1)]),
+        }
+    # then one digit d in front at a time: the old first digit survives in
+    # run d, which moves up a group, its A grown by d*b**j
     for _ in range(width - 1):
-        scales = [m * base if d == t else m for m, t in zip(scales, lasts) for d in range(base)]
-        values = [v * base + d if d == t else v for v, t in zip(values, lasts) for d in range(base)]
-        lasts = list(range(base)) * len(lasts)
-    if last_digit is not None:
-        scales = [m * base if t == last_digit else m for m, t in zip(scales, lasts)]
-        values = [v * base + last_digit if t == last_digit else v for v, t in zip(values, lasts)]
-    # equal pairs share one tuple, so a table costs about a pointer a suffix
-    interned: dict[tuple[int, int], tuple[int, int]] = {}
-    table = [interned.setdefault(pair, pair) for pair in zip(scales, values)]
-    if sum(map(len, list(_tables.values()))) + len(table) > _TABLE_BUDGET:
+        grown: dict[int, tuple[list[int], list[int]]] = {}
+        scales = sorted({*groups, *(scale * base for scale in groups)})
+        for d in range(base):
+            for scale in scales:
+                values, starts = grown.setdefault(scale, ([], []))
+                starts.append(len(values))
+                same = groups.get(scale)
+                below = groups.get(scale // base)
+                if same:
+                    values += same[0][: same[1][d]]
+                if below:
+                    moved = below[0][below[1][d] : below[1][d + 1]]
+                    values += [d * (scale // base) + a for a in moved]
+                if same:
+                    values += same[0][same[1][d + 1] :]
+        for values, starts in grown.values():
+            starts.append(len(values))
+        groups = grown
+    # where no digit survives, A is 0 (see _ZEROS); the rest are copied to
+    # their exact size
+    table = [
+        (scale, _ZEROS if scale == 1 else values[:], starts)
+        for scale, (values, starts) in sorted(groups.items())
+        if values
+    ]
+    if sum(map(_entries, list(_tables.values()))) + _entries(table) > _TABLE_BUDGET:
         _tables.clear()
     _tables[key] = table
     return table
+
+
+def _entries(table: _Table) -> int:
+    """The A values a suffix table holds, the shared zeros not counted."""
+    return sum(len(values) for _, values, _ in table if values is not _ZEROS)
 
 
 def _check_cap(q: MomentQuery, cap: int | None) -> None:
@@ -315,8 +384,8 @@ def brute_moment_parallel(
     of at least _PARALLEL_MIN_CHUNK numbers are shared out over the caller
     and up to partitions - 1 workers (see the module docstring); smaller
     ones are summed in-process.  A call that finds a worker dead replaces it
-    and retries once, and raises EOFError or ConnectionError if a worker is
-    found dead again.
+    and retries once, and raises WorkerError, chained from the EOFError or
+    ConnectionError, if a worker is found dead again.
     """
     if not isinstance(partitions, int) or partitions < 1:
         raise ValueError(f"partitions must be a positive integer, got {partitions!r}")
@@ -336,11 +405,20 @@ def _moment(q: MomentQuery, partitions: int | None, cap: int | None) -> int:
             if workers:
                 if partitions is None:
                     slices = min(slices, len(workers) + 1)
-                bounds = [i * count // slices for i in range(slices + 1)]
+                # slices end on run edges, so that no run is swept
+                width = _block_width(q.base, q.k, q.last_digit)
+                run = 1 if width is None else q.base ** (width - 1)
+                bounds = [i * (count // run) // slices * run for i in range(slices + 1)]
                 try:
                     return _sum_on_workers(args, bounds, workers)
                 except (EOFError, ConnectionError):  # a worker died; it was replaced
+                    pass
+                try:
                     return _sum_on_workers(args, bounds, workers)
+                except (EOFError, ConnectionError) as exc:
+                    # not a BrokenPipeError: that would read as a closed stdout
+                    died = type(exc).__name__
+                    raise WorkerError(f"an oracle worker died twice in one call ({died})") from exc
     return _sum_range(*args, 0, count)
 
 

@@ -62,6 +62,25 @@ def test_a_reader_that_closes_stdout_early_gets_exit_1_and_an_empty_stderr():
     assert (head, proc.returncode, err) == (b"2025,27297", 1, b"")
 
 
+@pytest.mark.skipif(
+    oracle.available_cpus() < 2 or not hasattr(os, "fork"),
+    reason="every sum is in-process without a second CPU and os.fork",
+)
+def test_a_worker_that_dies_twice_exits_5_with_one_error_line(monkeypatch, capsys):
+    # a send to a killed worker raises BrokenPipeError, which must not be taken
+    # for a reader that closed stdout
+    tries = []
+
+    def broken(*args):
+        tries.append(args)
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(oracle, "_sum_on_workers", broken)
+    code, out, err = run(capsys, "sum", "--engine", "brute", "--base", "2", "--power", "2", "--k", "14")
+    assert (code, out, len(tries)) == (5, "", 2)
+    assert err == "error: an oracle worker died twice in one call (BrokenPipeError)\n"
+
+
 def test_eval_single_digit(capsys):
     code, out, _ = run(capsys, "eval", "--base", "5", "3")
     assert code == 0

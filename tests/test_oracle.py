@@ -18,6 +18,7 @@ from rabot import (
     InvalidBaseError,
     InvalidDigitError,
     MomentQuery,
+    WorkerError,
     brute_moment,
     brute_moment_parallel,
     raboter,
@@ -252,9 +253,12 @@ def test_a_pool_that_breaks_twice_raises(monkeypatch, fresh_workers, deadline):
 
     monkeypatch.setattr(oracle, "_sum_on_workers", counted)
     monkeypatch.setattr(oracle, "_serve", lambda conn: None)  # every worker exits at once
-    with pytest.raises((EOFError, ConnectionError)):
+    with pytest.raises(WorkerError) as raised:
         brute_moment_parallel(POOLED, 2)
     assert len(tries) == 2
+    # chained from the second break, and not taken for a closed stdout
+    assert isinstance(raised.value.__cause__, (EOFError, ConnectionError))
+    assert not isinstance(raised.value, BrokenPipeError)
     monkeypatch.undo()
     # the dead workers are found and replaced once more, by working ones
     assert brute_moment_parallel(POOLED, 2) == brute_moment(POOLED)
@@ -455,7 +459,7 @@ def _enumerated(q, start, stop):
 @given(slices())
 @example((MomentQuery(3, 2, 2), 4, 4))  # empty slice inside the range
 @example((MomentQuery(3, 2, 2), 18, 18))  # empty slice at the end
-@example((MomentQuery(3, 2, 3), 1, 53))  # starts and stops inside a sweep
+@example((MomentQuery(3, 2, 3), 1, 53))  # starts and stops inside a run
 @example((MomentQuery(5, 3, 3, 2), 7, 93))
 @example((MomentQuery(4, 1, 1, 3), 1, 2))  # one variable digit, the leading one
 @example((MomentQuery(2, 4, 4, 0), 0, 8))  # a whole last-digit range
@@ -467,11 +471,11 @@ def test_sum_range_matches_direct_sum(case):
 
 @st.composite
 def block_slices(draw):
-    """Slices of queries with up to about 2*10^4 numbers at b = 2..17 and
-    p = 0..6: the blocks at b <= 16, with their own loops at p <= 3 and the
-    generic one above, the one-digit sweep above b = 16, and ranges too short
-    for a block."""
-    b = draw(st.integers(2, 17))
+    """Slices of queries with up to about 2*10^4 numbers at b = 2..60 and
+    p = 0..6: blocks of every width at b <= 50, with their own loops at
+    p <= 3 and the generic one above, the one-digit sweep above b = 50,
+    ranges too short for a block, and the ends of runs that a slice cuts."""
+    b = draw(st.integers(2, 17) | st.integers(18, 60))
     digit = draw(st.none() | st.integers(0, b - 1))
     k_max = 1
     while MomentQuery(b, 0, k_max + 1, digit).count() <= 20_000:
@@ -483,66 +487,110 @@ def block_slices(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(block_slices())
-@example((MomentQuery(2, 2, 10), 256, 512))  # exactly one block of 256
-@example((MomentQuery(2, 3, 10, 1), 255, 257))  # one number each side of a block edge
-@example((MomentQuery(3, 2, 8, 2), 728, 1459))  # one before, one whole and one after
+@example((MomentQuery(2, 2, 10), 256, 512))  # half a run of 512: swept
+@example((MomentQuery(2, 3, 10, 1), 255, 257))  # one number each side of a run edge
+@example((MomentQuery(3, 2, 8, 2), 728, 1459))  # one before, one whole run of 729 and one after
 @example((MomentQuery(5, 2, 1, 3), 0, 4))  # k = 1 with a last digit: no suffix digit
 @example((MomentQuery(16, 2, 2), 100, 3000))  # b = 16: a table of 256
 @example((MomentQuery(16, 1, 3, 15), 0, 3840))  # b = 16, every block
-@example((MomentQuery(17, 2, 2), 100, 4000))  # b = 17: the one-digit sweep
+@example((MomentQuery(17, 2, 2), 100, 4000))  # b = 17: two-digit blocks
 @example((MomentQuery(300, 2, 1), 1000, 5000))  # b = 300: the one-digit sweep
 @example((MomentQuery(17, 3, 1, 16), 0, 16))  # b = 17, no prefix digit: the leading digit is swept
-@example((MomentQuery(2, 2, 7), 1, 127))  # a table base, too few digits for a block: many prefixes
-@example((MomentQuery(17, 2, 3, 4), 10, 4000))  # the swept digit with a last digit, across prefixes
-@example((MomentQuery(2, 0, 10), 255, 513))  # p = 0: across two block edges
-@example((MomentQuery(2, 1, 10), 255, 513))  # p = 1: across two block edges
-@example((MomentQuery(2, 2, 10), 255, 513))  # p = 2: across two block edges
-@example((MomentQuery(2, 3, 10), 255, 513))  # p = 3: across two block edges
-@example((MomentQuery(2, 4, 10), 255, 513))  # p = 4: across two block edges
-@example((MomentQuery(2, 5, 10), 255, 513))  # p = 5: across two block edges
-@example((MomentQuery(2, 6, 10), 255, 513))  # p = 6: across two block edges
+@example((MomentQuery(2, 2, 7), 1, 127))  # b = 2, k = 7: less than a run of 64 each side of its edge
+@example((MomentQuery(17, 2, 3, 4), 10, 4000))  # two-digit blocks with a last digit, swept ends
+@example((MomentQuery(3000, 2, 1, 7), 0, 2999))  # b = 3000, no prefix digit: the sweep in two parts
+@example((MomentQuery(3000, 3, 1), 2990, 6100))  # b = 3000: parts of a swept digit, across prefixes
+@example((MomentQuery(7, 3, 4), 343, 686))  # one whole run of crosscheck's b = 7 query
+@example((MomentQuery(4, 2, 6), 0, 257))  # ends one number into a run
+@example((MomentQuery(6, 4, 5, 5), 0, 6480))  # a whole last-digit query at p = 4
+@example((MomentQuery(2, 0, 12), 1023, 3073))  # p = 0: two whole runs, one number swept each side
+@example((MomentQuery(2, 1, 12), 1023, 3073))  # p = 1: two whole runs, one number swept each side
+@example((MomentQuery(2, 2, 12), 1023, 3073))  # p = 2: two whole runs, one number swept each side
+@example((MomentQuery(2, 3, 12), 1023, 3073))  # p = 3: two whole runs, one number swept each side
+@example((MomentQuery(2, 4, 12), 1023, 3073))  # p = 4: two whole runs, one number swept each side
+@example((MomentQuery(2, 5, 12), 1023, 3073))  # p = 5: two whole runs, one number swept each side
+@example((MomentQuery(2, 6, 12), 1023, 3073))  # p = 6: two whole runs, one number swept each side
+@example((MomentQuery(2, 0, 10), 255, 513))  # p = 0: swept across a run edge
+@example((MomentQuery(2, 1, 10), 255, 513))  # p = 1: swept across a run edge
+@example((MomentQuery(2, 2, 10), 255, 513))  # p = 2: swept across a run edge
+@example((MomentQuery(2, 3, 10), 255, 513))  # p = 3: swept across a run edge
+@example((MomentQuery(2, 4, 10), 255, 513))  # p = 4: swept across a run edge
+@example((MomentQuery(2, 5, 10), 255, 513))  # p = 5: swept across a run edge
+@example((MomentQuery(2, 6, 10), 255, 513))  # p = 6: swept across a run edge
 def test_blocks_match_direct_sum(case):
     q, start, stop = case
     expected = sum(raboter(q.base, n) ** q.power for n in _enumerated(q, start, stop))
     assert _sum_range(q.base, q.power, q.k, q.last_digit, start, stop) == expected
 
 
+def test_a_wide_base_is_swept_a_part_at_a_time():
+    # one digit of 10^6 values: its terms are not all held at once
+    tracemalloc.start()
+    try:
+        assert _sum_range(10**6, 1, 1, 5, 0, 10**6 - 1) == 5
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def _table_entries():
-    return sum(map(len, oracle._tables.values()))
+    return sum(map(oracle._entries, oracle._tables.values()))
+
+
+def _crosscheck_query(b, p, digit):
+    """perfbench's crosscheck query at b: the largest k with at most 3*10^4
+    numbers."""
+    k = 1
+    while MomentQuery(b, p, k + 1, digit).count() <= 30_000:
+        k += 1
+    return MomentQuery(b, p, k, digit)
+
+
+def _run(q):
+    """The numbers in one run of q's blocks, and its table's key."""
+    width = oracle._block_width(q.base, q.k, q.last_digit)
+    return q.base ** (width - 1), (q.base, q.last_digit, width)
 
 
 def test_blocks_retain_bounded_tables(monkeypatch):
     monkeypatch.setattr(oracle, "_tables", {})
     tracemalloc.start()
     try:
-        for b in range(2, 8):  # the bases of a crosscheck sweep, every digit
+        for b in range(2, 8):  # crosscheck's queries, every digit and none
             for digit in (None, *range(b)):
-                brute_moment(MomentQuery(b, 2, oracle._block_width(b) + 1, digit))
+                q = _crosscheck_query(b, 2, digit)
+                _sum_range(b, 2, q.k, digit, 0, _run(q)[0])  # one whole run builds the table
         kept = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(True, oracle.__file__)])
     finally:
         tracemalloc.stop()
-    # all 33 tables are kept, in well under 0.5 MB
+    # all 33 tables are kept together, under 0.5 MB
     assert len(oracle._tables) == 33
     assert _table_entries() <= oracle._TABLE_BUDGET
     assert sum(stat.size for stat in kept.statistics("filename")) < 500_000
+    dropped = False
     for b in range(2, 17):  # a table past the budget drops the others
         for digit in (None, *range(b)):
-            _sum_range(b, 2, oracle._block_width(b) + 1, digit, 0, 10)
-            assert (b, digit) in oracle._tables
+            q = _crosscheck_query(b, 2, digit)
+            run, key = _run(q)
+            before = len(oracle._tables)
+            _sum_range(b, 2, q.k, digit, 0, run)
+            dropped |= len(oracle._tables) <= before
+            assert key in oracle._tables
             assert _table_entries() <= oracle._TABLE_BUDGET
+    assert dropped
 
 
 def test_threads_share_the_tables(monkeypatch):
-    # four threads on two cores build, read and drop the same tables: the
-    # b = 11..16 ones overflow the budget, so a table is dropped while
-    # another thread sums from it
+    # four threads on two cores build, read and drop the same tables: together
+    # they overflow the budget, so a table is dropped while another thread
+    # sums from it.  Each slice holds a whole run, which builds its table,
+    # and one number of a run at either end.
     monkeypatch.setattr(oracle, "_tables", {})
-    queries = [
-        MomentQuery(b, 2, oracle._block_width(b) + 1, digit)
-        for b in range(2, 17)
-        for digit in (None, *range(0, b, 4))
-    ]
-    slices = [(q, 100, min(q.count(), 2100)) for q in queries]
+    queries = [_crosscheck_query(b, 2, digit) for b in range(2, 17) for digit in (None, *range(b))]
+    assert sum(oracle._entries(oracle._suffix_table(*_run(q)[1])) for q in queries) > oracle._TABLE_BUDGET
+    oracle._tables.clear()
+    slices = [(q, _run(q)[0] - 1, 2 * _run(q)[0] + 1) for q in queries]
     expected = {
         i: sum(raboter(q.base, n) ** 2 for n in _enumerated(q, start, stop))
         for i, (q, start, stop) in enumerate(slices)
@@ -568,6 +616,27 @@ def test_threads_share_the_tables(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [expected] * 4
+
+
+@pytest.mark.parametrize("b", [4, 6])
+def test_parallel_sums_of_crosscheck_queries_match_serial(monkeypatch, b):
+    # slices cut on run edges: 48 runs of 256 at b = 4 and 30 of 216 at b = 6
+    cuts = []
+    real = oracle._sum_on_workers
+
+    def recorded(args, bounds, workers):
+        cuts.append(bounds)
+        return real(args, bounds, workers)
+
+    monkeypatch.setattr(oracle, "_sum_on_workers", recorded)
+    for p in range(4):
+        for digit in (None, 0, b - 1):
+            q = _crosscheck_query(b, p, digit)
+            expected = brute_moment(q)
+            assert [brute_moment_parallel(q, n) for n in (1, 2, 3, 5, 8)] == [expected] * 5
+    run = _run(_crosscheck_query(b, 0, None))[0]
+    assert all(bound % run == 0 for bounds in cuts for bound in bounds)
+    assert len(cuts) >= 12 or oracle.available_cpus() < 2
 
 
 @settings(max_examples=25, deadline=None)
