@@ -24,9 +24,9 @@ At every requested base outside those, guess_general_form also
 cross-checks the specialized form by verify's rules (closedform.judge)
 against a recurrence table the derivation did not read.  That check is
 independent, not the proof.  It steps the integer tables of a chunk of
-bases together, each entry one integer per base (recurrence.build_lane_table),
-and runs one annihilator pass over them (recurrence.lanes_not_annihilated),
-so the interpreter's cost per step is paid once per chunk, not per base.
+bases together by build_table's update rows (recurrence.build_lane_table),
+each entry one integer per base, and runs one annihilator pass over them
+(recurrence.lanes_not_annihilated), once per chunk rather than per base.
 """
 from __future__ import annotations
 
@@ -369,7 +369,7 @@ def _judge_lanes(power: int, forms: list[ExponentialForm]) -> None:
     table = build_lane_table(bases, power, table_depth(power))
     spectra = [candidate_bases(b, power) for b in bases]
     failing = set(lanes_not_annihilated(table, spectra, power))
-    values = zip(*(table.moments[k][power][0] for k in range(1, 2 * power + 1)))
+    values = zip(*(table.moments[k][(power + 1) * (power + 2) // 2 - 1] for k in range(1, 2 * power + 1)))
     for form, spectrum, lane_values in zip(forms, spectra, values):
         verdict = judge(form, lane_values, spectrum, lambda: form.base not in failing)
         if verdict.status != "proven":

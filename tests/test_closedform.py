@@ -82,9 +82,9 @@ def test_fit_residual_mismatch():
         assert verdict == Verdict("proven", checked_depth=2 * p)
         t = build_table(3, p, table_depth(p))
         for k in range(1, 2 * p + 1):
-            moments = [list(map(list, column)) for column in t.moments]
-            moments[k][p][0] += 1
-            mismatched = MomentTable(3, p, t.max_k, tuple(tuple(map(tuple, c)) for c in moments))
+            moments = [list(column) for column in t.moments]
+            moments[k][(p + 1) * (p + 2) // 2 - 1] += 1  # S(p, k) = T(0, p, k), last in the state
+            mismatched = MomentTable(3, p, t.max_k, tuple(map(tuple, moments)))
             value = moment_value(t, p, k)
             assert moment_value(mismatched, p, k) == value + 1
             assert verify(form, mismatched) == Verdict(
@@ -206,9 +206,9 @@ def test_verify_requires_annihilated_state():
             assert verdict.status == "proven"
             t = build_table(b, p, 2 * p + 1)
             assert verify(form, t).status == "proven"
-            moments = [list(map(list, column)) for column in t.moments]
-            moments[2 * p + 1][0][1] += 1
-            perturbed = MomentTable(b, p, t.max_k, tuple(tuple(map(tuple, c)) for c in moments))
+            moments = [list(column) for column in t.moments]
+            moments[2 * p + 1][1] += 1  # T(1, 0, 2p+1): the state runs T(0, 0), T(1, 0), T(0, 1), ...
+            perturbed = MomentTable(b, p, t.max_k, tuple(map(tuple, moments)))
             assert moment_value(perturbed, p, 2 * p + 1) == moment_value(t, p, 2 * p + 1)
             assert verify(form, perturbed) == Verdict("consistent", checked_depth=2 * p)
 

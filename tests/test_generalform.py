@@ -270,9 +270,11 @@ def test_symbolic_table_matches_integer_tables(p):
     for b in (2, 3, 10, 97, 10**6):
         table = build_table(b, p, depth)
         for k in range(1, depth + 1):
-            for q in range(p + 1):
-                for j in range(p - q + 1):
-                    assert symbolic.moments[k][q][j].eval(b) == table.moments[k][q][j], (b, k, q, j)
+            # the state order: by j + q, then by q
+            states = [(d - q, q) for d in range(p + 1) for q in range(d + 1)]
+            assert len(symbolic.moments[k]) == len(table.moments[k]) == len(states)
+            for s, (j, q) in enumerate(states):
+                assert symbolic.moments[k][s].eval(b) == table.moments[k][s], (b, k, q, j)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8])

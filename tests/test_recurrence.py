@@ -19,7 +19,26 @@ from rabot import (
     moment_value,
     state_dimension_bound,
 )
-from rabot.recurrence import _build, annihilates, build_lane_table, lanes_not_annihilated
+from rabot.recurrence import (
+    _basis,
+    _build,
+    _update,
+    annihilates,
+    build_lane_table,
+    eigenvalue_families,
+    lanes_not_annihilated,
+)
+
+
+def _order(p):
+    """The (j, q) of each entry of a state to power p: by j + q, then by q.
+    Written out here, not read from the package, so a wrong order fails."""
+    return [(d - q, q) for d in range(p + 1) for q in range(d + 1)]
+
+
+def _at(j, q):
+    """The index of T(j, q) in that order."""
+    return _order(j + q).index((j, q))
 
 
 def test_seed_binary_first_moment():
@@ -163,14 +182,15 @@ def test_table_holds_state_dimension_bound_sequences():
         for p in range(5):
             t = build_table(b, p, 1)
             for column in t.moments:
-                assert sum(len(row) for row in column) == state_dimension_bound(b, p)
+                assert len(column) == len(_order(p)) == state_dimension_bound(b, p)
 
 
 def test_power_sums_match_the_direct_sum():
     # the seed T(j, 0, 0) is sum_{l=1..b-1} l^j, computed without the digit loop
     for b in range(2, 60):
         t = build_table(b, 8, 1)
-        assert t.moments[0][0] == tuple(sum(l**j for l in range(1, b)) for j in range(9)), b
+        seed = [t.moments[0][_at(j, 0)] for j in range(9)]
+        assert seed == [sum(l**j for l in range(1, b)) for j in range(9)], b
 
 
 def test_huge_base_costs_no_digit_loop():
@@ -259,7 +279,7 @@ def _power_sum(b, j):
 
 def _direct_table(b, p, max_k):
     """T(j, q, k) for k = 0..max_k from the module docstring's update, one
-    entry at a time: moments[k][q][j]."""
+    entry at a time: moments[k][s] for the s-th (j, q) of _order(p)."""
     f = [_power_sum(b, j) for j in range(p + 1)]
     t = {(j, q): (f[j] - (j == 0) if q == 0 else 0) for q in range(p + 1) for j in range(p - q + 1)}
     columns = [t]
@@ -273,9 +293,7 @@ def _direct_table(b, p, max_k):
                 new[(j, q)] = value
         t = new
         columns.append(t)
-    return [
-        tuple(tuple(c[(j, q)] for j in range(p - q + 1)) for q in range(p + 1)) for c in columns
-    ]
+    return [tuple(c[state] for state in _order(p)) for c in columns]
 
 
 @settings(max_examples=60, deadline=None)
@@ -313,7 +331,7 @@ def test_lane_table_is_build_table_at_every_lane(bases, power_and_depth):
     assert lanes.bases == tuple(bases) and (lanes.max_power, lanes.max_k) == (p, k)
     for i, b in enumerate(bases):
         single = build_table(b, p, k).moments
-        at_lane = [tuple(tuple(entry[i] for entry in row) for row in column) for column in lanes.moments]
+        at_lane = [tuple(entry[i] for entry in column) for column in lanes.moments]
         assert at_lane == list(single), b
 
 
@@ -354,3 +372,59 @@ def test_lane_annihilator_reads_one_column_past_its_roots():
     wide = build_lane_table([2, 5], 2, 3)
     assert lanes_not_annihilated(wide, roots, 1) == []
     assert lanes_not_annihilated(wide, roots) == [2, 5]
+
+
+def test_annihilator_refuses_a_power_outside_the_table():
+    # every proof rests on this check: a negative power would read no row and so pass any roots
+    table, lanes = build_table(2, 1, 3), build_lane_table([2, 5], 1, 3)
+    for power in (-1, 2):
+        with pytest.raises(ValueError, match=r"in 0\.\.1, the table's range, got"):
+            annihilates(table, [5, 7], power)
+        with pytest.raises(ValueError, match=r"in 0\.\.1, the table's range, got"):
+            lanes_not_annihilated(lanes, [[5, 7], [5, 7]], power)
+    # both ends are admitted: S(0, k) = (b - 1)*b**k is killed by the root b
+    assert annihilates(table, [2], 0) and not annihilates(table, [3], 0)
+    assert lanes_not_annihilated(lanes, [[2], [3]], 0) == [5]
+    assert annihilates(table, candidate_bases(2, 1), 1)
+    assert lanes_not_annihilated(lanes, [candidate_bases(b, 1) for b in (2, 5)], 1) == []
+
+
+def test_build_table_and_lane_table_share_their_size_messages():
+    for size, message in (((-1, 5), "max_power must be a non-negative integer, got -1"),
+                          ((2, 0), "max_k must be an integer >= 1, got 0")):
+        with pytest.raises(ValueError) as single:
+            build_table(2, *size)
+        with pytest.raises(ValueError) as lanes:
+            build_lane_table([2, 3], *size)
+        assert str(single.value) == str(lanes.value) == message
+
+
+@pytest.mark.parametrize("p", range(1, 11))
+def test_update_is_triangular_with_the_eigenvalue_families_on_its_diagonal(p):
+    # the update's weights evaluated at b itself, as polynomials in b
+    basis = _basis(PolyInB((0, 1)), p)
+    rows = _update(p)
+    assert len(rows) == len(_order(p))
+    diagonal = []
+    for s, row in enumerate(rows):
+        assert all(source <= s for _, source in row), s
+        for smaller in range(p + 1):
+            # the rows for j + q <= smaller read only the state of that power
+            if s < (smaller + 1) * (smaller + 2) // 2:
+                assert all(source < (smaller + 1) * (smaller + 2) // 2 for _, source in row), (s, smaller)
+        diagonal.append(sum([c * basis[kind][e] for (kind, e, c), source in row if source == s], PolyInB(())))
+    assert {entry for entry in diagonal if entry} == {PolyInB(fam) for fam in eigenvalue_families(p)}
+    assert len(eigenvalue_families(p)) == 2 * p
+    assert rows[: len(_order(p - 1))] == _update(p - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 6), st.integers(1, 8))
+@example(12, 6, 8)
+def test_last_digit_chain_sums_to_the_whole_state(b, p, k):
+    # sum_l l**j * S(l, q, k) = T(j, q, k) for every j + q <= p, not only j = 0
+    t = build_table(b, p, k)
+    for kk in range(1, k + 1):
+        chain = {(q, l): moment_value(t, q, kk, l) for q in range(p + 1) for l in range(b)}
+        for s, (j, q) in enumerate(_order(p)):
+            assert sum(l**j * chain[q, l] for l in range(b)) == t.moments[kk][s], (j, q, kk)
