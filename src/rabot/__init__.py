@@ -38,12 +38,7 @@ from .generalform import (
     specialize,
 )
 from .oeis import LookupResult, lookup
-from .oracle import (
-    DEFAULT_ENUM_CAP,
-    MomentQuery,
-    brute_moment,
-    brute_moment_parallel,
-)
+from .oracle import DEFAULT_ENUM_CAP, MomentQuery, brute_moment
 from .recurrence import MomentTable, build_table, extend, moment_value
 
 __version__ = "0.1.0"
@@ -58,7 +53,6 @@ __all__ = [
     "raboter",
     "MomentQuery",
     "brute_moment",
-    "brute_moment_parallel",
     "DEFAULT_ENUM_CAP",
     "MomentTable",
     "extend",

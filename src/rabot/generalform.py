@@ -145,7 +145,7 @@ class PolyInB:
     def __floordiv__(self, divisor: int) -> PolyInB:
         return PolyInB(self.numerators, self.denominator * divisor)  # exact over Q
 
-    def render(self, var: str = "b") -> str:
+    def render(self) -> str:
         if not self:
             return "0"
         parts: list[str] = []
@@ -157,7 +157,7 @@ class PolyInB:
             if e == 0:
                 piece = _frac_str(mag)
             else:
-                v = var if e == 1 else f"{var}^{e}"
+                v = "b" if e == 1 else f"b^{e}"
                 piece = v if mag == 1 else f"{_frac_str(mag)}*{v}"
             if not parts:
                 parts.append(piece if c > 0 else f"-{piece}")
@@ -237,14 +237,14 @@ class RationalFnInB:
     def eval(self, b: int | Fraction) -> Fraction:
         return self.numerator.eval(b) / self.denominator.eval(b)
 
-    def render(self, var: str = "b") -> str:
+    def render(self) -> str:
         """N over m*(D), with m the content of the denominator and D = M/m."""
-        num = self.numerator.render(var)
+        num = self.numerator.render()
         den = self.denominator.numerators
         m = gcd(*den)
         if len(den) == 1:
             return num if m == 1 else f"({num})/{m}"
-        primitive = f"({PolyInB(den, m).render(var)})"
+        primitive = f"({PolyInB(den, m).render()})"
         return f"({num})/{primitive if m == 1 else f'({m}*{primitive})'}"
 
 
@@ -279,11 +279,11 @@ class GeneralForm:
             excluded.update(b for b in divisors if b >= 2 and not den.eval(b))
         return frozenset(excluded)
 
-    def render(self, var: str = "b") -> str:
+    def render(self) -> str:
         if not self.terms:
             return "0"
         return " + ".join(
-            f"({fn.render(var)})*({fam.render(var)})^k" for fn, fam in self.terms
+            f"({fn.render()})*({fam.render()})^k" for fn, fam in self.terms
         )
 
 

@@ -12,13 +12,14 @@ valued from a per-query table, or else its last digit alone (see _walk).  A
 configurable cap refuses enumerations that are too large to finish at desk
 scale.
 
-Large queries are summed on every available CPU.  Above _PARALLEL_MIN_CHUNK
-numbers per slice, the range is split into contiguous slices: the caller
-sends every slice but the first to the process's workers, sums the first
+Large queries are summed on every available CPU.  A query of at least
+2*_PARALLEL_MIN_CHUNK numbers is split into contiguous slices that end on
+run edges, one per process and none below _PARALLEL_MIN_CHUNK numbers: the
+caller sends every slice but the first to one worker each, sums the first
 itself, and then reads the workers' sums and adds them in slice order.  The
 available_cpus() - 1 workers are forked on the first call that needs them,
 not at import, and reused by every later call.  Each holds one end of a
-duplex pipe and loops: receive a query and its slices, send back their sum.
+duplex pipe and loops: receive one slice of a query, send back its sum.
 No thread is started, so no management thread competes with the caller for
 the interpreter lock.  At exit the process kills and reaps its workers; if
 it exits without running its exit hooks, each worker reads end of file and
@@ -369,42 +370,30 @@ def brute_moment(q: MomentQuery, cap: int | None = DEFAULT_ENUM_CAP) -> int:
     exceeds `cap`; pass cap=None to lift the limit.  The range is summed in
     one slice per available CPU, or in fewer where that would leave a slice
     below _PARALLEL_MIN_CHUNK numbers, and one slice is summed in-process
-    (see the module docstring).
-    """
-    return _moment(q, None, cap)
-
-
-def brute_moment_parallel(
-    q: MomentQuery, partitions: int, cap: int | None = DEFAULT_ENUM_CAP
-) -> int:
-    """Same value as brute_moment(q) for every partition count.
-
-    The range is split into `partitions` contiguous slices, each summed
-    exactly on its own, so the result does not depend on scheduling.  Slices
-    of at least _PARALLEL_MIN_CHUNK numbers are shared out over the caller
-    and up to partitions - 1 workers (see the module docstring); smaller
-    ones are summed in-process.  A call that finds a worker dead replaces it
+    (see the module docstring).  A call that finds a worker dead replaces it
     and retries once, and raises WorkerError, chained from the EOFError or
     ConnectionError, if a worker is found dead again.
     """
-    if not isinstance(partitions, int) or partitions < 1:
-        raise ValueError(f"partitions must be a positive integer, got {partitions!r}")
-    return _moment(q, partitions, cap)
+    return _moment(q, cap)
 
 
-def _moment(q: MomentQuery, partitions: int | None, cap: int | None) -> int:
-    """brute_moment(q, cap) when `partitions` is None, and otherwise
-    brute_moment_parallel(q, partitions, cap)."""
+# perfbench/workloads.py still calls the oracle by this name; `partitions` is
+# ignored, and _moment is called directly so that its tracer sees one span
+def brute_moment_parallel(q: MomentQuery, partitions: int, cap: int | None = DEFAULT_ENUM_CAP) -> int:
+    return _moment(q, cap)
+
+
+def _moment(q: MomentQuery, cap: int | None) -> int:
+    """brute_moment(q, cap)."""
     _check_cap(q, cap)
     count = q.count()
     args = (q.base, q.power, q.k, q.last_digit)
-    slices = count // _PARALLEL_MIN_CHUNK if partitions is None else partitions
-    if slices > 1 and count // slices >= _PARALLEL_MIN_CHUNK:
+    slices = count // _PARALLEL_MIN_CHUNK
+    if slices > 1:
         with _lock:
             workers = _ready_workers()
             if workers:
-                if partitions is None:
-                    slices = min(slices, len(workers) + 1)
+                slices = min(slices, len(workers) + 1)
                 # slices end on run edges, so that no run is swept
                 width = _block_width(q.base, q.k, q.last_digit)
                 run = 1 if width is None else q.base ** (width - 1)
@@ -425,9 +414,9 @@ def _moment(q: MomentQuery, partitions: int | None, cap: int | None) -> int:
 def _sum_on_workers(
     args: tuple[int, int, int, int | None], bounds: list[int], workers: list[tuple[int, Connection]]
 ) -> int:
-    """Sum the slices between consecutive `bounds` on the caller and the
-    workers, for n = min(slices, workers + 1): slice i goes to the caller when
-    i % n is 0 and to worker i % n - 1 otherwise.
+    """Sum the slices between consecutive `bounds`, at most one more than
+    there are workers: the caller sums the first and worker i the slice
+    i + 1.
 
     The caller sends the workers their slices, sums its own, then reads the
     replies in order.  If it raises before reading them all, every worker
@@ -435,15 +424,13 @@ def _sum_on_workers(
     later call.  An exception raised in a worker comes back as its reply and
     is raised here once every reply has been read.
     """
-    slices = list(zip(bounds, bounds[1:]))
-    n = min(len(slices), len(workers) + 1)
     unread = []
     replies = []
     try:
-        for i, worker in enumerate(workers[: n - 1], 1):
+        for worker, start, stop in zip(workers, bounds[1:], bounds[2:]):
             unread.append(worker)
-            worker[1].send((args, slices[i::n]))
-        total = sum(_sum_range(*args, start, stop) for start, stop in slices[::n])
+            worker[1].send((*args, start, stop))
+        total = _sum_range(*args, bounds[0], bounds[1])
         while unread:
             replies.append(unread[0][1].recv())
             del unread[0]
@@ -495,18 +482,18 @@ def _start_worker() -> tuple[int, Connection]:
 
 
 def _serve(conn: Connection) -> None:
-    """A worker's loop: receive a query's arguments and slices and send back
-    the slices' sum, or the exception that summing them raised, until end of
+    """A worker's loop: receive the arguments of one slice's _sum_range and
+    send back its sum, or the exception that summing it raised, until end of
     file.  Interrupts are ignored: the caller replaces the workers whose
     replies it did not read."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         try:
-            args, slices = conn.recv()
+            args = conn.recv()
         except EOFError:
             return
         try:
-            reply = sum(_sum_range(*args, start, stop) for start, stop in slices)
+            reply = _sum_range(*args)
         except Exception as exc:  # raised by the caller
             reply = exc
         conn.send(reply)

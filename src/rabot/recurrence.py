@@ -314,7 +314,7 @@ def moment_value(
     if not 1 <= k <= t.max_k:
         raise IndexError(f"k {k} outside table range [1, {t.max_k}]")
     if last_digit is None:
-        return t.moments[k][state_dimension_bound(t.base, power) - 1]
+        return t.moments[k][_state_prefix(t.max_power, power) - 1]
     l = last_digit
     if not (isinstance(l, int) and 0 <= l < t.base):
         raise IndexError(f"last digit {l!r} out of range [0, {t.base - 1}]")

@@ -14,11 +14,11 @@ from rabot import (
     PolyInB,
     RationalFnInB,
     brute_moment,
-    brute_moment_parallel,
     build_table,
     closed_form,
     guess_general_form,
     moment_value,
+    raboter,
     specialize,
 )
 from rabot.cli import OutputRecord, main
@@ -148,9 +148,7 @@ def test_criterion_5_oracle_equivalence_sweep():
             for k in range(1, 7):
                 for last in [None, *range(b)]:
                     got = moment_value(t, p, k, last)
-                    want = brute_moment_parallel(
-                        MomentQuery(b, p, k, last), partitions=4
-                    )
+                    want = brute_moment(MomentQuery(b, p, k, last))
                     if got != want:
                         ok = False
     _report(
@@ -208,11 +206,12 @@ def test_criterion_8_parallel_oracle_determinism():
             rng.randrange(1, 6),
             rng.choice([None, 0, 1]),
         )
-        partitions = rng.choice([2, 4, 8])
-        if brute_moment_parallel(q, partitions) != brute_moment(q):
+        b, k = q.base, q.k
+        numbers = range(b**k, b ** (k + 1)) if q.last_digit is None else range(b**k + q.last_digit, b ** (k + 1), b)
+        if brute_moment(q) != sum(raboter(b, n) ** q.power for n in numbers):
             ok = False
     _report(
-        "8. parallel oracle equals serial oracle on 100 randomized queries",
+        "8. oracle on the available CPUs equals r(b, n) summed number by number on 100 randomized queries",
         ok,
         time.perf_counter() - start,
         60,

@@ -20,7 +20,6 @@ from rabot import (
     MomentQuery,
     WorkerError,
     brute_moment,
-    brute_moment_parallel,
     raboter,
 )
 from rabot import oracle
@@ -83,24 +82,15 @@ def test_last_digit_decomposition():
                 )
 
 
-def test_partition_invariance():
-    rng = random.Random(12)
-    for _ in range(30):
-        q = MomentQuery(
-            rng.randrange(2, 6),
-            rng.randrange(0, 4),
-            rng.randrange(1, 6),
-            rng.choice([None, 0, 1]),
-        )
-        serial = brute_moment(q)
-        for partitions in (1, 2, 4, 8):
-            assert brute_moment_parallel(q, partitions) == serial
+def _in_process(q):
+    """The query's sum in one slice, in this process."""
+    return _sum_range(q.base, q.power, q.k, q.last_digit, 0, q.count())
 
 
 def test_parallel_large_chunks_spawn_pool():
-    # big enough that chunks cross the in-process threshold
+    # big enough that slices cross the in-process threshold
     q = MomentQuery(3, 1, 9)
-    assert brute_moment_parallel(q, 4) == brute_moment(q)
+    assert brute_moment(q) == _in_process(q)
 
 
 # 39366 numbers: two slices of 19683 each, one summed by the caller and one
@@ -148,11 +138,10 @@ def deadline():
 
 @needs_workers
 def test_pooled_calls_reuse_the_workers(deadline):
-    expected = brute_moment(POOLED)
-    assert brute_moment_parallel(POOLED, 2) == expected
+    expected = _in_process(POOLED)
+    assert brute_moment(POOLED) == expected
     workers = _worker_pids()
     assert len(workers) == oracle.available_cpus() - 1
-    assert brute_moment_parallel(POOLED, 2) == expected
     assert brute_moment(POOLED) == expected
     assert _worker_pids() == workers
 
@@ -180,7 +169,7 @@ def _sum_in_forked_child(parent_workers):
         try:
             signal.alarm(60)  # a child stuck on an inherited lock dies here
             closed = all(conn.closed for _, conn in parent_workers)
-            value = brute_moment_parallel(POOLED, 2)
+            value = brute_moment(POOLED)
             own = bool(_worker_pids()) and not set(_worker_pids()) & {p for p, _ in parent_workers}
             os.write(write, f"{value} {closed} {own}".encode())
             oracle._stop_workers()  # reaped here: os._exit skips the exit hook
@@ -200,25 +189,25 @@ MULTI_THREADED_FORK = "ignore:This process .* is multi-threaded:DeprecationWarni
 @needs_workers
 @pytest.mark.filterwarnings(MULTI_THREADED_FORK)
 def test_forked_child_sums_in_a_pool_of_its_own(deadline):
-    expected = brute_moment(POOLED)
-    brute_moment_parallel(POOLED, 2)  # the workers are up when the child forks
+    expected = _in_process(POOLED)
+    brute_moment(POOLED)  # the workers are up when the child forks
     workers = _worker_pids()
     assert _sum_in_forked_child(list(oracle._workers)) == (0, f"{expected} True True")
     # the parent's workers are untouched by the child's
-    assert brute_moment_parallel(POOLED, 2) == expected
+    assert brute_moment(POOLED) == expected
     assert _worker_pids() == workers
 
 
 @needs_workers
 @pytest.mark.filterwarnings(MULTI_THREADED_FORK)
 def test_a_fork_during_another_threads_pooled_call_does_not_hang(deadline):
-    expected = brute_moment(POOLED)
-    brute_moment_parallel(POOLED, 2)
+    expected = _in_process(POOLED)
+    brute_moment(POOLED)
     # about a million numbers: the other thread holds the workers' lock well
     # past the fork
     long = MomentQuery(2, 1, 20)
     results = []
-    other = threading.Thread(target=lambda: results.append(brute_moment_parallel(long, 2)))
+    other = threading.Thread(target=lambda: results.append(brute_moment(long)))
     other.start()
     deadline = time.monotonic() + 60
     while not oracle._lock.locked():
@@ -228,16 +217,16 @@ def test_a_fork_during_another_threads_pooled_call_does_not_hang(deadline):
     other.join(60)
     assert not other.is_alive()
     assert outcome == (0, f"{expected} True True")
-    assert results == [brute_moment(long)]
+    assert results == [_in_process(long)]
 
 
 @needs_workers
 def test_killed_workers_are_replaced(deadline):
-    brute_moment_parallel(POOLED, 2)
+    brute_moment(POOLED)
     killed = _worker_pids()
     for pid in killed:
         os.kill(pid, signal.SIGKILL)
-    assert brute_moment_parallel(POOLED, 2) == brute_moment(POOLED)
+    assert brute_moment(POOLED) == _in_process(POOLED)
     assert len(_worker_pids()) == len(killed)
     assert not set(_worker_pids()) & set(killed)
 
@@ -254,14 +243,14 @@ def test_a_pool_that_breaks_twice_raises(monkeypatch, fresh_workers, deadline):
     monkeypatch.setattr(oracle, "_sum_on_workers", counted)
     monkeypatch.setattr(oracle, "_serve", lambda conn: None)  # every worker exits at once
     with pytest.raises(WorkerError) as raised:
-        brute_moment_parallel(POOLED, 2)
+        brute_moment(POOLED)
     assert len(tries) == 2
     # chained from the second break, and not taken for a closed stdout
     assert isinstance(raised.value.__cause__, (EOFError, ConnectionError))
     assert not isinstance(raised.value, BrokenPipeError)
     monkeypatch.undo()
     # the dead workers are found and replaced once more, by working ones
-    assert brute_moment_parallel(POOLED, 2) == brute_moment(POOLED)
+    assert brute_moment(POOLED) == _in_process(POOLED)
 
 
 @needs_workers
@@ -269,7 +258,7 @@ def test_a_pool_that_breaks_twice_raises(monkeypatch, fresh_workers, deadline):
 def test_a_call_that_raises_in_its_own_slice_replaces_the_unread_workers(
     monkeypatch, fresh_workers, deadline, error
 ):
-    expected = brute_moment(OTHER)
+    expected = brute_moment(OTHER)  # the workers are up
     before = _worker_pids()
     parent = os.getpid()
     real = oracle._sum_range
@@ -282,11 +271,11 @@ def test_a_call_that_raises_in_its_own_slice_replaces_the_unread_workers(
     # the replacements fork with it, but only the caller's slice raises
     monkeypatch.setattr(oracle, "_sum_range", failing_in_the_caller)
     with pytest.raises(error):
-        brute_moment_parallel(POOLED, 2)
+        brute_moment(POOLED)
     monkeypatch.undo()
     assert len(_worker_pids()) == len(before)
     assert not set(_worker_pids()) & set(before)
-    assert brute_moment_parallel(OTHER, 2) == expected
+    assert brute_moment(OTHER) == expected
 
 
 @needs_workers
@@ -300,26 +289,26 @@ def test_an_exception_in_a_worker_is_raised_after_the_other_replies(monkeypatch,
         return real(base, power, k, last_digit, start, stop)
 
     monkeypatch.setattr(oracle, "_sum_range", failing_in_workers)  # the workers fork with it
-    expected = brute_moment(OTHER)
+    expected = brute_moment(OTHER)  # the workers are up
     workers = _worker_pids()
     with pytest.raises(ValueError, match="a worker's slice"):
-        brute_moment_parallel(MomentQuery(3, 3, 9), 4)
+        brute_moment(MomentQuery(3, 3, 9))
     # the workers stay, and every reply of the failed call was read
     assert _worker_pids() == workers
-    assert brute_moment_parallel(OTHER, 4) == expected
+    assert brute_moment(OTHER) == expected
 
 
 def test_threads_take_turns_on_the_workers(deadline):
     # four threads on two cores; with a lost turn, a call would read the
     # reply to another thread's query
     mine = [MomentQuery(b, p, k) for b, p, k in ((2, 2, 13), (3, 1, 8), (5, 2, 5), (7, 0, 5))]
-    expected = [brute_moment(q) for q in mine]
+    expected = [_in_process(q) for q in mine]
     results = [[] for _ in mine]
 
     def calls(i):
         for _ in range(5):
             q = mine[i]
-            results[i].append(brute_moment(q) if i % 2 else brute_moment_parallel(q, 3))
+            results[i].append(brute_moment(q))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -375,11 +364,11 @@ def test_import_and_serial_sums_start_no_process():
     code = (
         "import sys, threading\n"
         "import rabot\n"
-        "from rabot import MomentQuery, brute_moment, brute_moment_parallel\n"
+        "from rabot import MomentQuery, brute_moment\n"
         "lazy = {'multiprocessing', 'concurrent.futures'}\n"
         "assert not lazy & set(sys.modules), lazy & set(sys.modules)\n"
         "brute_moment(MomentQuery(2, 1, 11))  # 2048 numbers: two slices would be below the threshold\n"
-        "brute_moment_parallel(MomentQuery(3, 1, 4), 2)  # slices below the threshold\n"
+        "brute_moment(MomentQuery(64, 1, 1))  # 4032 numbers: two slices would be below the threshold\n"
         "print(rabot.oracle._workers, sorted(lazy & set(sys.modules)), threading.active_count())\n"
     )
     done = subprocess.run(
@@ -388,16 +377,9 @@ def test_import_and_serial_sums_start_no_process():
     assert done.stdout == "None [] 1\n"
 
 
-def test_eight_partitions_match_one():
-    q = MomentQuery(3, 1, 4)
-    assert brute_moment_parallel(q, 8) == brute_moment_parallel(q, 1)
-
-
 def test_cap_refused():
     with pytest.raises(EnumerationCapError):
         brute_moment(MomentQuery(2, 1, 30), cap=1000)
-    with pytest.raises(EnumerationCapError):
-        brute_moment_parallel(MomentQuery(2, 1, 30), 4, cap=1000)
 
 
 def test_cap_refusal_states_a_huge_count_as_a_power():
@@ -426,8 +408,6 @@ def test_query_validation():
         MomentQuery(2, 1, 0)
     with pytest.raises(InvalidDigitError):
         MomentQuery(2, 1, 1, last_digit=2)
-    with pytest.raises(ValueError):
-        brute_moment_parallel(MomentQuery(2, 1, 1), 0)
 
 
 @st.composite
@@ -620,26 +600,23 @@ def test_threads_share_the_tables(monkeypatch):
 
 @pytest.mark.parametrize("b", [4, 6])
 def test_parallel_sums_of_crosscheck_queries_match_serial(monkeypatch, b):
-    # slices cut on run edges: 48 runs of 256 at b = 4 and 30 of 216 at b = 6
+    # slices cut on run edges: 48 runs of 256 at b = 4 and 30 of 216 at b = 6,
+    # one per process, none below the threshold
     cuts = []
     real = oracle._sum_on_workers
 
     def recorded(args, bounds, workers):
-        cuts.append(bounds)
+        cuts.append((bounds, len(workers)))
         return real(args, bounds, workers)
 
     monkeypatch.setattr(oracle, "_sum_on_workers", recorded)
     for p in range(4):
         for digit in (None, 0, b - 1):
             q = _crosscheck_query(b, p, digit)
-            expected = brute_moment(q)
-            assert [brute_moment_parallel(q, n) for n in (1, 2, 3, 5, 8)] == [expected] * 5
+            assert brute_moment(q) == _in_process(q)
     run = _run(_crosscheck_query(b, 0, None))[0]
-    assert all(bound % run == 0 for bounds in cuts for bound in bounds)
-    assert len(cuts) >= 12 or oracle.available_cpus() < 2
-
-
-@settings(max_examples=25, deadline=None)
-@given(queries(), st.sampled_from([3, 5, 7]))
-def test_unaligned_partitions_match_serial(q, partitions):
-    assert brute_moment_parallel(q, partitions) == brute_moment(q)
+    assert all(bound % run == 0 for bounds, _ in cuts for bound in bounds)
+    assert all(2 <= len(bounds) - 1 <= workers + 1 for bounds, workers in cuts)
+    sizes = [stop - start for bounds, _ in cuts for start, stop in zip(bounds, bounds[1:])]
+    assert min(sizes, default=oracle._PARALLEL_MIN_CHUNK) >= oracle._PARALLEL_MIN_CHUNK
+    assert len(cuts) == 12 or oracle.available_cpus() < 2
