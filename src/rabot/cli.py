@@ -85,6 +85,17 @@ LIMITS: dict[str, dict[str, tuple[int, int | None]]] = {
     "check": {"--b-min": (2, None), "--p-max": (0, MAX_POWER), "--k-max": (1, None)},
 }
 
+# Each subcommand's inputs that its record lists, by argparse dest, in this
+# order; an optional flag left out is not listed.
+RECORDED: dict[str, tuple[str, ...]] = {
+    "eval": ("base", "n"),
+    "sum": ("base", "power", "k", "last_digit", "engine"),
+    "closed-form": ("base", "power"),
+    "general-form": ("power", "b_min", "b_max"),
+    "seq": ("base", "power", "kmax"),
+    "check": ("b_min", "b_max", "p_max", "k_max"),
+}
+
 
 @dataclass
 class OutputRecord:
@@ -112,9 +123,12 @@ class OutputRecord:
         return cls(d["command"], d["inputs"], d["result"], d["status"])
 
 
-def _emit(args: argparse.Namespace, record: OutputRecord, human: list[str]) -> None:
+def _emit(args: argparse.Namespace, status: str, result: object, human: list[str]) -> None:
+    """Print the run's record under --json, else its human lines."""
     if args.json:
-        print(record.to_json())
+        values = {dest: getattr(args, dest) for dest in RECORDED[args.command]}
+        inputs = {dest: str(value) for dest, value in values.items() if value is not None}
+        print(OutputRecord(args.command, inputs, result, status).to_json())
     else:
         for line in human:
             print(line)
@@ -243,23 +257,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.verbose:
         result["digits_before"] = _digit_str(before)
         result["digits_after"] = _digit_str(after)
-    record = OutputRecord(
-        "eval", {"base": str(args.base), "n": str(args.n)}, result, "exact"
-    )
     human = []
     if args.verbose:
         human.append(f"{_digit_str(before)} -> {_digit_str(after)}")
     human.append(str(value))
-    _emit(args, record, human)
+    _emit(args, "exact", result, human)
     return EXIT_OK
 
 
 def cmd_sum(args: argparse.Namespace) -> int:
     q = MomentQuery(args.base, args.power, args.k, args.last_digit)
-    inputs = {"base": str(args.base), "power": str(args.power), "k": str(args.k)}
-    if args.last_digit is not None:
-        inputs["last_digit"] = str(args.last_digit)
-    inputs["engine"] = args.engine
     values: dict[str, int] = {}
     if args.engine in ("recurrence", "both"):
         table = build_table(args.base, args.power, args.k)
@@ -268,32 +275,21 @@ def cmd_sum(args: argparse.Namespace) -> int:
         values["brute"] = brute_moment(q, cap=args.cap)
     if args.engine == "both":
         agree = values["recurrence"] == values["brute"]
-        record = OutputRecord(
-            "sum",
-            inputs,
-            {
-                "recurrence": str(values["recurrence"]),
-                "brute": str(values["brute"]),
-                "agree": agree,
-            },
-            "exact" if agree else "refuted",
-        )
+        result = {"recurrence": str(values["recurrence"]), "brute": str(values["brute"]), "agree": agree}
         human = [
             f"recurrence: {values['recurrence']}",
             f"brute: {values['brute']}",
             f"agree: {'yes' if agree else 'no'}",
         ]
-        _emit(args, record, human)
+        _emit(args, "exact" if agree else "refuted", result, human)
         return EXIT_OK if agree else EXIT_DISAGREEMENT
     value = next(iter(values.values()))
-    record = OutputRecord("sum", inputs, {"value": str(value)}, "exact")
-    _emit(args, record, [str(value)])
+    _emit(args, "exact", {"value": str(value)}, [str(value)])
     return EXIT_OK
 
 
 def cmd_closed_form(args: argparse.Namespace) -> int:
     form, verdict = closed_form(args.base, args.power)
-    inputs = {"base": str(args.base), "power": str(args.power)}
     result = {
         "formula": form.render(),
         "terms": _form_terms_json(form),
@@ -302,12 +298,8 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
             "checked_depth": str(verdict.checked_depth),
         },
     }
-    record = OutputRecord("closed-form", inputs, result, verdict.status)
-    _emit(
-        args,
-        record,
-        [form.render(), f"status: {verdict.status} (checked to k={verdict.checked_depth})"],
-    )
+    human = [form.render(), f"status: {verdict.status} (checked to k={verdict.checked_depth})"]
+    _emit(args, verdict.status, result, human)
     return EXIT_OK if verdict.status == "proven" else EXIT_NO_FIT
 
 
@@ -315,11 +307,6 @@ def cmd_general_form(args: argparse.Namespace) -> int:
     bases = range(args.b_min, args.b_max + 1)
     g = guess_general_form(args.power, bases)
     excluded = sorted(g.excluded_bases())
-    inputs = {
-        "power": str(args.power),
-        "b_min": str(args.b_min),
-        "b_max": str(args.b_max),
-    }
     result = {
         "formula": g.render(),
         "terms": [
@@ -327,25 +314,19 @@ def cmd_general_form(args: argparse.Namespace) -> int:
         ],
         "excluded_bases": [str(b) for b in excluded],
     }
-    record = OutputRecord("general-form", inputs, result, "proven")
     valid = "every b >= 2" + (f" except {', '.join(map(str, excluded))}" if excluded else "")
     span = f"b = {args.b_min}..{args.b_max}"
     if set(bases).issubset(excluded):
         checked = f"no base was cross-checked: every base in {span} is excluded"
     else:
         checked = f"checked against closed-form at {span}"
-    _emit(args, record, [f"proven: {g.render()}", f"valid for {valid}; {checked}"])
+    _emit(args, "proven", result, [f"proven: {g.render()}", f"valid for {valid}; {checked}"])
     return EXIT_OK
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
     table = build_table(args.base, args.power, args.kmax)
     values = [moment_value(table, args.power, k) for k in range(1, args.kmax + 1)]
-    inputs = {
-        "base": str(args.base),
-        "power": str(args.power),
-        "kmax": str(args.kmax),
-    }
     result: dict = {"values": [str(v) for v in values]}
     human = [",".join(str(v) for v in values)]
     if args.oeis:
@@ -360,18 +341,11 @@ def cmd_seq(args: argparse.Namespace) -> int:
             human.append("OEIS: no matches")
         else:
             human.extend(f"OEIS: {sid} {name}" for sid, name in found.matches)
-    record = OutputRecord("seq", inputs, result, "exact")
-    _emit(args, record, human)
+    _emit(args, "exact", result, human)
     return EXIT_OK
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    inputs = {
-        "b_min": str(args.b_min),
-        "b_max": str(args.b_max),
-        "p_max": str(args.p_max),
-        "k_max": str(args.k_max),
-    }
     queries = 0
     # brute_moment picks the slices per query; the workers are forked once and
     # serve the whole sweep
@@ -392,25 +366,14 @@ def cmd_check(args: argparse.Namespace) -> int:
                             "recurrence": str(expected),
                             "brute": str(actual),
                         }
-                        record = OutputRecord(
-                            "check",
-                            inputs,
-                            {"queries": str(queries), "disagreement": detail},
-                            "refuted",
-                        )
-                        _emit(
-                            args,
-                            record,
-                            [
-                                f"disagreement at b={b} p={p} k={k} last={detail['last_digit']}: "
-                                f"recurrence {expected} vs brute {actual}"
-                            ],
-                        )
+                        human = [
+                            f"disagreement at b={b} p={p} k={k} last={detail['last_digit']}: "
+                            f"recurrence {expected} vs brute {actual}"
+                        ]
+                        _emit(args, "refuted", {"queries": str(queries), "disagreement": detail}, human)
                         return EXIT_DISAGREEMENT
-    record = OutputRecord(
-        "check", inputs, {"queries": str(queries), "disagreement": None}, "exact"
-    )
-    _emit(args, record, [f"checked {queries} queries: recurrence and brute force agree"])
+    result = {"queries": str(queries), "disagreement": None}
+    _emit(args, "exact", result, [f"checked {queries} queries: recurrence and brute force agree"])
     return EXIT_OK
 
 

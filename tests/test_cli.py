@@ -678,6 +678,35 @@ def test_json_eval_record_contents(capsys):
     )
 
 
+# each --json invocation and the inputs its record lists: every recorded flag
+# that has a value, defaults included, as a decimal string or the engine's name
+RECORD_INPUTS = [
+    (("eval", "--base", "2", "12"), {"base": "2", "n": "12"}),
+    *(
+        (
+            ("sum", "--base", "3", "--power", "2", "--k", "2", "--engine", engine, *last),
+            {"base": "3", "power": "2", "k": "2", "engine": engine, **({"last_digit": "1"} if last else {})},
+        )
+        for engine in ("recurrence", "brute", "both")
+        for last in ((), ("--last-digit", "1"))
+    ),
+    (("sum", "--base", "2", "--power", "1", "--k", "3"), {"base": "2", "power": "1", "k": "3", "engine": "recurrence"}),
+    (("closed-form", "--base", "2", "--power", "2"), {"base": "2", "power": "2"}),
+    (("general-form", "--power", "1", "--b-min", "3", "--b-max", "5"), {"power": "1", "b_min": "3", "b_max": "5"}),
+    (("seq", "--base", "2", "--power", "1", "--kmax", "5"), {"base": "2", "power": "1", "kmax": "5"}),
+    (("check", "--b-max", "2", "--p-max", "1", "--k-max", "2"), {"b_min": "2", "b_max": "2", "p_max": "1", "k_max": "2"}),
+]
+
+
+@pytest.mark.parametrize("argv, inputs", [pytest.param(*case, id=" ".join(case[0])) for case in RECORD_INPUTS])
+def test_json_record_inputs(capsys, argv, inputs):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    record = OutputRecord.from_json(out)
+    assert record.command == argv[0]
+    assert record.inputs == inputs
+
+
 def test_json_seq_values_are_decimal_strings(capsys):
     _, out, _ = run(capsys, "seq", "--base", "2", "--power", "1", "--kmax", "5", "--json")
     record = OutputRecord.from_json(out)

@@ -171,6 +171,10 @@ def test_rational_fn_zero_and_errors():
         RationalFnInB(poly(1), poly())
 
 
+def test_general_form_without_terms_renders_zero():
+    assert GeneralForm(2, ()).render() == "0"
+
+
 def test_rational_fn_render():
     assert RationalFnInB(poly(0, -1, 1), TWO_B_MINUS_1).render() == "(b^2 - b)/(2*b - 1)"
     assert RationalFnInB(poly(F(1, 2), F(-1, 2))).render() == "(-b + 1)/2"

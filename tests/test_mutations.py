@@ -11,14 +11,17 @@ The oracle faults are made in this process only, and a patch does not reach
 workers forked earlier, so every oracle query here has fewer than
 2 * oracle._PARALLEL_MIN_CHUNK numbers and is summed in-process.
 """
+import inspect
+
 import pytest
 
 from rabot import MomentQuery, brute_moment, build_table, closed_form, moment_value
 from rabot import closedform, generalform, oracle, recurrence
-from rabot.cli import main
+from rabot.cli import OutputRecord, main
 from rabot.closedform import ExponentialForm
 
 SUM = ("sum", "--engine", "both", "--base", "3", "--power", "2", "--k", "4")
+SUM_LAST_DIGIT = ("sum", "--engine", "both", "--base", "3", "--power", "2", "--k", "2", "--last-digit", "1")
 CHECK = ("check", "--b-max", "3", "--p-max", "2", "--k-max", "4")
 CLOSED_FORM = ("closed-form", "--base", "3", "--power", "2")
 GENERAL_FORM = ("general-form", "--power", "2")
@@ -70,6 +73,16 @@ def power_sum_at_p2(monkeypatch):
     monkeypatch.setattr(oracle, "_power_sum", lambda segments, power: real(segments, 3 if power == 2 else power))
 
 
+def sweep_last_digit(monkeypatch):
+    # the one-digit sweep's fix-up for a surviving last digit, one too large:
+    # _walk rebuilt from its edited source in a copy of the module's namespace
+    source = inspect.getsource(oracle._walk)
+    assert source.count("* base + last_digit\n") == 1
+    namespace = dict(vars(oracle))
+    exec(source.replace("* base + last_digit\n", "* base + last_digit + 1\n"), namespace)
+    monkeypatch.setattr(oracle, "_walk", namespace["_walk"])
+
+
 def eigenvalue_family(monkeypatch):
     # b + 1 in place of b; generalform imported the function by name
     real = recurrence.eigenvalue_families
@@ -100,6 +113,11 @@ def oracle_value():
     return brute_moment(MomentQuery(3, 2, 4))
 
 
+def swept_last_digit_value():
+    # 6 numbers, below any block width, so the one-digit sweep sums them
+    return brute_moment(MomentQuery(3, 2, 2, 1))
+
+
 def fitted_form():
     return closed_form(3, 2)[0]
 
@@ -111,6 +129,7 @@ ROWS = {
     "seed": (seed_t000, recurrence_value, (SUM, CHECK, CLOSED_FORM, GENERAL_FORM)),
     "suffix-table": (suffix_table_value, oracle_value, (SUM, CHECK)),
     "power-sum": (power_sum_at_p2, oracle_value, (SUM, CHECK)),
+    "sweep-last-digit": (sweep_last_digit, swept_last_digit_value, (SUM_LAST_DIGIT, CHECK)),
     "eigenvalue-family": (eigenvalue_family, fitted_form, (CLOSED_FORM, GENERAL_FORM)),
     "fit-coefficient": (fit_coefficient, fitted_form, (CLOSED_FORM,)),
 }
@@ -146,6 +165,21 @@ def isolated(monkeypatch):
     generalform._derive.cache_clear()
     yield
     generalform._derive.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "argv, inputs",
+    [
+        (SUM, {"base": "3", "power": "2", "k": "4", "engine": "both"}),
+        (CHECK, {"b_min": "2", "b_max": "3", "p_max": "2", "k_max": "4"}),
+    ],
+    ids=["sum", "check"],
+)
+def test_refuted_record_lists_the_inputs(monkeypatch, capsys, argv, inputs):
+    power_sum_at_p2(monkeypatch)
+    assert main([*argv, "--json"]) == EXIT[argv[0]]
+    record = OutputRecord.from_json(capsys.readouterr().out)
+    assert (record.command, record.inputs, record.status) == (argv[0], inputs, "refuted")
 
 
 @pytest.mark.parametrize("row", ROWS)
