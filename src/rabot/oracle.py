@@ -3,14 +3,17 @@
 This is the independent ground truth the recurrence engine is checked
 against, and it shares nothing with it.  Every number of the range is
 visited once and adds its own term r(b, n)**power: no values are counted or
-summed in closed form.  The numbers are visited in ascending order, except
-inside a block, where they go group by group.  The value follows the
-definition of r: a digit survives shortening iff it equals the digit before
-it.  One odometer steps over each number's leading digits and keeps r of
-them; the rest of the number, its tail, is a block of its last few digits,
-valued from a per-query table, or else its last digit alone (see _walk).  A
-configurable cap refuses enumerations that are too large to finish at desk
-scale.
+summed in closed form.  Power 0 is the one exception: there every term is 1
+whatever r is (0**0 = 1 included), so each segment of visited numbers adds
+its length.  The odometer still builds every segment, so a power-0 sum still
+checks that the range is covered exactly once.  The numbers are visited in
+ascending order, except inside a block, where they go group by group.  The
+value follows the definition of r: a digit survives shortening iff it
+equals the digit before it.  One odometer steps over each number's leading
+digits and keeps r of them; the rest of the number, its tail, is a block of
+its last few digits, valued from a per-query table, or else its last digit
+alone (see _walk).  A configurable cap refuses enumerations that are too
+large to finish at desk scale.
 
 Large queries are summed on every available CPU.  A query of at least
 2*_PARALLEL_MIN_CHUNK numbers is split into contiguous slices that end on
@@ -265,13 +268,14 @@ def _walk(
 
 
 def _power_sum(segments: list[tuple[int, list[int]]], power: int) -> int:
-    """Sum (c + A)**power over every A of every (c, values) in `segments`:
-    one add per A and the power's own products, 1 at power 0 (r**0 = 1 for
-    every r, 0**0 included), r*r and r*r*r at powers 2 and 3, and ** above.
-    The products skip the dispatch of CPython's int **, which took much of
-    the time at p <= 3."""
+    """Sum (c + A)**power over every A of every (c, values) in `segments`.
+    At power 0 every term is 1 (r**0 = 1 for every r, 0**0 included), so
+    each segment adds its length.  Above it, one add per A and the power's
+    own products: r*r and r*r*r at powers 2 and 3, and ** above.  The
+    products skip the dispatch of CPython's int **, which took much of the
+    time at p <= 3."""
     if power == 0:
-        return sum([1 for _, values in segments for _ in values])
+        return sum([len(values) for _, values in segments])
     if power == 1:
         return sum([c + a for c, values in segments for a in values])
     if power == 2:
@@ -356,11 +360,12 @@ def _entries(table: _Table) -> int:
 
 def _check_cap(q: MomentQuery, cap: int | None) -> None:
     if cap is not None and q.count() > cap:
-        # the count as (b-1)*b^e: its decimal form may be too long to print
+        # the count as (b-1)*b^e: its decimal form may be too long to print,
+        # and a base over 64 bits is named by its size, as in the CLI's errors
         e = q.k if q.last_digit is None else q.k - 1
-        raise EnumerationCapError(
-            f"query enumerates {q.base - 1}*{q.base}^{e} numbers, above the cap of {cap}"
-        )
+        bits = q.base.bit_length()
+        count = f"{q.base - 1}*{q.base}^{e} numbers" if bits <= 64 else f"(b-1)*b^{e} numbers at a {bits}-bit b"
+        raise EnumerationCapError(f"query enumerates {count}, above the cap of {cap}")
 
 
 def brute_moment(q: MomentQuery, cap: int | None = DEFAULT_ENUM_CAP) -> int:

@@ -21,6 +21,7 @@ from rabot.cli import OutputRecord, main
 from rabot.closedform import ExponentialForm
 
 SUM = ("sum", "--engine", "both", "--base", "3", "--power", "2", "--k", "4")
+SUM_POWER_ZERO = ("sum", "--engine", "both", "--base", "3", "--power", "0", "--k", "4")
 SUM_LAST_DIGIT = ("sum", "--engine", "both", "--base", "3", "--power", "2", "--k", "2", "--last-digit", "1")
 CHECK = ("check", "--b-max", "3", "--p-max", "2", "--k-max", "4")
 CLOSED_FORM = ("closed-form", "--base", "3", "--power", "2")
@@ -73,6 +74,14 @@ def power_sum_at_p2(monkeypatch):
     monkeypatch.setattr(oracle, "_power_sum", lambda segments, power: real(segments, 3 if power == 2 else power))
 
 
+def power_sum_at_p0(monkeypatch):
+    # one number too many per segment, where each segment adds its length
+    real = oracle._power_sum
+    monkeypatch.setattr(
+        oracle, "_power_sum", lambda segments, power: real(segments, power) + (len(segments) if power == 0 else 0)
+    )
+
+
 def sweep_last_digit(monkeypatch):
     # the one-digit sweep's fix-up for a surviving last digit, one too large:
     # _walk rebuilt from its edited source in a copy of the module's namespace
@@ -113,6 +122,11 @@ def oracle_value():
     return brute_moment(MomentQuery(3, 2, 4))
 
 
+def count_value():
+    # 162 numbers, so the sum is their count
+    return brute_moment(MomentQuery(3, 0, 4))
+
+
 def swept_last_digit_value():
     # 6 numbers, below any block width, so the one-digit sweep sums them
     return brute_moment(MomentQuery(3, 2, 2, 1))
@@ -129,6 +143,7 @@ ROWS = {
     "seed": (seed_t000, recurrence_value, (SUM, CHECK, CLOSED_FORM, GENERAL_FORM)),
     "suffix-table": (suffix_table_value, oracle_value, (SUM, CHECK)),
     "power-sum": (power_sum_at_p2, oracle_value, (SUM, CHECK)),
+    "power-zero": (power_sum_at_p0, count_value, (SUM_POWER_ZERO, CHECK)),
     "sweep-last-digit": (sweep_last_digit, swept_last_digit_value, (SUM_LAST_DIGIT, CHECK)),
     "eigenvalue-family": (eigenvalue_family, fitted_form, (CLOSED_FORM, GENERAL_FORM)),
     "fit-coefficient": (fit_coefficient, fitted_form, (CLOSED_FORM,)),

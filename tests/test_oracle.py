@@ -388,6 +388,14 @@ def test_cap_refusal_states_a_huge_count_as_a_power():
         brute_moment(MomentQuery(3, 1, 10000))
     with pytest.raises(EnumerationCapError, match=r"enumerates 2\*3\^9999 numbers"):
         brute_moment(MomentQuery(3, 1, 10000, last_digit=1))
+    # a base over 64 bits is named by its size, so the error stays one short line
+    with pytest.raises(EnumerationCapError) as refused:
+        brute_moment(MomentQuery(10**300, 1, 1))
+    assert str(refused.value) == f"query enumerates (b-1)*b^1 numbers at a 997-bit b, above the cap of {10**8}"
+    b = 2**64 - 1
+    with pytest.raises(EnumerationCapError) as refused:
+        brute_moment(MomentQuery(b, 1, 1, last_digit=0))
+    assert str(refused.value) == f"query enumerates {b - 1}*{b}^0 numbers, above the cap of {10**8}"
 
 
 def test_cap_boundary_and_override():
@@ -480,6 +488,9 @@ def block_slices(draw):
 @example((MomentQuery(17, 2, 3, 4), 10, 4000))  # two-digit blocks with a last digit, swept ends
 @example((MomentQuery(3000, 2, 1, 7), 0, 2999))  # b = 3000, no prefix digit: the sweep in two parts
 @example((MomentQuery(3000, 3, 1), 2990, 6100))  # b = 3000: parts of a swept digit, across prefixes
+@example((MomentQuery(17, 0, 3, 4), 10, 4000))  # p = 0: two-digit blocks with a last digit, swept ends
+@example((MomentQuery(300, 0, 1), 1000, 5000))  # p = 0, b = 300: the one-digit sweep
+@example((MomentQuery(3000, 0, 1), 2990, 6100))  # p = 0, b = 3000: parts of a swept digit, across prefixes
 @example((MomentQuery(7, 3, 4), 343, 686))  # one whole run of crosscheck's b = 7 query
 @example((MomentQuery(4, 2, 6), 0, 257))  # ends one number into a run
 @example((MomentQuery(6, 4, 5, 5), 0, 6480))  # a whole last-digit query at p = 4
