@@ -186,7 +186,10 @@ def _check_sweep_size(args: argparse.Namespace, cap: int) -> None:
         above, below = _power_sums(args.b_max + 1, k + 1), _power_sums(args.b_min, k + 1)
         numbers = above[k + 1] - below[k + 1] - (above[1] - below[1])
     if (args.p_max + 1) * 2 * numbers > cap:
-        raise EnumerationCapError(f"the check sweep enumerates more than the cap of {cap} numbers")
+        # a cap over 64 bits is named by its size, as _named names a long base
+        if cap.bit_length() <= 64:
+            raise EnumerationCapError(f"the check sweep enumerates more than the cap of {cap} numbers")
+        raise EnumerationCapError(f"the check sweep enumerates more numbers than a {cap.bit_length()}-bit cap")
 
 
 def _admit(args: argparse.Namespace) -> None:

@@ -21,13 +21,15 @@ run edges, one per process and none below _PARALLEL_MIN_CHUNK numbers: the
 caller sends every slice but the first to one worker each, sums the first
 itself, and then reads the workers' sums and adds them in slice order.  The
 available_cpus() - 1 workers are forked on the first call that needs them,
-not at import, and reused by every later call.  Each holds one end of a
-duplex pipe and loops: receive one slice of a query, send back its sum.
-No thread is started, so no management thread competes with the caller for
-the interpreter lock.  At exit the process kills and reaps its workers; if
-it exits without running its exit hooks, each worker reads end of file and
-exits.  A forked child forgets the parent's workers and forks its own, and
-calls from several threads take turns on the workers.
+not at import, and reused by every later call.  Each worker has two plain
+pipes, one that carries slices to it and one that carries sums back, and
+loops: receive one slice of a query, send back its sum.  Each message is
+pickled after its length (see _Channel).  No thread is started, so no
+management thread competes with the caller for the interpreter lock.  At
+exit the process kills and reaps its workers; if it exits without running
+its exit hooks, each worker reads end of file and exits.  A forked child
+forgets the parent's workers and forks its own, and calls from several
+threads take turns on the workers.
 """
 from __future__ import annotations
 
@@ -36,26 +38,25 @@ import os
 import signal
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .digits import check_base, from_value
 from .errors import EnumerationCapError, InvalidDigitError, WorkerError
 
-if TYPE_CHECKING:
-    from multiprocessing.connection import Connection
-
 DEFAULT_ENUM_CAP = 10**8
 
 # Slices smaller than this are summed in-process.  The caller and one warm
-# worker broke even at about 1-2k numbers a slice.  In-process against
-# caller plus worker at p = 2, b = 2, best and median of 41 (Python 3.11.7,
-# shared 2-vCPU VM): two slices of 512 took 0.085/0.088 against
-# 0.130/0.145 ms, of 1024 0.164/0.172 against 0.191/0.212 ms, of 2048
-# 0.327/0.353 against 0.234/0.281 ms and of 4096 0.67/0.74 against
-# 0.54/0.65 ms.  On perfbench's crosscheck, whose ops enumerate 6480 to
-# 16384 numbers, 15 s runs (seeds 1-3) read wall_s 0.093-0.102 s at 1024,
-# 0.081-0.108 s at 2048 and 0.095-0.104 s at 4096 (where the b = 6 ops stay
-# in-process); over ten alternating 50 s pairs its median went from 0.123 s
+# worker break even at about 1-2k numbers a slice at p = 0, and below 512
+# at p = 2.  Caller plus worker (_sum_on_workers) against in-process
+# (_sum_range), two equal slices at b = 2, best and median of 201
+# alternating calls (Python 3.11.7, shared 2-vCPU VM): at p = 0, slices of
+# 512 took 0.027/0.036 against 0.020/0.024 ms, of 1024 0.029/0.037 against
+# 0.024/0.028 ms, of 2048 0.035/0.042 against 0.040/0.049 ms and of 4096
+# 0.051/0.065 against 0.078/0.095 ms; at p = 2, slices of 512 took
+# 0.049/0.062 against 0.068/0.085 ms and of 2048 0.141/0.198 against
+# 0.190/0.295 ms.  With an earlier, slower kernel, on perfbench's crosscheck, whose ops
+# enumerate 6480 to 16384 numbers, 15 s runs (seeds 1-3) read wall_s
+# 0.093-0.102 s at 1024, 0.081-0.108 s at 2048 and 0.095-0.104 s at 4096
+# (where the b = 6 ops stay in-process); over ten alternating 50 s pairs its median went from 0.123 s
 # with the executor pool this replaced to 0.077 s.  The fork is paid once
 # per process: cold, `rabot sum --engine brute --base 2 --power 2` took a
 # median of 148 against 165 ms with the pool at 16k numbers, where the
@@ -89,11 +90,11 @@ _ZEROS = [0] * _BLOCK_MAX
 _Table = list[tuple[int, list[int], list[int]]]
 _tables: dict[tuple[int, int | None, int], _Table] = {}
 
-# The worker processes, as (pid, our end of its pipe), or None before the
+# The worker processes, as (pid, our channel to it), or None before the
 # first call that needs them.  The lock is held across each call that sums on
 # them, so that each reply is read by the call that asked for it and no
 # thread replaces a worker while another sums on it.
-_workers: list[tuple[int, Connection]] | None = None
+_workers: list[tuple[int, _Channel]] | None = None
 _lock = threading.Lock()
 
 
@@ -361,11 +362,13 @@ def _entries(table: _Table) -> int:
 def _check_cap(q: MomentQuery, cap: int | None) -> None:
     if cap is not None and q.count() > cap:
         # the count as (b-1)*b^e: its decimal form may be too long to print,
-        # and a base over 64 bits is named by its size, as in the CLI's errors
+        # and a base or cap over 64 bits is named by its size, as in the
+        # CLI's errors
         e = q.k if q.last_digit is None else q.k - 1
         bits = q.base.bit_length()
         count = f"{q.base - 1}*{q.base}^{e} numbers" if bits <= 64 else f"(b-1)*b^{e} numbers at a {bits}-bit b"
-        raise EnumerationCapError(f"query enumerates {count}, above the cap of {cap}")
+        limit = f"the cap of {cap}" if cap.bit_length() <= 64 else f"a {cap.bit_length()}-bit cap"
+        raise EnumerationCapError(f"query enumerates {count}, above {limit}")
 
 
 def brute_moment(q: MomentQuery, cap: int | None = DEFAULT_ENUM_CAP) -> int:
@@ -417,7 +420,7 @@ def _moment(q: MomentQuery, cap: int | None) -> int:
 
 
 def _sum_on_workers(
-    args: tuple[int, int, int, int | None], bounds: list[int], workers: list[tuple[int, Connection]]
+    args: tuple[int, int, int, int | None], bounds: list[int], workers: list[tuple[int, _Channel]]
 ) -> int:
     """Sum the slices between consecutive `bounds`, at most one more than
     there are workers: the caller sums the first and worker i the slice
@@ -457,7 +460,7 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _ready_workers() -> list[tuple[int, Connection]]:
+def _ready_workers() -> list[tuple[int, _Channel]]:
     """The process's workers: available_cpus() - 1 of them, forked on the
     first call, or none where the platform cannot fork."""
     global _workers
@@ -469,12 +472,12 @@ def _ready_workers() -> list[tuple[int, Connection]]:
     return _workers
 
 
-def _start_worker() -> tuple[int, Connection]:
-    """Fork a worker on one end of a new duplex pipe; return its pid and the
-    other end."""
-    from multiprocessing import Pipe
-
-    ours, theirs = Pipe()
+def _start_worker() -> tuple[int, _Channel]:
+    """Fork a worker on two new pipes, one to it and one back; return its pid
+    and our channel on them."""
+    to_worker, to_caller = os.pipe(), os.pipe()
+    ours = _Channel(to_caller[0], to_worker[1])
+    theirs = _Channel(to_worker[0], to_caller[1])
     pid = os.fork()
     if not pid:  # the worker never returns into its parent's code
         try:
@@ -486,7 +489,48 @@ def _start_worker() -> tuple[int, Connection]:
     return pid, ours
 
 
-def _serve(conn: Connection) -> None:
+class _Channel:
+    """One end of a worker's two pipes: send writes to one and recv reads
+    from the other.  A message is a pickle after its length in 8 bytes.
+    Short writes and reads are resumed, a reply of the usual size arrives in
+    one read, and end of file, even inside a message, raises EOFError.  A
+    write to a pipe whose reader is gone raises BrokenPipeError.  Like every
+    os.pipe, the pipes are not inherited across exec, so that no subprocess
+    can keep a worker from seeing end of file."""
+
+    def __init__(self, into: int, out: int) -> None:
+        import pickle  # here, not at import: serial sums start no worker
+
+        self._pickle = pickle
+        self._into, self._out = into, out
+        self._rest = b""  # what a read took past the last message
+        self.closed = False
+
+    def send(self, obj: object) -> None:
+        data = self._pickle.dumps(obj, self._pickle.HIGHEST_PROTOCOL)
+        message = len(data).to_bytes(8, "little") + data
+        sent = os.write(self._out, message)
+        while sent < len(message):
+            sent += os.write(self._out, memoryview(message)[sent:])
+
+    def recv(self) -> object:
+        data = self._rest
+        while len(data) < 8 or len(data) < (end := 8 + int.from_bytes(data[:8], "little")):
+            chunk = os.read(self._into, 1 << 16)  # a pipe's whole buffer
+            if not chunk:
+                raise EOFError("end of file on an oracle worker's pipe")
+            data += chunk
+        self._rest = data[end:]
+        return self._pickle.loads(data[8:end])
+
+    def close(self) -> None:
+        if not self.closed:
+            self.closed = True
+            os.close(self._into)
+            os.close(self._out)
+
+
+def _serve(conn: _Channel) -> None:
     """A worker's loop: receive the arguments of one slice's _sum_range and
     send back its sum, or the exception that summing it raised, until end of
     file.  Interrupts are ignored: the caller replaces the workers whose
@@ -504,7 +548,7 @@ def _serve(conn: Connection) -> None:
         conn.send(reply)
 
 
-def _replace(stale: list[tuple[int, Connection]]) -> None:
+def _replace(stale: list[tuple[int, _Channel]]) -> None:
     """Stop the workers in `stale` and fork as many new ones."""
     for worker in stale:
         _workers.remove(worker)
@@ -513,7 +557,7 @@ def _replace(stale: list[tuple[int, Connection]]) -> None:
         _workers.append(_start_worker())
 
 
-def _stop(workers: list[tuple[int, Connection]]) -> None:
+def _stop(workers: list[tuple[int, _Channel]]) -> None:
     """Close our ends of the workers' pipes, then kill and reap them."""
     for pid, conn in workers:
         conn.close()

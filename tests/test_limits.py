@@ -88,6 +88,15 @@ def test_one_past_each_bound_exits_2_before_any_work(capsys, no_work, command, f
      "--limit must be >= 1, got 0"),
     (None, ["sum", "--base", "3", "--power", "1", "--k", "2", "--last-digit", "3", "--engine", "both"],
      "--last-digit 3 is not below --base 3"),
+    # a cap over 64 bits is named by its size, so the error stays one short line
+    (str(2**64 - 1), ["sum", "--engine", "both", "--base", "2", "--power", "1", "--k", "64"],
+     f"query enumerates 1*2^64 numbers, above the cap of {2**64 - 1}"),
+    (str(10**600), ["sum", "--engine", "both", "--base", str(10**700), "--power", "1", "--k", "1"],
+     "query enumerates (b-1)*b^1 numbers at a 2326-bit b, above a 1994-bit cap"),
+    (str(2**64 - 1), ["check", "--b-max", str(2**40), "--k-max", "1", "--p-max", "0"],
+     f"the check sweep enumerates more than the cap of {2**64 - 1} numbers"),
+    (str(10**600), ["check", "--b-max", str(10**700), "--k-max", "1", "--p-max", "0"],
+     "the check sweep enumerates more numbers than a 1994-bit cap"),
 ])
 def test_refusals_come_before_the_work_of_an_admitted_flag(capsys, monkeypatch, no_work, env, argv, message):
     if env is None:

@@ -1,5 +1,6 @@
 """Brute-force moment oracle."""
 import os
+import pickle
 import random
 import select
 import signal
@@ -324,6 +325,95 @@ def test_threads_take_turns_on_the_workers(deadline):
     assert results == [[value] * 5 for value in expected]
 
 
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="a channel's peer is a forked worker")
+
+
+def _frame(obj):
+    """A message as a channel writes it: its pickle after the pickle's length."""
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    return len(data).to_bytes(8, "little") + data
+
+
+@needs_fork
+def test_a_message_larger_than_a_pipe_buffer_arrives_whole(monkeypatch, deadline):
+    message = "x" * 200_000  # a pipe holds 64 KiB
+
+    def failing(*args):
+        raise ValueError(message)
+
+    monkeypatch.setattr(oracle, "_sum_range", failing)  # the worker forks with it
+    pid, conn = oracle._start_worker()
+    try:
+        conn.send((2, 1, 1, None, 0, 2))
+        reply = conn.recv()
+        assert isinstance(reply, ValueError) and reply.args == (message,)
+    finally:
+        oracle._stop([(pid, conn)])
+
+
+@needs_fork
+def test_a_send_cut_short_by_a_signal_is_resumed(monkeypatch, deadline):
+    message = "x" * 200_000
+    parent = os.getpid()
+
+    def serve(conn):  # interrupts the caller's blocked write, then reads
+        time.sleep(0.1)
+        os.kill(parent, signal.SIGUSR1)
+        time.sleep(0.1)
+        conn.send(len(conn.recv()))
+
+    monkeypatch.setattr(oracle, "_serve", serve)
+    signals = []
+    previous = signal.signal(signal.SIGUSR1, lambda signum, frame: signals.append(signum))
+    pid, conn = oracle._start_worker()
+    try:
+        conn.send(message)  # a pipe holds 64 KiB: the write blocks until the signal
+        assert conn.recv() == len(message)
+    finally:
+        signal.signal(signal.SIGUSR1, previous)
+        oracle._stop([(pid, conn)])
+    assert signals == [signal.SIGUSR1]
+
+
+@needs_fork
+# inside the length, at its end, and inside the pickle
+@pytest.mark.parametrize("cut", [3, 8, 13])
+@pytest.mark.parametrize("finished", [True, False], ids=["whole", "exited"])
+def test_a_message_written_in_parts_is_read_whole_or_as_end_of_file(monkeypatch, deadline, cut, finished):
+    frame = _frame(("a reply", 10**40))
+
+    def serve(conn):
+        os.write(conn._out, frame[:cut])
+        time.sleep(0.05)  # so that the first read returns the part alone
+        if finished:
+            os.write(conn._out, frame[cut:])
+
+    monkeypatch.setattr(oracle, "_serve", serve)
+    pid, conn = oracle._start_worker()
+    try:
+        if finished:
+            assert conn.recv() == ("a reply", 10**40)
+        else:
+            with pytest.raises(EOFError):
+                conn.recv()
+    finally:
+        oracle._stop([(pid, conn)])
+
+
+@needs_workers
+def test_a_worker_that_exits_inside_its_reply_is_replaced(monkeypatch, fresh_workers, deadline):
+    def serve(conn):  # answers one query with part of a reply, then exits
+        conn.recv()
+        os.write(conn._out, _frame(10**40)[:13])
+
+    monkeypatch.setattr(oracle, "_serve", serve)
+    broken = sorted(pid for pid, _ in oracle._ready_workers())
+    monkeypatch.undo()  # the replacements serve in full
+    assert brute_moment(POOLED) == _in_process(POOLED)
+    assert len(_worker_pids()) == len(broken)
+    assert not set(_worker_pids()) & set(broken)
+
+
 def _running(pid):
     """Whether `pid` is a process that has not exited: a zombie has."""
     try:
@@ -365,7 +455,7 @@ def test_import_and_serial_sums_start_no_process():
         "import sys, threading\n"
         "import rabot\n"
         "from rabot import MomentQuery, brute_moment\n"
-        "lazy = {'multiprocessing', 'concurrent.futures'}\n"
+        "lazy = {'multiprocessing', 'pickle', 'concurrent.futures'}\n"
         "assert not lazy & set(sys.modules), lazy & set(sys.modules)\n"
         "brute_moment(MomentQuery(2, 1, 11))  # 2048 numbers: two slices would be below the threshold\n"
         "brute_moment(MomentQuery(64, 1, 1))  # 4032 numbers: two slices would be below the threshold\n"
@@ -375,6 +465,20 @@ def test_import_and_serial_sums_start_no_process():
         [sys.executable, "-c", code], env=_env_with_src(), capture_output=True, text=True, check=True, timeout=60
     )
     assert done.stdout == "None [] 1\n"
+
+
+@needs_workers
+def test_a_call_summed_on_workers_loads_no_multiprocessing():
+    code = (
+        "import sys\n"
+        "from rabot import MomentQuery, brute_moment, oracle\n"
+        "brute_moment(MomentQuery(3, 1, 9))\n"
+        "print(len(oracle._workers), sorted({'multiprocessing', 'socket', 'selectors'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=_env_with_src(), capture_output=True, text=True, check=True, timeout=60
+    )
+    assert done.stdout == f"{oracle.available_cpus() - 1} []\n"
 
 
 def test_cap_refused():
