@@ -22,6 +22,7 @@ from .digits import (
 )
 from .errors import (
     DepthError,
+    DisagreementError,
     EnumerationCapError,
     ExcludedBaseError,
     InvalidBaseError,
@@ -79,6 +80,7 @@ __all__ = [
     "NoFitError",
     "WorkerError",
     "DepthError",
+    "DisagreementError",
     "ExcludedBaseError",
     "__version__",
 ]

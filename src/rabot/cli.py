@@ -4,7 +4,8 @@ forms uniform in b, sequence export, and recurrence-vs-brute-force sweeps.
 Exit codes are fixed so CI can tell failure modes apart: 2 for usage or
 invalid input (outside LIMITS, or against a rule across inputs in _admit,
 refused before any command runs), 3 when the two engines disagree (the
-bug-detection signal), 4 when fitting or verification fails, and 5 when a
+bug-detection signal, also where a proof's brute-force check fails), 4 when
+fitting or verification fails, and 5 when a
 brute-force worker process dies twice in one sum.  All numeric
 output is exact; big integers are printed as decimal strings and rationals
 as numerator/denominator, never floats.
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 from . import digits, oeis
 from .closedform import ExponentialForm, closed_form, table_depth
-from .errors import EnumerationCapError, NoFitError, WorkerError
-from .generalform import guess_general_form
+from .errors import DisagreementError, EnumerationCapError, NoFitError, WorkerError
+from .generalform import brute_checked_bases, guess_general_form
 from .oracle import (
     DEFAULT_ENUM_CAP,
     MomentQuery,
@@ -41,22 +42,6 @@ EXIT_WORKER = 5
 # 0.35 s at p = 8; the command takes 0.36-0.53 s at p = 7 on 2 vCPUs), so
 # larger powers are refused rather than left to run for minutes.
 MAX_GENERAL_FORM_POWER = 7
-
-# general-form cross-checks its specialization at every base of its range,
-# many bases to one lane table, about 0.08 ms per base at p = 2 and 1.0 ms at
-# p = 7 (b = 2..201, _derive cached), so wider ranges are refused.
-MAX_GENERAL_FORM_BASES = 1000
-
-# Each cross-check builds a table of about max(p, 3)*(2p + 1)*bit_length(b)
-# bits, and its time grows with that size: at p = 7 it took 1.1 ms per base
-# at 10 bits, 2.4-4.4 ms at 40, 35-36 ms at 167 and 113-122 ms at 333, where
-# the big-integer products, not the interpreter, take the time and lanes save
-# nothing (Python 3.11.7, one core of a shared 2-vCPU Xeon VM).  So the
-# range's count of bases times that size at --b-max is held to what 1000
-# bases below 1024 need at p = 7, 1000*7*15*10: about 1.0-1.25 s, and about
-# 3.6-4.2 s for the 30 bases it allows at 333 bits, where the table's own size
-# limit stops p = 7.
-MAX_GENERAL_FORM_SIZE = 1_050_000
 
 # `sum`, `seq` and `closed-form` refuse --power above this: the state has
 # (p+1)(p+2)/2 sequences, and `closed-form --base 1000000 --power 16` took
@@ -158,11 +143,11 @@ def _named(flag: str, base: int) -> str:
     return f"{flag} {base}" if bits <= 64 else f"a {bits}-bit {flag}"
 
 
-def _check_size(flag: str, k: int, base: int, power: int, base_flag: str = "--base") -> None:
+def _check_size(flag: str, k: int, base: int, power: int) -> None:
     size, limit = k * base.bit_length(), 12 * MAX_K // max(power, 3)
     if size > limit:
         raise ValueError(
-            f"{flag} {k} at {_named(base_flag, base)} and --power {power}:"
+            f"{flag} {k} at {_named('--base', base)} and --power {power}:"
             f" k*bit_length(b) = {size} is above the size limit of {limit}"
         )
 
@@ -177,7 +162,10 @@ def _check_sweep_size(args: argparse.Namespace, cap: int) -> None:
     K stops there and a huge --k-max costs nothing.  Over the bases, the sum
     comes from the power sums F_j(n) = sum_{l<n} l**j, j <= K + 1, in about
     K**2 products, or base by base where the range has at most K**2 bases,
-    so a huge --b-max costs nothing either.
+    so a huge --b-max costs nothing either.  K grows with the cap's bit
+    length, so the power sums alone are no bound: with a 1994-bit cap,
+    --b-max 3 gives K = 1995, and their 4M products took 119 s where the
+    whole command takes 0.12 s base by base (Python 3.11.7, 2-vCPU VM).
     """
     k = min(args.k_max, cap.bit_length() // (args.b_max.bit_length() - 1) + 1)
     if args.b_max - args.b_min < k * k:
@@ -221,23 +209,6 @@ def _admit(args: argparse.Namespace) -> None:
         _check_size("--kmax", args.kmax, args.base, args.power)
     elif args.command == "closed-form":
         _check_size("the table depth", table_depth(args.power), args.base, args.power)
-    elif args.command == "general-form":
-        count = args.b_max - args.b_min + 1  # len(range) overflows past sys.maxsize
-        if count > MAX_GENERAL_FORM_BASES:
-            raise ValueError(
-                f"--b-min {args.b_min} to --b-max {args.b_max} is above the general-form"
-                f" limit of {MAX_GENERAL_FORM_BASES} bases"
-            )
-        # the cross-check tables go to table_depth, and --b-max is the largest base
-        depth = table_depth(args.power)
-        _check_size("the table depth", depth, args.b_max, args.power, "--b-max")
-        size = count * max(args.power, 3) * depth * args.b_max.bit_length()
-        if size > MAX_GENERAL_FORM_SIZE:
-            raise ValueError(
-                f"{count} bases up to {_named('--b-max', args.b_max)} at --power {args.power}:"
-                f" count*max(p, 3)*(2p + 1)*bit_length(b) = {size} is above the general-form"
-                f" limit of {MAX_GENERAL_FORM_SIZE}"
-            )
     elif args.command == "check":
         args.cap = _enum_cap()
         _check_sweep_size(args, args.cap)
@@ -306,6 +277,17 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict.status == "proven" else EXIT_NO_FIT
 
 
+def _runs(bases: list[int]) -> str:
+    """Ascending bases as runs of consecutive ones: [3, 4, 5, 7] -> "3..5, 7"."""
+    runs: list[list[int]] = []
+    for b in bases:
+        if runs and runs[-1][1] == b - 1:
+            runs[-1][1] = b
+        else:
+            runs.append([b, b])
+    return ", ".join(str(lo) if lo == hi else f"{lo}..{hi}" for lo, hi in runs)
+
+
 def cmd_general_form(args: argparse.Namespace) -> int:
     bases = range(args.b_min, args.b_max + 1)
     g = guess_general_form(args.power, bases)
@@ -318,12 +300,11 @@ def cmd_general_form(args: argparse.Namespace) -> int:
         "excluded_bases": [str(b) for b in excluded],
     }
     valid = "every b >= 2" + (f" except {', '.join(map(str, excluded))}" if excluded else "")
-    span = f"b = {args.b_min}..{args.b_max}"
-    if set(bases).issubset(excluded):
-        checked = f"no base was cross-checked: every base in {span} is excluded"
+    if checked := brute_checked_bases(g, bases):
+        note = f"checked against brute force at b = {_runs(checked)}"
     else:
-        checked = f"checked against closed-form at {span}"
-    _emit(args, "proven", result, [f"proven: {g.render()}", f"valid for {valid}; {checked}"])
+        note = f"no base in b = {args.b_min}..{args.b_max} was checked against brute force"
+    _emit(args, "proven", result, [f"proven: {g.render()}", f"valid for {valid}; {note}"])
     return EXIT_OK
 
 
@@ -460,6 +441,9 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed reader raises here, not at exit
         return code
+    except DisagreementError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_DISAGREEMENT
     except NoFitError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NO_FIT

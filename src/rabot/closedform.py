@@ -14,26 +14,47 @@ multiset kills the state v_1 at k = 1, so S(p, .) satisfies the order-2p
 recurrence with characteristic polynomial prod_lam (x - lam) for every
 k >= 1.  A form whose terms fit inside the multiset satisfies it too, so
 agreement at k = 1..2p makes the two equal for every k >= 1.
+
+That premise and the values are read from the recurrence, so a fault in its
+code that keeps the update's spectrum would be proven too.  closed_form
+therefore checks a proven result against rabot.oracle, which shares no
+derivation with the recurrence, in two parts: the recurrence's own tables
+at a few small bases (check_recurrence_against_brute, once per power), and
+the form at the small k whose queries are short (check_form_against_brute).
+A mismatch raises DisagreementError.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import mul
 from typing import Callable, Sequence
 
 from .digits import check_base
-from .errors import DepthError, NoFitError
+from .errors import DepthError, DisagreementError, NoFitError
 from .linalg import taylor_at_roots
+from .oracle import MomentQuery, brute_moment
 from .recurrence import (  # state_dimension_bound: perfbench/workloads.py reads it here
     MomentTable,
+    _build,
     annihilates,
     build_table,
     candidate_bases,
     moment_value,
     state_dimension_bound,
 )
+
+# The brute-force checks' reach.  check_recurrence_against_brute compares
+# S(p, k) at these bases and k = 1..5: 4880 numbers, each query below the
+# 4096 at which rabot.oracle splits a query over worker processes, so every
+# one is summed in-process.  check_form_against_brute compares a form at
+# each k <= 2p whose query enumerates at most BRUTE_CHECK_NUMBERS numbers,
+# which no k does from b = 17 on.
+RECURRENCE_CHECK_BASES = (2, 3, 4)
+RECURRENCE_CHECK_DEPTH = 5
+BRUTE_CHECK_NUMBERS = 256
 
 
 @dataclass(frozen=True)
@@ -228,10 +249,61 @@ def closed_form(base: int, power: int) -> tuple[ExponentialForm, Verdict]:
 
     Fits the candidate-base multiset to the 2p exact table values at
     k = 1..2p and verifies the form on a table that reaches
-    table_depth(power).
+    table_depth(power).  A proven form is then checked against brute force,
+    the recurrence's tables of this power and the form at this base, and
+    DisagreementError raised on a mismatch.
     """
     check_base(base)
     table = build_table(base, power, table_depth(power))
     values = [moment_value(table, power, k) for k in range(1, 2 * power + 1)]
     form = fit_closed_form(values, candidate_bases(base, power), base=base, power=power)
-    return form, verify(form, table)
+    verdict = verify(form, table)
+    if verdict.status == "proven":
+        check_recurrence_against_brute(power)
+        check_form_against_brute(form)
+    return form, verdict
+
+
+@lru_cache(maxsize=None)
+def check_recurrence_against_brute(power: int) -> None:
+    """S(power, k) from the recurrence against brute_moment at each base of
+    RECURRENCE_CHECK_BASES and k = 1..RECURRENCE_CHECK_DEPTH, or
+    DisagreementError at the first pair that differs.
+
+    The update's code is the same at every base, so this checks the tables
+    every proof of this power reads: each single fault of an update weight or
+    a seed entry that tests/test_mutations.py sweeps changes one of these
+    values.  Cached, as it depends on power alone.
+    """
+    for b in RECURRENCE_CHECK_BASES:
+        table = _build(b, power, RECURRENCE_CHECK_DEPTH)
+        for k in range(1, RECURRENCE_CHECK_DEPTH + 1):
+            expected, actual = moment_value(table, power, k), brute_moment(MomentQuery(b, power, k))
+            if expected != actual:
+                raise DisagreementError(
+                    f"the recurrence gives S({power}, {k}) = {expected} at b={b}, brute force {actual}"
+                )
+
+
+def brute_check_depth(base: int, power: int) -> int:
+    """The last k at which check_form_against_brute compares a form:
+    min(2p, K_b), with K_b the largest k whose query enumerates at most
+    BRUTE_CHECK_NUMBERS numbers, (b - 1)*b**k <= 256.  0 from b = 17 on."""
+    k = 0
+    while k < 2 * power and (base - 1) * base ** (k + 1) <= BRUTE_CHECK_NUMBERS:
+        k += 1
+    return k
+
+
+def check_form_against_brute(form: ExponentialForm) -> None:
+    """The form against brute_moment at k = 1..brute_check_depth(b, p), or
+    DisagreementError at the first k where they differ.  Not cached: each
+    form is checked where it is made."""
+    den, numerators = form._numerators(brute_check_depth(form.base, form.power))
+    for k, num in enumerate(numerators, 1):
+        actual = brute_moment(MomentQuery(form.base, form.power, k))
+        if num != actual * den:
+            raise DisagreementError(
+                f"the form at b={form.base} gives S({form.power}, {k}) = {Fraction(num, den)},"
+                f" brute force {actual}"
+            )

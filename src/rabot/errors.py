@@ -19,10 +19,15 @@ class WorkerError(RuntimeError):
 
 
 class NoFitError(RuntimeError):
-    """Raised when no candidate closed form reproduces the given values, when
-    the eigenvalue families do not annihilate the moment state over Q(b) (so
-    no general form is derived), or when a general form's specialization is
-    not proven at a base it is cross-checked on."""
+    """Raised when no candidate closed form reproduces the given values, or
+    when the eigenvalue families do not annihilate the moment state over Q(b)
+    (so no general form is derived)."""
+
+
+class DisagreementError(RuntimeError):
+    """Raised when a result about to be called proven disagrees with brute
+    force: the recurrence's table at a small base, or the form itself at a
+    small k."""
 
 
 class DepthError(ValueError):

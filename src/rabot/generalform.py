@@ -20,13 +20,12 @@ result is a theorem, and its one premise is checked, not assumed:
   denominator vanishes; GeneralForm.excluded_bases lists the bases where
   one does.
 
-At every requested base outside those, guess_general_form also
-cross-checks the specialized form by verify's rules (closedform.judge)
-against a recurrence table the derivation did not read.  That check is
-independent, not the proof.  It steps the integer tables of a chunk of
-bases together by build_table's update rows (recurrence.build_lane_table),
-each entry one integer per base, and runs one annihilator pass over them
-(recurrence.lanes_not_annihilated), once per chunk rather than per base.
+The proof reads the same update code as the integer tables.  So before
+guess_general_form returns a form, it checks that code against brute force
+(closedform.check_recurrence_against_brute), and the specialized form at
+each small base of the requested range (closedform.check_form_against_brute):
+checks against an engine that shares nothing with the derivation, not the
+proof.
 """
 from __future__ import annotations
 
@@ -35,27 +34,19 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import gcd, isqrt, lcm
-from typing import Iterable
+from typing import Container, Iterable
 
-from .closedform import ExponentialForm, judge, table_depth
+from .closedform import (
+    ExponentialForm,
+    brute_check_depth,
+    check_form_against_brute,
+    check_recurrence_against_brute,
+    table_depth,
+)
 from .digits import check_base
 from .errors import ExcludedBaseError, NoFitError
 from .linalg import taylor_at_roots
-from .recurrence import (
-    _build,
-    annihilates,
-    build_lane_table,
-    candidate_bases,
-    eigenvalue_families,
-    lanes_not_annihilated,
-    moment_value,
-)
-
-# guess_general_form cross-checks a range in ascending chunks of bases, each
-# closed once their bit lengths reach this and judged from one lane table, so
-# that a chunk's table stays a few MB: at p = 7 it holds 16 columns of 36
-# entries per base, of up to about 7*15 times the base's bit length each.
-LANE_CHUNK_BITS = 640
+from .recurrence import _build, annihilates, eigenvalue_families, moment_value
 
 
 def _frac_str(f: Fraction) -> str:
@@ -325,55 +316,38 @@ def _derive(power: int) -> GeneralForm:
 def guess_general_form(power: int, b_range: Iterable[int]) -> GeneralForm:
     """The expression for the power-th moment sum valid in (b, k), derived
     and proven exactly over Q(b) by _derive's checked annihilator; b_range
-    only selects the bases it is cross-checked at.
+    only selects the bases it is checked against brute force at.
 
-    At each base in the range outside excluded_bases(), the specialized form
-    must get the verdict proven from verify's rules (closedform.judge)
-    against that base's own recurrence table, or NoFitError naming the
-    smallest such base is raised.  An exponential form with distinct integer
-    bases is unique, so this is the same as equality with the proven
-    per-base closed form: a cross-check against a table the derivation did
-    not read, not the proof.  The bases are specialized in ascending order
-    and judged in chunks of LANE_CHUNK_BITS (see _judge_lanes); where
-    specialize raises, the bases before it are judged first, so the error is
-    the one checking base after base would meet first.
+    Every base of b_range must be an integer >= 2.  The update code of this
+    power is checked against brute force (check_recurrence_against_brute),
+    and then the specialized form at each of brute_checked_bases(g, b_range)
+    in ascending order (check_form_against_brute): DisagreementError at the
+    first mismatch.  A range is never materialized, so its ends may be any
+    size.
     """
-    bs = set(b_range)
-    if not bs:
+    bases = b_range if isinstance(b_range, range) else set(b_range)
+    if not bases:
         raise ValueError("the base range is empty")
+    for b in (bases[0], bases[-1]) if isinstance(bases, range) else bases:
+        check_base(b)  # a range's least base is at one of its ends
     g = _derive(power)
-    chunk, bits = [], 0
-    for b in sorted(bs - g.excluded_bases()):
-        try:
-            form = specialize(g, b)
-        except ValueError:
-            _judge_lanes(power, chunk)  # the smaller bases first, as base after base would
-            raise
-        chunk.append(form)
-        bits += b.bit_length()
-        if bits >= LANE_CHUNK_BITS:
-            _judge_lanes(power, chunk)
-            chunk, bits = [], 0
-    _judge_lanes(power, chunk)
+    check_recurrence_against_brute(power)
+    for b in brute_checked_bases(g, bases):
+        check_form_against_brute(specialize(g, b))
     return g
 
 
-def _judge_lanes(power: int, forms: list[ExponentialForm]) -> None:
-    """The verdict of each of these specialized forms, in order, from one lane
-    table and one lane annihilator pass for all their bases: the verdict
-    verify would give against build_table(b, power, table_depth(power)).
-    NoFitError at the first that is not proven."""
-    if not forms:
-        return
-    bases = [form.base for form in forms]
-    table = build_lane_table(bases, power, table_depth(power))
-    spectra = [candidate_bases(b, power) for b in bases]
-    failing = set(lanes_not_annihilated(table, spectra, power))
-    values = zip(*(table.moments[k][(power + 1) * (power + 2) // 2 - 1] for k in range(1, 2 * power + 1)))
-    for form, spectrum, lane_values in zip(forms, spectra, values):
-        verdict = judge(form, lane_values, spectrum, lambda: form.base not in failing)
-        if verdict.status != "proven":
-            raise NoFitError(f"the general form at b={form.base} is {verdict.status}, not proven")
+def brute_checked_bases(g: GeneralForm, b_range: Container[int]) -> list[int]:
+    """The bases of b_range, ascending, where guess_general_form checks g's
+    specialization against brute force: those outside excluded_bases() with
+    a brute_check_depth of at least 1.  That depth falls as b grows and is 0
+    from b = 17 on, so only b = 2..16 are looked up in b_range."""
+    excluded, bases, b = g.excluded_bases(), [], 2
+    while brute_check_depth(b, g.power):
+        if b in b_range and b not in excluded:
+            bases.append(b)
+        b += 1
+    return bases
 
 
 def specialize(g: GeneralForm, b: int) -> ExponentialForm:

@@ -26,17 +26,17 @@ start from the one-digit numbers at k = 0, whose raboter value is 0:
 T(j, 0, 0) = F_j - [j = 0], S(l, 0, 0) = [l >= 1], all else 0.
 
 The update U is stored once per power as its sparse rows (_update).  extend
-steps one base's table by them, build_lane_table the tables of many bases
-together (one integer per base in each entry), and moment_value's
-last-digit chain reads the rows for j = 0, the first equation above.
+steps a table by them, and moment_value's last-digit chain reads the rows
+for j = 0, the first equation above.  rabot.closedform checks these tables
+against brute force (check_recurrence_against_brute) before it calls a form
+proven.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
 from math import comb
-from operator import add, mul
+from operator import mul
 from typing import Sequence
 
 from .digits import check_base
@@ -158,12 +158,11 @@ def _update(power: int) -> tuple[tuple[tuple[tuple[str, int, int], int], ...], .
     return tuple(rows)
 
 
-def _basis(base, power: int, sums: bool = True) -> dict:
+def _basis(base, power: int) -> dict:
     """What _update's weights are made of at one base: "b" holds b**e, "g"
-    the growths b**e - 1 and "F" the F_e, e <= power; only F_0 when sums is
-    false, for the last-digit chain, which reads no F_e."""
+    the growths b**e - 1 and "F" the F_e, e <= power."""
     powers = [base**e for e in range(power + 1)]
-    return {"b": powers, "g": [x - 1 for x in powers], "F": _power_sums(base, power if sums else 0)}
+    return {"b": powers, "g": [x - 1 for x in powers], "F": _power_sums(base, power)}
 
 
 def _seed(sums: Sequence) -> list:
@@ -197,17 +196,13 @@ def extend(t: MomentTable, new_max_k: int) -> MomentTable:
     return MomentTable(t.base, t.max_power, new_max_k, tuple(columns))
 
 
-def _check_size(max_power: int, max_k: int) -> None:
+def build_table(base: int, max_power: int, max_k: int) -> MomentTable:
+    """The moment state of every (k+1)-digit length up to k = max_k >= 1."""
+    check_base(base)
     if not isinstance(max_power, int) or max_power < 0:
         raise ValueError(f"max_power must be a non-negative integer, got {max_power!r}")
     if not isinstance(max_k, int) or max_k < 1:
         raise ValueError(f"max_k must be an integer >= 1, got {max_k!r}")
-
-
-def build_table(base: int, max_power: int, max_k: int) -> MomentTable:
-    """The moment state of every (k+1)-digit length up to k = max_k >= 1."""
-    check_base(base)
-    _check_size(max_power, max_k)
     return _build(base, max_power, max_k)
 
 
@@ -215,88 +210,6 @@ def _build(base, max_power: int, max_k: int) -> MomentTable:
     """build_table without its checks, for a base in any ring with exact
     division by small integers: an int, or b itself as a generalform.PolyInB."""
     return extend(MomentTable(base, max_power, 0, (tuple(_seed(_power_sums(base, max_power))),)), max_k)
-
-
-@dataclass(frozen=True)
-class LaneTable:
-    """The moment tables of several bases, stepped together as lanes:
-    moments[k][s] holds entry s of the state at k (MomentTable's order) at
-    each base of `bases`, in order, so lane i of every entry is
-    build_table(bases[i], ...)'s.
-
-    An entry is a list, not a tuple: CPython builds a tuple from a map by
-    resizing it, and keeps every freed tuple of up to 20 items on a free
-    list of its size, where tuples of each lane count would pile up, a few
-    MB over a few thousand small ranges.  Entries may be shared: read them,
-    never write them."""
-
-    bases: tuple[int, ...]
-    max_power: int
-    max_k: int
-    moments: tuple[tuple[list[int], ...], ...]
-
-
-def build_lane_table(bases: Sequence[int], max_power: int, max_k: int) -> LaneTable:
-    """build_table at every base of a non-empty sequence at once.
-
-    The seed and the weights are extend's, evaluated lane by lane, and each
-    read of _update runs once per table entry over all lanes at C speed (map
-    over operator.mul and add), not once per base, so this pays where many
-    bases share one power and depth.  A single lane costs more than it
-    saves: build_table is 2.5-3x faster at one base, p = 2..3.
-    """
-    bases = tuple(bases)
-    if not bases:
-        raise ValueError("a lane table needs at least one base")
-    for b in bases:
-        check_base(b)
-    _check_size(max_power, max_k)
-    sums = [_power_sums(b, max_power) for b in bases]
-    powers = [[b**e for b in bases] for e in range(max_power + 1)]
-    basis = {"b": powers, "g": [[x - 1 for x in xs] for xs in powers], "F": [list(f) for f in zip(*sums)]}
-    rows = _update(max_power)
-    weights = {w: [w[2] * x for x in basis[w[0]][w[1]]] for w in {w for row in rows for w, _ in row}}
-    plan = [((weights[w], s), [(weights[w], s) for w, s in rest]) for (w, s), *rest in rows]
-    seeds = [_seed(f) for f in sums]
-    columns = [tuple([seed[s] for seed in seeds] for s in range(len(rows)))]
-    for _ in range(max_k):
-        prev = columns[-1]
-        column = []
-        for (w, s), rest in plan:
-            value = map(mul, w, prev[s])
-            for w, s in rest:
-                value = map(add, value, map(mul, w, prev[s]))
-            column.append(list(value))
-        columns.append(tuple(column))
-    return LaneTable(bases, max_power, max_k, tuple(columns))
-
-
-def lanes_not_annihilated(
-    table: LaneTable, roots: Sequence[Sequence[int]], power: int | None = None
-) -> list[int]:
-    """annihilates at every lane: the bases of the table, in lane order,
-    where prod_lam (U - lam) over that lane's multiset roots[i] does not
-    kill the state at k = 1.  Each lane's e_i are the coefficients of
-    pole_product(roots[i]), reversed, and zero past its own multiset's size.
-    """
-    state = _state_prefix(table.max_power, power)
-    if len(roots) != len(table.bases):
-        raise ValueError(f"{len(roots)} root multisets for {len(table.bases)} lanes")
-    size = max(map(len, roots))
-    if table.max_k < size + 1:
-        raise DepthError(
-            f"table depth {table.max_k} is below {size + 1}, the depth the annihilator reads"
-        )
-    e = list(zip(*[pole_product(r)[::-1] + [0] * (size - len(r)) for r in roots]))
-    columns = table.moments[1 : size + 2]
-    lanes = range(len(table.bases))
-    failing: set[int] = set()
-    for s in range(state):
-        value = map(mul, e[0], columns[0][s])
-        for c, column in zip(e[1:], columns[1:]):
-            value = map(add, value, map(mul, c, column[s]))
-        failing.update(compress(lanes, value))
-    return [table.bases[i] for i in sorted(failing)]
 
 
 def moment_value(
@@ -318,7 +231,7 @@ def moment_value(
     l = last_digit
     if not (isinstance(l, int) and 0 <= l < t.base):
         raise IndexError(f"last digit {l!r} out of range [0, {t.base - 1}]")
-    basis, states = _basis(t.base, power, sums=False), _states(power)
+    basis, states = _basis(t.base, power), _states(power)
     steps = [  # the rows of T(0, q), whose F_0 * T(0, q) read is column[own] below
         ([(c * basis[kind][e] * l ** states[s][0], states[s][1])
           for (kind, e, c), s in row if kind != "F"], own)

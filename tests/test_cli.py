@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -264,7 +265,7 @@ def test_general_form_golden(capsys):
     )
     assert out.splitlines()[0].startswith("proven:")
     assert out.splitlines()[1] == (
-        "valid for every b >= 2; checked against closed-form at b = 2..12"
+        "valid for every b >= 2; checked against brute force at b = 2..12"
     )
 
 
@@ -274,7 +275,7 @@ def test_general_form_third_and_fourth_moments_over_default_range(capsys):
         assert code == 0, power
         assert out.splitlines()[0].startswith("proven:")
         assert out.splitlines()[1] == (
-            "valid for every b >= 2 except 2; checked against closed-form at b = 2..12"
+            "valid for every b >= 2 except 2; checked against brute force at b = 3..12"
         )
     code, out, _ = run(capsys, "general-form", "--power", "3", "--json")
     record = OutputRecord.from_json(out)
@@ -312,72 +313,25 @@ def test_general_form_power_above_limit_exits_2(capsys, monkeypatch):
     assert calls == [limit]
 
 
-def test_general_form_range_above_limit_exits_2(capsys, monkeypatch):
-    calls = []
-
-    def stub(power, b_range):
-        calls.append(len(b_range))
-        raise NoFitError("stub")
-
-    monkeypatch.setattr(cli, "guess_general_form", stub)
-    limit = cli.MAX_GENERAL_FORM_BASES
-    for b_min, b_max in ((2, limit + 2), (5, 20000), (2, 10**30)):
-        argv = ("general-form", "--power", "2", "--b-min", str(b_min), "--b-max", str(b_max))
-        code, out, err = run(capsys, *argv)
-        assert code == 2, argv
-        assert out == ""
-        assert f"limit of {limit} bases" in err
-    # within the count limit, the range's cross-check tables are held to a
-    # total size: count*max(p, 3)*(2p + 1)*bit_length(b_max)
-    huge = 10**100  # bit_length 333
-    for count in (limit, 31):
-        argv = ("general-form", "--power", "7", "--b-min", str(huge - count + 1), "--b-max", str(huge))
-        code, out, err = run(capsys, *argv)
-        assert code == 2, count
-        assert out == ""
-        assert err == (
-            f"error: {count} bases up to a 333-bit --b-max at --power 7:"
-            f" count*max(p, 3)*(2p + 1)*bit_length(b) = {count * 7 * 15 * 333} is above"
-            f" the general-form limit of {cli.MAX_GENERAL_FORM_SIZE}\n"
-        ), count
-    assert calls == []
-    # a range of exactly the limit reaches the derivation, as do 1000 bases
-    # below 1024 and 30 at 333 bits at the top power
-    code, _, _ = run(capsys, "general-form", "--power", "2", "--b-min", "7", "--b-max", str(limit + 6))
-    assert code == 4
-    code, _, _ = run(capsys, "general-form", "--power", "7", "--b-min", "2", "--b-max", "1001")
-    assert code == 4
-    code, _, _ = run(capsys, "general-form", "--power", "7", "--b-min", str(huge - 29), "--b-max", str(huge))
-    assert code == 4
-    assert calls == [limit, limit, 30]
-
-
-def test_general_form_b_max_above_size_limit_exits_2_before_derivation(capsys, monkeypatch):
-    # the cross-check tables go to k = 2p + 1 at bases up to --b-max
-    calls = []
-
-    def stub(power, b_range):
-        calls.append(power)
-        raise NoFitError("stub")
-
-    monkeypatch.setattr(cli, "guess_general_form", stub)
-    huge = str(10**1000)  # bit_length 3322
-    code, out, err = run(capsys, "general-form", "--power", "7", "--b-min", huge, "--b-max", huge)
-    assert code == 2
-    assert out == ""
-    assert err == (
-        "error: the table depth 15 at a 3322-bit --b-max and --power 7:"
-        " k*bit_length(b) = 49830 is above the size limit of 5142\n"
-    )
-    code, _, err = run(capsys, "general-form", "--power", "1", "--b-max", str(2**4000))
-    assert code == 2
-    assert "--b-max" in err
-    assert calls == []
-    # 10**100 has 333 bits: 15*333 = 4995 is within the limit at p = 7
-    base = str(10**100)
-    code, _, _ = run(capsys, "general-form", "--power", "7", "--b-min", base, "--b-max", base)
-    assert code == 4
-    assert calls == [7]
+def test_general_form_any_range_is_admitted_and_fast(capsys):
+    # the brute-force checks run at b <= 16 alone, and the range is never
+    # materialized, so neither its width nor the size of its bases costs time
+    huge = 10**100
+    first = run(capsys, "general-form", "--power", "7")[1].splitlines()[0]
+    for b_min, b_max, checked in (
+        (2, 1002, "checked against brute force at b = 3..16"),
+        (5, 20000, "checked against brute force at b = 5..16"),
+        (15, 10**30, "checked against brute force at b = 15..16"),
+        (huge - 999, huge, f"no base in b = {huge - 999}..{huge} was checked against brute force"),
+        (10**1000, 10**1000, f"no base in b = {10**1000}..{10**1000} was checked against brute force"),
+        (2, 10**1000, "checked against brute force at b = 3..16"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "general-form", "--power", "7", "--b-min", str(b_min), "--b-max", str(b_max))
+        elapsed = time.perf_counter() - start
+        assert (code, err) == (0, ""), (b_min, b_max)
+        assert out.splitlines() == [first, f"valid for every b >= 2 except 2; {checked}"]
+        assert elapsed < 2, (b_min, b_max, elapsed)
 
 
 def test_general_form_b_min_below_2_exits_2_before_derivation(capsys, monkeypatch):
@@ -393,31 +347,94 @@ def test_general_form_b_min_below_2_exits_2_before_derivation(capsys, monkeypatc
 
 
 def test_general_form_says_when_no_base_was_cross_checked(capsys):
-    code, out, _ = run(capsys, "general-form", "--power", "3", "--b-min", "2", "--b-max", "2")
-    assert code == 0
-    assert out.splitlines()[1] == (
-        "valid for every b >= 2 except 2; no base was cross-checked: every base in b = 2..2 is excluded"
-    )
-    code, out, _ = run(capsys, "general-form", "--power", "3", "--b-min", "2", "--b-max", "3")
-    assert code == 0
-    assert out.splitlines()[1] == (
-        "valid for every b >= 2 except 2; checked against closed-form at b = 2..3"
-    )
+    for b_min, b_max, power, line in (
+        ("2", "2", "3", "valid for every b >= 2 except 2; no base in b = 2..2 was checked against brute force"),
+        ("2", "3", "3", "valid for every b >= 2 except 2; checked against brute force at b = 3"),
+        ("16", "17", "1", "valid for every b >= 2; checked against brute force at b = 16"),
+        ("17", "300", "1", "valid for every b >= 2; no base in b = 17..300 was checked against brute force"),
+    ):
+        code, out, _ = run(capsys, "general-form", "--power", power, "--b-min", b_min, "--b-max", b_max)
+        assert code == 0
+        assert out.splitlines()[1] == line
 
 
-def test_general_form_unproven_input_exits_4(capsys, monkeypatch):
+def test_base_runs_name_each_run_of_consecutive_bases():
+    assert cli._runs([3]) == "3"
+    assert cli._runs([2, 3, 4, 7, 9, 10]) == "2..4, 7, 9..10"
+
+
+def _shifted_at_three(monkeypatch):
+    """specialize with 2 added to the first coefficient at b = 3."""
     import rabot.generalform as gf
-    from rabot import Verdict
+    from rabot import ExponentialForm
 
-    real_judge = gf.judge
+    real_specialize = gf.specialize
 
-    def unproven(form, values, bases, annihilated):
-        return Verdict("consistent", real_judge(form, values, bases, annihilated).checked_depth)
+    def shifted(g, b):
+        form = real_specialize(g, b)
+        if b != 3:
+            return form
+        (c, *rest), lam = form.terms[0]
+        return ExponentialForm(b, form.power, (((c + 2, *rest), lam),) + form.terms[1:])
 
-    monkeypatch.setattr(gf, "judge", unproven)
-    code, _, err = run(capsys, "general-form", "--power", "1")
-    assert code == 4
-    assert "not proven" in err
+    monkeypatch.setattr(gf, "specialize", shifted)
+
+
+def test_general_form_disagreeing_with_brute_force_exits_3(capsys, monkeypatch):
+    _shifted_at_three(monkeypatch)
+    # at b = 3 the smallest growth base of S(1, .) is b = 3, so S(1, 1) = 3 is off by 2*3
+    for json_flag in ((), ("--json",)):
+        code, out, err = run(capsys, "general-form", "--power", "1", *json_flag)
+        assert (code, out) == (3, "")
+        assert err == "error: the form at b=3 gives S(1, 1) = 9, brute force 3\n"
+    # a range without b = 3 does not check there
+    assert run(capsys, "general-form", "--power", "1", "--b-min", "4")[0] == 0
+
+
+def test_closed_form_disagreeing_with_brute_force_exits_3(capsys, monkeypatch):
+    import rabot.closedform as cf
+
+    real_brute = cf.brute_moment
+    cf.check_recurrence_against_brute.cache_clear()
+    monkeypatch.setattr(cf, "brute_moment", lambda q: real_brute(q) + (q.base == 3 and q.k == 2))
+    try:
+        # the recurrence's table at b = 3 is checked at every base
+        code, out, err = run(capsys, "closed-form", "--base", "5", "--power", "2")
+        assert (code, out, err) == (3, "", "error: the recurrence gives S(2, 2) = 95 at b=3, brute force 96\n")
+        # with that part passed and cached, the form at b = 3 itself
+        monkeypatch.setattr(cf, "brute_moment", real_brute)
+        cf.check_recurrence_against_brute(2)
+        monkeypatch.setattr(cf, "brute_moment", lambda q: real_brute(q) + (q.base == 3 and q.k == 2))
+        code, out, err = run(capsys, "closed-form", "--base", "3", "--power", "2", "--json")
+        assert (code, out, err) == (3, "", "error: the form at b=3 gives S(2, 2) = 95, brute force 96\n")
+    finally:
+        cf.check_recurrence_against_brute.cache_clear()
+
+
+def test_proofs_check_against_brute_force_on_the_caller_alone(capsys, monkeypatch):
+    # every query of the checks is below the 4096 numbers at which the
+    # oracle splits a query over workers, so neither command forks one
+    import rabot.closedform as cf
+
+    counts = []
+    real_brute = cf.brute_moment
+
+    def spy(q):
+        counts.append(q.count())
+        return real_brute(q)
+
+    def refuse(*args):
+        raise AssertionError("a check query reached the workers")
+
+    monkeypatch.setattr(cf, "brute_moment", spy)
+    monkeypatch.setattr(oracle, "_sum_on_workers", refuse)
+    cf.check_recurrence_against_brute.cache_clear()
+    for power in ("1", "4", "7"):
+        assert run(capsys, "general-form", "--power", power, "--b-max", "40")[0] == 0
+        for base in ("2", "3", "16", "1000000"):
+            assert run(capsys, "closed-form", "--base", base, "--power", power)[0] == 0
+    assert counts and max(counts) < 2 * oracle._PARALLEL_MIN_CHUNK
+    cf.check_recurrence_against_brute.cache_clear()
 
 
 def test_seq_golden(capsys):

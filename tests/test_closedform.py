@@ -471,3 +471,57 @@ def test_verify_takes_its_premise_from_the_one_annihilator_check(monkeypatch):
     monkeypatch.setattr(cf, "annihilates", refuse)
     assert verify(form, build_table(3, 2, 5)) == Verdict("consistent", checked_depth=4)
     assert calls == [(3, candidate_bases(3, 2), 2)]
+
+
+# K_b, the largest k with (b - 1)*b**k <= 256, written out: 1 from b = 7 to 16
+SHORT_QUERY_DEPTH = {2: 8, 3: 4, 4: 3, 5: 2, 6: 2, **{b: 1 for b in range(7, 17)}}
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 7])
+def test_form_check_queries_every_k_up_to_its_depth(p, monkeypatch):
+    import rabot.closedform as cf
+
+    real_brute = cf.brute_moment
+    queries = []
+
+    def spy(q):
+        queries.append(q)
+        return real_brute(q)
+
+    monkeypatch.setattr(cf, "brute_moment", spy)
+    for b in (*range(2, 19), 10**6):
+        form, verdict = closed_form(b, p)
+        assert verdict.status == "proven"
+        queries.clear()
+        cf.check_form_against_brute(form)
+        depth = min(2 * p, SHORT_QUERY_DEPTH.get(b, 0))
+        assert cf.brute_check_depth(b, p) == depth, b
+        assert [(q.base, q.power, q.k, q.last_digit) for q in queries] == [(b, p, k, None) for k in range(1, depth + 1)]
+        assert all(q.count() <= 256 for q in queries)
+
+
+def test_closed_form_checks_against_brute_force_only_what_it_proves(monkeypatch):
+    import rabot.closedform as cf
+
+    checked = []
+    monkeypatch.setattr(cf, "check_recurrence_against_brute", lambda power: checked.append(("recurrence", power)))
+    monkeypatch.setattr(cf, "check_form_against_brute", lambda form: checked.append(("form", form.base)))
+    form, verdict = cf.closed_form(5, 2)
+    assert verdict.status == "proven"
+    assert checked == [("recurrence", 2), ("form", 5)]
+    checked.clear()
+    monkeypatch.setattr(cf, "annihilates", lambda table, roots, power=None: False)
+    assert cf.closed_form(5, 2)[1].status == "consistent"
+    assert checked == []
+
+
+def test_form_check_names_the_first_k_that_disagrees():
+    import rabot.closedform as cf
+    from rabot import DisagreementError
+
+    form, _ = closed_form(2, 3)
+    (c, *rest), lam = form.terms[-1]  # 9**k: wrong from k = 1
+    wrong = ExponentialForm(2, 3, form.terms[:-1] + (((c + F(1, 9**3), *rest), lam),))
+    with pytest.raises(DisagreementError) as err:
+        cf.check_form_against_brute(wrong)
+    assert str(err.value) == f"the form at b=2 gives S(3, 1) = {F(1) + F(1, 9**2)}, brute force 1"

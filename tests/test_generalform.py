@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabot import (
+    DisagreementError,
     ExcludedBaseError,
     GeneralForm,
     NoFitError,
@@ -16,10 +17,12 @@ from rabot import (
     RationalFnInB,
     base_families,
     build_table,
+    brute_moment,
     closed_form,
     guess_general_form,
     specialize,
 )
+from rabot import MomentQuery
 from rabot.generalform import _derive
 from rabot.recurrence import _build
 
@@ -408,10 +411,14 @@ def test_a_wrong_family_fails_the_annihilator_check(p, monkeypatch, capsys):
 def test_derivation_builds_no_integer_table(monkeypatch):
     import rabot.generalform as gf
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the derivation must not sample integer bases")
+    real_build = gf._build
 
-    monkeypatch.setattr(gf, "build_lane_table", refuse)
+    def symbolic_only(base, max_power, max_k):
+        if isinstance(base, int):
+            raise AssertionError("the derivation must not sample integer bases")
+        return real_build(base, max_power, max_k)
+
+    monkeypatch.setattr(gf, "_build", symbolic_only)
     gf._derive.cache_clear()
     # golden: `rabot general-form --power 3`, line 1
     assert gf._derive(3).render() == (
@@ -438,25 +445,29 @@ def test_guess_rejects_form_that_disagrees_with_proven_form(monkeypatch):
         return ExponentialForm(b, form.power, (((c + 1, *rest), lam),) + form.terms[1:])
 
     monkeypatch.setattr(gf, "specialize", shifted)
-    with pytest.raises(NoFitError) as err:
+    with pytest.raises(DisagreementError) as err:
         guess_general_form(2, range(2, 7))
     assert "b=4" in str(err.value)
 
 
-def test_guess_rejects_unproven_per_base_form(monkeypatch):
+def test_guess_rejects_a_faulted_recurrence(monkeypatch):
+    # the seed T(0, 0, 0) one too large keeps the update's spectrum, so the
+    # derivation's annihilator still vanishes; the brute-force check does not
+    import rabot.closedform as cf
     import rabot.generalform as gf
-    from rabot import Verdict
+    import rabot.recurrence as rec
 
-    real_judge = gf.judge
-
-    def unproven(form, values, bases, annihilated):
-        return Verdict("consistent", real_judge(form, values, bases, annihilated).checked_depth)
-
-    monkeypatch.setattr(gf, "judge", unproven)
-    with pytest.raises(NoFitError) as err:
-        guess_general_form(1, range(2, 9))
-    assert "b=2" in str(err.value)
-    assert "not proven" in str(err.value)
+    real_seed = rec._seed
+    monkeypatch.setattr(rec, "_seed", lambda sums: [real_seed(sums)[0] + 1, *real_seed(sums)[1:]])
+    gf._derive.cache_clear()
+    cf.check_recurrence_against_brute.cache_clear()
+    try:
+        with pytest.raises(DisagreementError) as err:
+            guess_general_form(1, range(2, 9))
+        assert str(err.value) == "the recurrence gives S(1, 2) = 5 at b=2, brute force 4"
+    finally:
+        gf._derive.cache_clear()
+        cf.check_recurrence_against_brute.cache_clear()
 
 
 def _shift_at(real_specialize, bad):
@@ -478,34 +489,44 @@ def test_guess_names_the_smallest_failing_base(monkeypatch):
     import rabot.generalform as gf
 
     monkeypatch.setattr(gf, "specialize", _shift_at(gf.specialize, {9, 4}))
-    with pytest.raises(NoFitError) as err:
+    with pytest.raises(DisagreementError) as err:
         guess_general_form(2, range(2, 13))
-    assert str(err.value) == "the general form at b=4 is refuted, not proven"
+    # the smallest growth base at b = 4 is b - 1 = 3, so S(2, 1) is off by 3/1000003
+    value = brute_moment(MomentQuery(4, 2, 1))
+    assert str(err.value) == f"the form at b=4 gives S(2, 1) = {value + F(3, 1000003)}, brute force {value}"
 
 
-@pytest.mark.parametrize("budget", [1, 5, 9, 640])
-def test_guess_judges_every_base_across_chunk_edges(budget, monkeypatch):
-    # budget 1 gives one-base chunks; 5 and 9 bits end chunks inside the range
+def test_guess_checks_every_small_base_of_the_range(monkeypatch):
+    # bases from 17 on have no k whose query is short enough, and no range is
+    # materialized, so ranges of any size are quick
     import rabot.generalform as gf
 
-    real_specialize, real_judge_lanes = gf.specialize, gf._judge_lanes
-    chunks = []
+    real_check, real_specialize = gf.check_form_against_brute, gf.specialize
+    checked = []
 
-    def spy(power, forms):
-        chunks.append([form.base for form in forms])
-        real_judge_lanes(power, forms)
+    def spy(form):
+        checked.append(form.base)
+        real_check(form)
 
-    monkeypatch.setattr(gf, "LANE_CHUNK_BITS", budget)
-    monkeypatch.setattr(gf, "_judge_lanes", spy)
-    assert guess_general_form(3, range(2, 14)) == _derive(3)
-    assert sum(chunks, []) == list(range(3, 14))  # 2 is excluded at p = 3
-    for chunk in chunks[:-1]:
-        assert sum(b.bit_length() for b in chunk) >= budget
-        assert sum(b.bit_length() for b in chunk[:-1]) < budget
-    for bad in range(3, 14):
-        monkeypatch.setattr(gf, "specialize", _shift_at(real_specialize, {bad, 13}))
-        with pytest.raises(NoFitError, match=f"at b={bad} is refuted"):
-            guess_general_form(3, range(2, 14))
+    monkeypatch.setattr(gf, "check_form_against_brute", spy)
+    for p in (1, 3):
+        excluded = _derive(p).excluded_bases()
+        for b_range, small in (
+            (range(2, 14), range(2, 14)),
+            (range(10, 10**100), range(10, 17)),
+            (range(10**1000, 1, -3), range(4, 17, 3)),
+            ([5, 30, 7], [5, 7]),
+            (range(17, 10**1000), []),
+        ):
+            checked.clear()
+            assert guess_general_form(p, b_range) == _derive(p)
+            assert checked == [b for b in small if b not in excluded], (p, b_range)
+            assert checked == gf.brute_checked_bases(_derive(p), b_range)
+    # a wrong form fails at its own base, whichever base of 3..16 it is
+    for bad in range(3, 17):
+        monkeypatch.setattr(gf, "specialize", _shift_at(real_specialize, {bad, 16}))
+        with pytest.raises(DisagreementError, match=f"at b={bad} gives"):
+            guess_general_form(3, range(2, 10**100))
 
 
 def test_guess_judges_the_smaller_bases_before_a_specialize_error(monkeypatch):
@@ -523,7 +544,7 @@ def test_guess_judges_the_smaller_bases_before_a_specialize_error(monkeypatch):
         return specialize
 
     monkeypatch.setattr(gf, "specialize", refusing(7))
-    with pytest.raises(NoFitError, match="at b=5 is refuted"):
+    with pytest.raises(DisagreementError, match="at b=5 gives"):
         guess_general_form(2, range(2, 10))
     monkeypatch.setattr(gf, "specialize", refusing(4))
     with pytest.raises(ValueError, match="refused at b=4"):
@@ -556,7 +577,13 @@ def test_guess_validation():
     with pytest.raises(ValueError):
         guess_general_form(1, [1, 2, 3])
     with pytest.raises(ValueError):
+        guess_general_form(1, [30, 2.5])
+    with pytest.raises(ValueError):
         guess_general_form(1, range(5, 3))
+    # a range is checked at its ends, its least base at either
+    for bad in (range(1, 10**100), range(10**100, 0, -1), range(0, 10**100, 7)):
+        with pytest.raises(ValueError, match="base must be an integer >= 2"):
+            guess_general_form(1, bad)
 
 
 def test_specialize_second_moment_at_two_merges_to_three_terms():

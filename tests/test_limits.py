@@ -97,6 +97,9 @@ def test_one_past_each_bound_exits_2_before_any_work(capsys, no_work, command, f
      f"the check sweep enumerates more than the cap of {2**64 - 1} numbers"),
     (str(10**600), ["check", "--b-max", str(10**700), "--k-max", "1", "--p-max", "0"],
      "the check sweep enumerates more numbers than a 1994-bit cap"),
+    # that cap at a small base allows k up to 1995, where the total is summed base by base
+    (str(10**600), ["check", "--b-max", "3", "--k-max", "1000000", "--p-max", "0"],
+     "the check sweep enumerates more numbers than a 1994-bit cap"),
 ])
 def test_refusals_come_before_the_work_of_an_admitted_flag(capsys, monkeypatch, no_work, env, argv, message):
     if env is None:

@@ -1,11 +1,13 @@
 """The mutation catalogue: a fixed table of faults, each put into one engine
-by monkeypatching.
+by monkeypatching, and a sweep of every single fault of the recurrence's
+update weights and seed.
 
 Each row's fault must change its engine's output on the row's input, so that
 no row passes without its fault taking effect, and must make every command
-the row lists fail with its documented exit code: 3 when the recurrence and
-the oracle disagree (`sum --engine both`, `check`), 4 when a form is not
-proven (`closed-form`, `general-form`), and never 0.
+the row lists fail with the row's exit code: 3 when the recurrence and the
+oracle disagree, which `sum --engine both` and `check` find and so do the
+brute-force checks of `closed-form` and `general-form`, and 4 when a form is
+not proven.  Never 0.
 
 The oracle faults are made in this process only, and a patch does not reach
 workers forked earlier, so every oracle query here has fewer than
@@ -15,7 +17,16 @@ import inspect
 
 import pytest
 
-from rabot import MomentQuery, brute_moment, build_table, closed_form, moment_value
+from rabot import (
+    DisagreementError,
+    MomentQuery,
+    NoFitError,
+    brute_moment,
+    build_table,
+    closed_form,
+    guess_general_form,
+    moment_value,
+)
 from rabot import closedform, generalform, oracle, recurrence
 from rabot.cli import OutputRecord, main
 from rabot.closedform import ExponentialForm
@@ -26,7 +37,6 @@ SUM_LAST_DIGIT = ("sum", "--engine", "both", "--base", "3", "--power", "2", "--k
 CHECK = ("check", "--b-max", "3", "--p-max", "2", "--k-max", "4")
 CLOSED_FORM = ("closed-form", "--base", "3", "--power", "2")
 GENERAL_FORM = ("general-form", "--power", "2")
-EXIT = {"sum": 3, "check": 3, "closed-form": 4, "general-form": 4}
 
 
 def power_sum_f1_plus_b(monkeypatch):
@@ -149,37 +159,27 @@ ROWS = {
     "fit-coefficient": (fit_coefficient, fitted_form, (CLOSED_FORM,)),
 }
 
-
-class Uncaught(AssertionError):
-    """A command exited 0 under a fault."""
-
-
-# These faults leave the update's spectrum as it is, so the annihilator still
-# vanishes and both proofs accept the wrong values they are fed: `proven`
-# rests on the recurrence code alone.  ROADMAP item 2 adds the independent
-# check that turns these into failures.  Only an exit 0 is expected here: any
-# other wrong exit code fails the test.
-UNCAUGHT = pytest.mark.xfail(
-    strict=True,
-    raises=Uncaught,
-    reason="ROADMAP item 2: the proofs read the faulted recurrence and print proven",
-)
-PROOF_MISSES = {"F1", "update-weight", "seed"}
+# row -> the exit code of every command it lists: the recurrence faults keep
+# the update's spectrum, so the proofs' brute-force checks, not their
+# verdicts, refuse them
+EXIT = {row: 3 for row in ROWS} | {"eigenvalue-family": 4, "fit-coefficient": 4}
 
 
 @pytest.fixture(autouse=True)
 def isolated(monkeypatch):
-    """_derive's cache cleared around each test, so that no form derived with
-    a fault outlives it, and no sum on the workers, which a fault made here
-    would not reach."""
+    """_derive's and the recurrence check's caches cleared around each test,
+    so that no result found with a fault outlives it, and no sum on the
+    workers, which a fault made here would not reach."""
 
     def refuse(*args):
         raise AssertionError("a query reached the workers, which a fault made here does not reach")
 
     monkeypatch.setattr(oracle, "_sum_on_workers", refuse)
     generalform._derive.cache_clear()
+    closedform.check_recurrence_against_brute.cache_clear()
     yield
     generalform._derive.cache_clear()
+    closedform.check_recurrence_against_brute.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -192,7 +192,7 @@ def isolated(monkeypatch):
 )
 def test_refuted_record_lists_the_inputs(monkeypatch, capsys, argv, inputs):
     power_sum_at_p2(monkeypatch)
-    assert main([*argv, "--json"]) == EXIT[argv[0]]
+    assert main([*argv, "--json"]) == EXIT["power-sum"]
     record = OutputRecord.from_json(capsys.readouterr().out)
     assert (record.command, record.inputs, record.status) == (argv[0], inputs, "refuted")
 
@@ -207,21 +207,74 @@ def test_fault_changes_its_engine(monkeypatch, row):
 
 @pytest.mark.parametrize(
     "row, argv",
-    [
-        pytest.param(
-            row,
-            argv,
-            id=f"{row}-{argv[0]}",
-            marks=UNCAUGHT if row in PROOF_MISSES and argv[0] in ("closed-form", "general-form") else (),
-        )
-        for row, (_, _, commands) in ROWS.items()
-        for argv in commands
-    ],
+    [pytest.param(row, argv, id=f"{row}-{argv[0]}") for row, (_, _, commands) in ROWS.items() for argv in commands],
 )
 def test_fault_fails_the_command(monkeypatch, capsys, row, argv):
     ROWS[row][0](monkeypatch)
     code = main(list(argv))
-    out = capsys.readouterr().out
-    if code == 0:
-        raise Uncaught(f"{' '.join(argv)} exited 0 under the fault: {out.splitlines()[0]}")
-    assert code == EXIT[argv[0]]
+    captured = capsys.readouterr()
+    assert code == EXIT[row], captured.out
+    if code == 3 and argv[0] in ("closed-form", "general-form"):
+        assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _single_faults(power):
+    """Every single fault of the recurrence at this power: one weight
+    (kind, e, c) of _update(power) made (kind, e, c + 1), or one entry of
+    the seed made one larger."""
+    rows = recurrence._update(power)
+    reads = [
+        pytest.param(power, ("update", s, i), id=f"p{power}-update-{s}-{i}")
+        for s, row in enumerate(rows)
+        for i in range(len(row))
+    ]
+    return reads + [pytest.param(power, ("seed", s, None), id=f"p{power}-seed-{s}") for s in range(len(rows))]
+
+
+SINGLE_FAULTS = [case for p in range(1, 5) for case in _single_faults(p)]
+
+
+def _apply(monkeypatch, power, fault):
+    what, s, i = fault
+    if what == "seed":
+        real_seed = recurrence._seed
+        monkeypatch.setattr(
+            recurrence, "_seed", lambda sums: [x + 1 if j == s else x for j, x in enumerate(real_seed(sums))]
+        )
+        return
+    real_update = recurrence._update
+
+    def update(p):
+        rows = list(real_update(p))
+        if p == power:
+            row = list(rows[s])
+            (kind, e, c), source = row[i]
+            row[i] = ((kind, e, c + 1), source)
+            rows[s] = tuple(row)
+        return tuple(rows)
+
+    monkeypatch.setattr(recurrence, "_update", update)
+
+
+def test_the_sweep_has_every_single_fault():
+    assert len(SINGLE_FAULTS) == 8 + 19 + 36 + 60
+
+
+@pytest.mark.parametrize("power, fault", SINGLE_FAULTS)
+def test_single_fault_is_never_proven(monkeypatch, power, fault):
+    depth = 2 * power + 1
+    clean = build_table(3, power, depth)
+    _apply(monkeypatch, power, fault)
+    faulted = build_table(3, power, depth)
+    assert any(moment_value(faulted, power, k) != moment_value(clean, power, k) for k in range(1, depth + 1))
+    # the per-power part alone catches every one of them
+    with pytest.raises(DisagreementError):
+        closedform.check_recurrence_against_brute(power)
+    try:
+        _, verdict = closed_form(3, power)
+    except (DisagreementError, NoFitError):
+        pass
+    else:
+        assert verdict.status != "proven"
+    with pytest.raises((DisagreementError, NoFitError)):
+        guess_general_form(power, range(2, 13))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rabot import (
     DepthError,
+    DisagreementError,
     InvalidBaseError,
     MomentQuery,
     PolyInB,
@@ -19,15 +20,8 @@ from rabot import (
     moment_value,
     state_dimension_bound,
 )
-from rabot.recurrence import (
-    _basis,
-    _build,
-    _update,
-    annihilates,
-    build_lane_table,
-    eigenvalue_families,
-    lanes_not_annihilated,
-)
+from rabot import closedform, oracle
+from rabot.recurrence import MomentTable, _basis, _build, _update, annihilates, eigenvalue_families
 
 
 def _order(p):
@@ -313,90 +307,78 @@ def test_table_is_the_update_rule_entry_by_entry(b, p, k, mid):
     assert all(a is c for a, c in zip(start.moments, extended.moments))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.one_of(st.integers(2, 50), st.integers(10**30 - 50, 10**30 + 50)),
-        min_size=1,
-        max_size=6,
-    ),
-    st.integers(0, 6).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, 2 * p + 1))),
-)
-@example([2], (0, 1))
-@example([10**30 + 7], (6, 13))
-def test_lane_table_is_build_table_at_every_lane(bases, power_and_depth):
-    # one-base tables included; k up to 2p + 1, the depth verify reads
-    p, k = power_and_depth
-    lanes = build_lane_table(bases, p, k)
-    assert lanes.bases == tuple(bases) and (lanes.max_power, lanes.max_k) == (p, k)
-    for i, b in enumerate(bases):
-        single = build_table(b, p, k).moments
-        at_lane = [tuple(entry[i] for entry in column) for column in lanes.moments]
-        assert at_lane == list(single), b
+@pytest.mark.parametrize("p", [1, 2, 7, 16])
+def test_recurrence_check_queries_are_summed_in_process(p, monkeypatch):
+    # b = 2..4 and k = 1..5: 4880 numbers, each query below the 4096 at which
+    # the oracle splits a query over workers; then cached for the power
+    queries = []
+    real = closedform.brute_moment
 
+    def spy(q, *args, **kwargs):
+        queries.append(q)
+        return real(q, *args, **kwargs)
 
-def test_lane_table_checks_like_build_table():
-    for bases in ([], [2, 1], [3, 2.0], [True]):
-        with pytest.raises(ValueError):
-            build_lane_table(bases, 2, 5)
-    with pytest.raises(ValueError):
-        build_lane_table([2, 3], -1, 5)
-    with pytest.raises(ValueError):
-        build_lane_table([2, 3], 2, 0)
+    def refuse(*args):
+        raise AssertionError("a check query reached the workers")
+
+    monkeypatch.setattr(closedform, "brute_moment", spy)
+    monkeypatch.setattr(oracle, "_sum_on_workers", refuse)
+    closedform.check_recurrence_against_brute.cache_clear()
+    closedform.check_recurrence_against_brute(p)
+    closedform.check_recurrence_against_brute(p)
+    assert [(q.base, q.power, q.k, q.last_digit) for q in queries] == [
+        (b, p, k, None) for b in (2, 3, 4) for k in range(1, 6)
+    ]
+    assert sum(q.count() for q in queries) == 4880
+    assert max(q.count() for q in queries) < 2 * oracle._PARALLEL_MIN_CHUNK
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
-def test_lane_annihilator_fails_exactly_the_mutated_lane(p):
-    # the lane version of annihilates: a multiset with its largest family
-    # dropped, or shifted by one, fails at its own lane and at no other
-    bases = [2, 3, 10, 10**6, 10**30]
-    table = build_lane_table(bases, p, 2 * p + 1)
-    roots = [candidate_bases(b, p) for b in bases]
-    assert lanes_not_annihilated(table, roots) == []
-    for i, b in enumerate(bases):
-        for wrong in (roots[i][:-1], roots[i][:-1] + [roots[i][-1] + 1]):
-            mutated = roots[:i] + [wrong] + roots[i + 1 :]
-            assert lanes_not_annihilated(table, mutated) == [b], (b, wrong)
-            single = build_table(b, p, 2 * p + 1)
-            assert not annihilates(single, wrong)
+def test_recurrence_check_names_the_faulted_base(p, monkeypatch):
+    # S(p, k) one too large in one base's table fails the check at that base and k
+    real = closedform._build
+    for bad in (2, 3, 4):
+        for k in (1, 3, 5):
 
+            def faulted(base, max_power, max_k):
+                t = real(base, max_power, max_k)
+                if base != bad:
+                    return t
+                moments = list(t.moments)
+                moments[k] = (*moments[k][:-1], moments[k][-1] + 1)
+                return MomentTable(t.base, t.max_power, t.max_k, tuple(moments))
 
-def test_lane_annihilator_reads_one_column_past_its_roots():
-    roots = [candidate_bases(b, 1) for b in (2, 5)]
-    assert lanes_not_annihilated(build_lane_table([2, 5], 1, 3), roots) == []
-    with pytest.raises(DepthError):
-        lanes_not_annihilated(build_lane_table([2, 5], 1, 2), roots)
-    with pytest.raises(ValueError):
-        lanes_not_annihilated(build_lane_table([2, 5], 1, 3), roots[:1])
-    # rows above the given power need more roots, so they are skipped
-    wide = build_lane_table([2, 5], 2, 3)
-    assert lanes_not_annihilated(wide, roots, 1) == []
-    assert lanes_not_annihilated(wide, roots) == [2, 5]
+            monkeypatch.setattr(closedform, "_build", faulted)
+            closedform.check_recurrence_against_brute.cache_clear()
+            value = moment_value(real(bad, p, 5), p, k)
+            with pytest.raises(DisagreementError) as err:
+                closedform.check_recurrence_against_brute(p)
+            assert str(err.value) == (
+                f"the recurrence gives S({p}, {k}) = {value + 1} at b={bad}, brute force {value}"
+            )
+    closedform.check_recurrence_against_brute.cache_clear()
 
 
 def test_annihilator_refuses_a_power_outside_the_table():
     # every proof rests on this check: a negative power would read no row and so pass any roots
-    table, lanes = build_table(2, 1, 3), build_lane_table([2, 5], 1, 3)
+    table = build_table(2, 1, 3)
     for power in (-1, 2):
         with pytest.raises(ValueError, match=r"in 0\.\.1, the table's range, got"):
             annihilates(table, [5, 7], power)
-        with pytest.raises(ValueError, match=r"in 0\.\.1, the table's range, got"):
-            lanes_not_annihilated(lanes, [[5, 7], [5, 7]], power)
     # both ends are admitted: S(0, k) = (b - 1)*b**k is killed by the root b
     assert annihilates(table, [2], 0) and not annihilates(table, [3], 0)
-    assert lanes_not_annihilated(lanes, [[2], [3]], 0) == [5]
     assert annihilates(table, candidate_bases(2, 1), 1)
-    assert lanes_not_annihilated(lanes, [candidate_bases(b, 1) for b in (2, 5)], 1) == []
 
 
-def test_build_table_and_lane_table_share_their_size_messages():
+def test_build_table_refuses_a_bad_size_or_base():
     for size, message in (((-1, 5), "max_power must be a non-negative integer, got -1"),
                           ((2, 0), "max_k must be an integer >= 1, got 0")):
-        with pytest.raises(ValueError) as single:
+        with pytest.raises(ValueError) as err:
             build_table(2, *size)
-        with pytest.raises(ValueError) as lanes:
-            build_lane_table([2, 3], *size)
-        assert str(single.value) == str(lanes.value) == message
+        assert str(err.value) == message
+    for base in (1, 2.0, True):
+        with pytest.raises(InvalidBaseError):
+            build_table(base, 2, 5)
 
 
 @pytest.mark.parametrize("p", range(1, 11))
