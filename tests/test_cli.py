@@ -313,25 +313,42 @@ def test_general_form_power_above_limit_exits_2(capsys, monkeypatch):
     assert calls == [limit]
 
 
-def test_general_form_any_range_is_admitted_and_fast(capsys):
+def _assert_admitted_and_fast(capsys, power, cases):
     # the brute-force checks run at b <= 16 alone, and the range is never
     # materialized, so neither its width nor the size of its bases costs time
-    huge = 10**100
-    first = run(capsys, "general-form", "--power", "7")[1].splitlines()[0]
-    for b_min, b_max, checked in (
-        (2, 1002, "checked against brute force at b = 3..16"),
-        (5, 20000, "checked against brute force at b = 5..16"),
-        (15, 10**30, "checked against brute force at b = 15..16"),
-        (huge - 999, huge, f"no base in b = {huge - 999}..{huge} was checked against brute force"),
-        (10**1000, 10**1000, f"no base in b = {10**1000}..{10**1000} was checked against brute force"),
-        (2, 10**1000, "checked against brute force at b = 3..16"),
-    ):
+    first = run(capsys, "general-form", "--power", power)[1].splitlines()[0]
+    for b_min, b_max, second in cases:
         start = time.perf_counter()
-        code, out, err = run(capsys, "general-form", "--power", "7", "--b-min", str(b_min), "--b-max", str(b_max))
+        code, out, err = run(capsys, "general-form", "--power", power, "--b-min", str(b_min), "--b-max", str(b_max))
         elapsed = time.perf_counter() - start
         assert (code, err) == (0, ""), (b_min, b_max)
-        assert out.splitlines() == [first, f"valid for every b >= 2 except 2; {checked}"]
+        assert out.splitlines() == [first, second]
         assert elapsed < 2, (b_min, b_max, elapsed)
+
+
+def test_general_form_any_range_is_admitted_and_fast(capsys):
+    huge = 10**100
+    _assert_admitted_and_fast(capsys, "7", (
+        (2, 1002, "valid for every b >= 2 except 2; checked against brute force at b = 3..16"),
+        (5, 20000, "valid for every b >= 2 except 2; checked against brute force at b = 5..16"),
+        (15, 10**30, "valid for every b >= 2 except 2; checked against brute force at b = 15..16"),
+        (huge - 999, huge,
+         f"valid for every b >= 2 except 2; no base in b = {huge - 999}..{huge} was checked against brute force"),
+    ))
+
+
+def test_general_form_any_b_max_is_admitted_and_fast(capsys):
+    # the table depth 2p + 1 at a base of thousands of bits no longer bounds --b-max
+    for b in (10**100, 10**1000):
+        _assert_admitted_and_fast(capsys, "7", (
+            (b, b, f"valid for every b >= 2 except 2; no base in b = {b}..{b} was checked against brute force"),
+        ))
+    _assert_admitted_and_fast(capsys, "7", (
+        (2, 10**1000, "valid for every b >= 2 except 2; checked against brute force at b = 3..16"),
+    ))
+    _assert_admitted_and_fast(capsys, "1", (
+        (2, 2**4000, "valid for every b >= 2; checked against brute force at b = 2..16"),
+    ))
 
 
 def test_general_form_b_min_below_2_exits_2_before_derivation(capsys, monkeypatch):
