@@ -1,11 +1,11 @@
 """Exponential closed forms in k for the moment sums, with rigorous verification.
 
 candidate_bases(b, p) lists the 2p nonzero eigenvalues of the moment update
-U of rabot.recurrence at a base, so two that collide there (2b - 1 =
-b**2 - 1 = 3 at b = 2) form a root of multiplicity two.  The fitter reads
-the form off the generating function of the first 2p values, whose
-denominator is prod_lam (1 - lam x) over that multiset (rabot.linalg): a
-base listed m times gets the residue of a pole of order m, which is a
+U of rabot.recurrence at a base, read off U's diagonal, so two that collide
+there (2b - 1 = b**2 - 1 = 3 at b = 2) form a root of multiplicity two.  The
+fitter reads the form off the generating function of the first 2p values,
+whose denominator is prod_lam (1 - lam x) over that multiset (rabot.linalg):
+a base listed m times gets the residue of a pole of order m, which is a
 coefficient polynomial in k of degree < m.
 
 verify proves a form from one premise that it checks with
@@ -15,13 +15,14 @@ recurrence with characteristic polynomial prod_lam (x - lam) for every
 k >= 1.  A form whose terms fit inside the multiset satisfies it too, so
 agreement at k = 1..2p makes the two equal for every k >= 1.
 
-That premise and the values are read from the recurrence, so a fault in its
-code that keeps the update's spectrum would be proven too.  closed_form
+That premise, the spectrum and the values are all read from the update's
+code, so a fault there, on U's diagonal or off it, would be proven too
+unless it leaves the diagonal without 2p entries (NoFitError).  closed_form
 therefore checks a proven result against rabot.oracle, which shares no
-derivation with the recurrence, in two parts: the recurrence's own tables
-at a few small bases (check_recurrence_against_brute, once per power), and
-the form at the small k whose queries are short (check_form_against_brute).
-A mismatch raises DisagreementError.
+derivation with the recurrence, in two parts: the recurrence's own tables at
+a few small bases (check_recurrence_against_brute, once per power), and the
+form at the small k whose queries are short (check_form_against_brute).  A
+mismatch raises DisagreementError.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .digits import check_base
 from .errors import DepthError, DisagreementError, NoFitError
@@ -199,38 +200,13 @@ def table_depth(power: int) -> int:
     return 2 * power + 1
 
 
-def judge(
-    form: ExponentialForm,
-    values: Sequence[int],
-    bases: Sequence[int],
-    annihilated: Callable[[], bool],
-) -> Verdict:
-    """verify's rules, from S(p, k) at k = 1..2p and the candidate multiset.
-
-    Refuted at the first k where the form differs from values[k-1];
-    otherwise proven when every term fits inside `bases` and annihilated()
-    reports that the annihilator over `bases` kills the state at k = 1,
-    else consistent.  annihilated is called only in that last case.
-    """
-    checked = 2 * form.power
-    if len(values) != checked:
-        raise ValueError(f"need the {checked} values at k = 1..{checked}, got {len(values)}")
-    den, numerators = form._numerators(checked)
-    for k, (num, expected) in enumerate(zip(numerators, values), 1):
-        if num != expected * den:
-            return Verdict("refuted", checked_depth=k, witness=(k, expected, Fraction(num, den)))
-    in_spectrum = all(len(poly) <= bases.count(lam) for poly, lam in form.terms)
-    proven = in_spectrum and annihilated()
-    return Verdict("proven" if proven else "consistent", checked_depth=checked)
-
-
 def verify(form: ExponentialForm, table: MomentTable) -> Verdict:
     """Compare a form against exact table values at k = 1..2p, the proof depth.
 
-    The table must reach table_depth(p).  Agreement is proof (see module
-    docstring) when every term fits inside candidate_bases(b, p) and the
-    annihilator over that multiset kills the table's state at k = 1;
-    otherwise it is only consistent (judge holds these rules).
+    The table must reach table_depth(p).  Refuted at the first k where the
+    form differs from the table; otherwise proven (see module docstring) when
+    every term fits inside candidate_bases(b, p) and the annihilator over that
+    multiset kills the table's state at k = 1, else consistent.
     """
     if table.base != form.base:
         raise ValueError(f"table is for base {table.base}, form for base {form.base}")
@@ -239,9 +215,16 @@ def verify(form: ExponentialForm, table: MomentTable) -> Verdict:
     need = table_depth(form.power)
     if table.max_k < need:
         raise DepthError(f"table depth {table.max_k} is below {need}, the depth verify reads")
-    values = [moment_value(table, form.power, k) for k in range(1, 2 * form.power + 1)]
+    checked = 2 * form.power
+    den, numerators = form._numerators(checked)
+    for k, num in enumerate(numerators, 1):
+        expected = moment_value(table, form.power, k)
+        if num != expected * den:
+            return Verdict("refuted", checked_depth=k, witness=(k, expected, Fraction(num, den)))
     bases = candidate_bases(form.base, form.power)
-    return judge(form, values, bases, lambda: annihilates(table, bases, form.power))
+    in_spectrum = all(len(poly) <= bases.count(lam) for poly, lam in form.terms)
+    proven = in_spectrum and annihilates(table, bases, form.power)
+    return Verdict("proven" if proven else "consistent", checked_depth=checked)
 
 
 def closed_form(base: int, power: int) -> tuple[ExponentialForm, Verdict]:

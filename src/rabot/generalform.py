@@ -2,9 +2,9 @@
 over Q(b).
 
 _derive runs the recurrence with b itself as the base, so the moment state
-comes out as polynomials in b, and reads the coefficient c_f of each of the
-2p distinct eigenvalue families lam_f of the moment update
-(eigenvalue_families) off the generating function sum_k S(p, k) x**k.  The
+comes out as polynomials in b.  The 2p distinct eigenvalue families lam_f of
+the moment update are read off its diagonal (base_families), and the
+coefficient c_f of each off the generating function sum_k S(p, k) x**k.  The
 result is a theorem, and its one premise is checked, not assumed:
 
 - Before reading, _derive runs rabot.recurrence.annihilates, the check
@@ -46,7 +46,7 @@ from .closedform import (
 from .digits import check_base
 from .errors import ExcludedBaseError, NoFitError
 from .linalg import taylor_at_roots
-from .recurrence import _build, annihilates, eigenvalue_families, moment_value
+from .recurrence import _build, _spectrum, annihilates, moment_value
 
 
 def _frac_str(f: Fraction) -> str:
@@ -253,6 +253,14 @@ class GeneralForm:
             raise ValueError("growth-base polynomials must be pairwise distinct")
         if not all(fn for fn, _ in self.terms):
             raise ValueError("zero coefficients must not be stored")
+        excluded = set()  # found once, for excluded_bases
+        for fn, _ in self.terms:
+            den = fn.denominator
+            low = abs(next(c for c in den.numerators if c))
+            small = [d for d in range(1, isqrt(low) + 1) if low % d == 0]
+            divisors = {*small, *(low // d for d in small)}
+            excluded.update(b for b in divisors if b >= 2 and not den.eval(b))
+        object.__setattr__(self, "_excluded", frozenset(excluded))
 
     def excluded_bases(self) -> frozenset[int]:
         """The bases b >= 2 where a coefficient denominator vanishes.
@@ -260,15 +268,8 @@ class GeneralForm:
         By the rational root theorem: a denominator with integer coefficients
         is b**m * Q(b) with Q(0) = a_m, its lowest nonzero coefficient, and an
         integer root b != 0 of Q divides a_m.  So only the divisors >= 2 of a_m
-        are evaluated."""
-        excluded = set()
-        for fn, _ in self.terms:
-            den = fn.denominator
-            low = abs(next(c for c in den.numerators if c))
-            small = [d for d in range(1, isqrt(low) + 1) if low % d == 0]
-            divisors = {*small, *(low // d for d in small)}
-            excluded.update(b for b in divisors if b >= 2 and not den.eval(b))
-        return frozenset(excluded)
+        are evaluated, once, when the form is made."""
+        return self._excluded
 
     def render(self) -> str:
         if not self.terms:
@@ -279,9 +280,10 @@ class GeneralForm:
 
 
 def base_families(power: int) -> list[PolyInB]:
-    """The growth-base families of eigenvalue_families(power), in canonical
-    order (degree, then leading coefficients)."""
-    families = [PolyInB(fam) for fam in eigenvalue_families(power)]
+    """The 2p eigenvalue families of the update, read off its diagonal at b
+    itself (recurrence._spectrum), in canonical order (degree, then leading
+    coefficients)."""
+    families = _spectrum(_B, power)
     return sorted(families, key=lambda fam: (fam.degree(), fam.numerators[::-1]))
 
 

@@ -26,8 +26,10 @@ start from the one-digit numbers at k = 0, whose raboter value is 0:
 T(j, 0, 0) = F_j - [j = 0], S(l, 0, 0) = [l >= 1], all else 0.
 
 The update U is stored once per power as its sparse rows (_update).  extend
-steps a table by them, and moment_value's last-digit chain reads the rows
-for j = 0, the first equation above.  rabot.closedform checks these tables
+steps a table by them, moment_value's last-digit chain reads the rows for
+j = 0, the first equation above, and _spectrum reads U's eigenvalues off
+their diagonal, over the integers or over polynomials in b.  So a fault of
+the rows reaches the spectrum too, and rabot.closedform checks these tables
 against brute force (check_recurrence_against_brute) before it calls a form
 proven.
 """
@@ -36,11 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from operator import mul
 from typing import Sequence
 
 from .digits import check_base
-from .errors import DepthError
+from .errors import DepthError, NoFitError
 from .linalg import pole_product
 
 @dataclass(frozen=True)
@@ -94,23 +95,6 @@ def state_dimension_bound(base: int, power: int) -> int:
     return (power + 1) * (power + 2) // 2
 
 
-def eigenvalue_families(power: int) -> list[tuple[int, ...]]:
-    """The 2p distinct nonzero eigenvalues of the update for S(power, .), each
-    a polynomial in b (integer coefficients, constant term first).
-
-    In MomentTable's state order the update is lower triangular, with the
-    diagonal entry b**q - 1 + [j = 0]*F_0 (F_0 = b) at T(j, q): T(0, 0) gives
-    b, T(0, q) gives b**q + b - 1, and the T(j >= 1, q) give b**q - 1 for
-    q = 1..p-1.  The T(j >= 1, 0) rows give 0, which adds no term to a closed
-    form, and b**p - 1 never occurs because T(j >= 1, p) does not exist.
-    """
-    if not isinstance(power, int) or power < 1:
-        raise ValueError(f"power must be a positive integer, got {power!r}")
-    minus = [(-1,) + (0,) * (q - 1) + (1,) for q in range(1, power + 1)]
-    plus = [tuple(c + (e == 1) for e, c in enumerate(fam)) for fam in minus]
-    return [(0, 1)] + plus + minus[:-1]
-
-
 def candidate_bases(base: int, power: int) -> list[int]:
     """The values of the 2p eigenvalue families at a given base, sorted.
 
@@ -118,8 +102,29 @@ def candidate_bases(base: int, power: int) -> list[int]:
     2b - 1 = b**2 - 1 = 3 is listed twice), and a base listed m times may
     carry a coefficient polynomial in k of degree < m."""
     check_base(base)
-    powers = [base**e for e in range(power + 1)]
-    return sorted([sum(map(mul, fam, powers)) for fam in eigenvalue_families(power)])
+    return sorted(_spectrum(base, power))
+
+
+def _spectrum(base, power: int) -> list:
+    """The 2p distinct nonzero eigenvalues of the update for S(power, .) at
+    base (an int, or b itself as a generalform.PolyInB), read off its diagonal.
+
+    U is lower triangular, so they are its distinct nonzero diagonal entries:
+    the reads of a row whose source is the row itself, told apart by their
+    weights, so that families colliding at an integer base are each listed.
+    T(0, 0) gives b, T(0, q) gives b**q + b - 1 and the T(j >= 1, q) give
+    b**q - 1, q = 1..p-1; the T(j >= 1, 0) rows read nothing of themselves.
+    NoFitError unless there are exactly 2p of them.
+    """
+    if not isinstance(power, int) or power < 1:
+        raise ValueError(f"power must be a positive integer, got {power!r}")
+    rows = enumerate(_update(power))
+    diagonals = dict.fromkeys(tuple(weight for weight, source in row if source == s) for s, row in rows)
+    diagonals.pop((), None)
+    if len(diagonals) != 2 * power:
+        raise NoFitError(f"the update of power {power} has {len(diagonals)} diagonal entries, not {2 * power}")
+    basis = _basis(base, power)
+    return [sum([c * basis[kind][e] for kind, e, c in diagonal]) for diagonal in diagonals]
 
 
 def _power_sums(base: int, power: int) -> list[int]:

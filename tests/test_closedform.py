@@ -20,7 +20,7 @@ from rabot import (
     state_dimension_bound,
     verify,
 )
-from rabot.closedform import judge, table_depth
+from rabot.closedform import table_depth
 
 F = Fraction
 
@@ -132,15 +132,6 @@ def test_verify_proven_and_refuted():
     k, expected, actual = verdict.witness
     assert k <= 4
     assert actual != expected
-
-
-def test_judge_needs_the_2p_values():
-    form = ExponentialForm(2, 2, (((F(-1, 6),), 2), ((F(-2, 3),), 3), ((F(2, 3),), 5)))
-    values = [moment_value(build_table(2, 2, 5), 2, k) for k in range(1, 6)]
-    assert judge(form, values[:4], candidate_bases(2, 2), lambda: True).status == "proven"
-    for wrong in (values[:3], values):
-        with pytest.raises(ValueError, match="need the 4 values at k = 1..4"):
-            judge(form, wrong, candidate_bases(2, 2), lambda: True)
 
 
 def test_verify_depth_semantics():

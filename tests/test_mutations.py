@@ -103,14 +103,17 @@ def sweep_last_digit(monkeypatch):
 
 
 def eigenvalue_family(monkeypatch):
-    # b + 1 in place of b; generalform imported the function by name
-    real = recurrence.eigenvalue_families
+    # b + 1 in place of b, T(0, 0)'s diagonal entry and the first one read:
+    # a fault of the reader of the update's diagonal, as the spectrum is not
+    # written down anywhere else; generalform imported the function by name
+    real = recurrence._spectrum
 
-    def families(power):
-        return [(1, 1), *real(power)[1:]]
+    def spectrum(base, power):
+        first, *rest = real(base, power)
+        return [first + 1, *rest]
 
-    monkeypatch.setattr(recurrence, "eigenvalue_families", families)
-    monkeypatch.setattr(generalform, "eigenvalue_families", families)
+    monkeypatch.setattr(recurrence, "_spectrum", spectrum)
+    monkeypatch.setattr(generalform, "_spectrum", spectrum)
 
 
 def fit_coefficient(monkeypatch):
@@ -278,3 +281,19 @@ def test_single_fault_is_never_proven(monkeypatch, power, fault):
         assert verdict.status != "proven"
     with pytest.raises((DisagreementError, NoFitError)):
         guess_general_form(power, range(2, 13))
+
+
+def test_a_fault_that_splits_a_family_exits_4(monkeypatch, capsys):
+    # T(1, 1)'s growth b - 1 made 2b - 2 at p = 3: T(2, 1) still reads b - 1
+    # of itself, so the diagonal has 2p + 1 distinct entries, one more than
+    # the 2p values a fit reads
+    s = recurrence._states(3).index((1, 1))
+    assert recurrence._update(3)[s][0] == (("g", 1, 1), s)
+    _apply(monkeypatch, 3, ("update", s, 0))
+    with pytest.raises(NoFitError, match="has 7 diagonal entries, not 6"):
+        recurrence._spectrum(3, 3)
+    for argv in (("closed-form", "--base", "3", "--power", "3"), ("general-form", "--power", "3")):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 4, argv
+        assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -21,7 +21,7 @@ from rabot import (
     state_dimension_bound,
 )
 from rabot import closedform, oracle
-from rabot.recurrence import MomentTable, _basis, _build, _update, annihilates, eigenvalue_families
+from rabot.recurrence import MomentTable, _basis, _build, _spectrum, _update, annihilates
 
 
 def _order(p):
@@ -387,7 +387,8 @@ def test_build_table_refuses_a_bad_base():
 @pytest.mark.parametrize("p", range(1, 11))
 def test_update_is_triangular_with_the_eigenvalue_families_on_its_diagonal(p):
     # the update's weights evaluated at b itself, as polynomials in b
-    basis = _basis(PolyInB((0, 1)), p)
+    b = PolyInB((0, 1))
+    basis = _basis(b, p)
     rows = _update(p)
     assert len(rows) == len(_order(p))
     diagonal = []
@@ -398,8 +399,13 @@ def test_update_is_triangular_with_the_eigenvalue_families_on_its_diagonal(p):
             if s < (smaller + 1) * (smaller + 2) // 2:
                 assert all(source < (smaller + 1) * (smaller + 2) // 2 for _, source in row), (s, smaller)
         diagonal.append(sum([c * basis[kind][e] for (kind, e, c), source in row if source == s], PolyInB(())))
-    assert {entry for entry in diagonal if entry} == {PolyInB(fam) for fam in eigenvalue_families(p)}
-    assert len(eigenvalue_families(p)) == 2 * p
+    # written out here, not read from the package: b, b**q + b - 1 (q = 1..p)
+    # and b**q - 1 (q = 1..p-1)
+    families = {b} | {b**q + b - 1 for q in range(1, p + 1)} | {b**q - 1 for q in range(1, p)}
+    assert len(families) == 2 * p
+    assert {entry for entry in diagonal if entry} == families
+    spectrum = _spectrum(b, p)
+    assert len(spectrum) == 2 * p and set(spectrum) == families
     assert rows[: len(_order(p - 1))] == _update(p - 1)
 
 
