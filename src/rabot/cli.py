@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import digits, oeis
 from .closedform import ExponentialForm, closed_form, table_depth
-from .errors import DisagreementError, EnumerationCapError, NoFitError, WorkerError
+from .errors import DisagreementError, EnumerationCapError, NoFitError, WorkerError, _sized
 from .generalform import brute_checked_bases, guess_general_form
 from .oracle import (
     DEFAULT_ENUM_CAP,
@@ -133,14 +133,12 @@ def _enum_cap() -> int:
     except ValueError:
         cap = 0  # not an integer: refused below like any cap below 1
     if cap < 1:
-        raise ValueError(f"RABOT_ENUM_CAP must be an integer >= 1, got {raw!r}")
+        raise ValueError(f"RABOT_ENUM_CAP must be an integer >= 1, got {_sized(raw, 'value') or repr(raw)}")
     return cap
 
 
-def _named(flag: str, base: int) -> str:
-    # a long base is named by its size, so that an error stays one short line
-    bits = base.bit_length()
-    return f"{flag} {base}" if bits <= 64 else f"a {bits}-bit {flag}"
+def _named(flag: str, value: int) -> str:
+    return _sized(value, flag) or f"{flag} {value}"
 
 
 def _check_size(flag: str, k: int, base: int, power: int) -> None:
@@ -174,15 +172,15 @@ def _check_sweep_size(args: argparse.Namespace, cap: int) -> None:
         above, below = _power_sums(args.b_max + 1, k + 1), _power_sums(args.b_min, k + 1)
         numbers = above[k + 1] - below[k + 1] - (above[1] - below[1])
     if (args.p_max + 1) * 2 * numbers > cap:
-        # a cap over 64 bits is named by its size, as _named names a long base
-        if cap.bit_length() <= 64:
-            raise EnumerationCapError(f"the check sweep enumerates more than the cap of {cap} numbers")
-        raise EnumerationCapError(f"the check sweep enumerates more numbers than a {cap.bit_length()}-bit cap")
+        sized = _sized(cap, "cap")
+        more = f"more numbers than {sized}" if sized else f"more than the cap of {cap} numbers"
+        raise EnumerationCapError(f"the check sweep enumerates {more}")
 
 
 def _admit(args: argparse.Namespace) -> None:
     """Refuse an input outside LIMITS, then one that breaks a rule across
-    inputs, with a one-line ValueError or EnumerationCapError naming it.
+    inputs, with a one-line ValueError or EnumerationCapError naming it
+    (a long input by its size, see errors._sized).
 
     Where brute force runs, the parsed RABOT_ENUM_CAP is kept as args.cap.
     """
@@ -191,11 +189,12 @@ def _admit(args: argparse.Namespace) -> None:
         if value is None:  # an optional flag left out
             continue
         if value < least:
-            raise ValueError(f"{flag} must be >= {least}, got {value}")
+            raise ValueError(f"{flag} must be >= {least}, got {_sized(value, 'negative number') or value}")
         if greatest is not None and value > greatest:
-            raise ValueError(f"{flag} {value} is above the limit of {greatest}")
+            raise ValueError(f"{_named(flag, value)} is above the limit of {greatest}")
     if args.command in ("general-form", "check") and args.b_min > args.b_max:
-        raise ValueError(f"empty base range: --b-min {args.b_min} is above --b-max {args.b_max}")
+        empty = f"{_named('--b-min', args.b_min)} is above {_named('--b-max', args.b_max)}"
+        raise ValueError(f"empty base range: {empty}")
     if args.command == "sum":
         if args.last_digit is not None and args.last_digit >= args.base:
             raise ValueError(

@@ -1,4 +1,13 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and how they name a long input."""
+
+
+def _sized(value: int | str, noun: str) -> str | None:
+    """`value` named by its size, so that an error stays one short line: "a
+    997-bit {noun}" past 64 bits, "a 22-character {noun}" for text past the 21
+    characters a 64-bit integer takes; else None, to be named in full."""
+    if isinstance(value, str):
+        return f"a {len(value)}-character {noun}" if len(value) > 21 else None
+    return f"a {value.bit_length()}-bit {noun}" if value.bit_length() > 64 else None
 
 
 class InvalidBaseError(ValueError):
@@ -14,8 +23,8 @@ class EnumerationCapError(RuntimeError):
 
 
 class WorkerError(RuntimeError):
-    """Raised when an oracle worker process is found dead again in the call
-    that replaced it: something outside the process keeps killing them."""
+    """Raised when an oracle worker process dies in both tries of one call:
+    something outside the process keeps killing them."""
 
 
 class NoFitError(RuntimeError):

@@ -25,11 +25,13 @@ not at import, and reused by every later call.  Each worker has two plain
 pipes, one that carries slices to it and one that carries sums back, and
 loops: receive one slice of a query, send back its sum.  Each message is
 pickled after its length (see _Channel).  No thread is started, so no
-management thread competes with the caller for the interpreter lock.  At
-exit the process kills and reaps its workers; if it exits without running
-its exit hooks, each worker reads end of file and exits.  A forked child
-forgets the parent's workers and forks its own, and calls from several
-threads take turns on the workers.
+management thread competes with the caller for the interpreter lock.  A call
+that raises before it has read every reply stops all the workers, and one
+whose worker died retries once on new ones; with no worker forked, sums run
+in-process.  At exit the process kills and reaps its workers; if it exits
+without running its exit hooks, each worker reads end of file and exits.  A
+forked child forgets the parent's workers and forks its own, and calls from
+several threads take turns on the workers.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ import threading
 from dataclasses import dataclass
 
 from .digits import check_base, from_value
-from .errors import EnumerationCapError, InvalidDigitError, WorkerError
+from .errors import EnumerationCapError, InvalidDigitError, WorkerError, _sized
 
 DEFAULT_ENUM_CAP = 10**8
 
@@ -90,10 +92,10 @@ _ZEROS = [0] * _BLOCK_MAX
 _Table = list[tuple[int, list[int], list[int]]]
 _tables: dict[tuple[int, int | None, int], _Table] = {}
 
-# The worker processes, as (pid, our channel to it), or None before the
-# first call that needs them.  The lock is held across each call that sums on
-# them, so that each reply is read by the call that asked for it and no
-# thread replaces a worker while another sums on it.
+# The worker processes, as (pid, our channel to it), or None while none are
+# started.  The lock is held across each call that sums on them, so that
+# each reply is read by the call that asked for it and no thread stops the
+# workers while another sums on them.
 _workers: list[tuple[int, _Channel]] | None = None
 _lock = threading.Lock()
 
@@ -361,13 +363,11 @@ def _entries(table: _Table) -> int:
 
 def _check_cap(q: MomentQuery, cap: int | None) -> None:
     if cap is not None and q.count() > cap:
-        # the count as (b-1)*b^e: its decimal form may be too long to print,
-        # and a base or cap over 64 bits is named by its size, as in the
-        # CLI's errors
+        # the count as (b-1)*b^e: its decimal form may be too long to print
         e = q.k if q.last_digit is None else q.k - 1
-        bits = q.base.bit_length()
-        count = f"{q.base - 1}*{q.base}^{e} numbers" if bits <= 64 else f"(b-1)*b^{e} numbers at a {bits}-bit b"
-        limit = f"the cap of {cap}" if cap.bit_length() <= 64 else f"a {cap.bit_length()}-bit cap"
+        base = _sized(q.base, "b")
+        count = f"(b-1)*b^{e} numbers at {base}" if base else f"{q.base - 1}*{q.base}^{e} numbers"
+        limit = _sized(cap, "cap") or f"the cap of {cap}"
         raise EnumerationCapError(f"query enumerates {count}, above {limit}")
 
 
@@ -378,9 +378,9 @@ def brute_moment(q: MomentQuery, cap: int | None = DEFAULT_ENUM_CAP) -> int:
     exceeds `cap`; pass cap=None to lift the limit.  The range is summed in
     one slice per available CPU, or in fewer where that would leave a slice
     below _PARALLEL_MIN_CHUNK numbers, and one slice is summed in-process
-    (see the module docstring).  A call that finds a worker dead replaces it
-    and retries once, and raises WorkerError, chained from the EOFError or
-    ConnectionError, if a worker is found dead again.
+    (see the module docstring).  A call that finds a worker dead stops them
+    all and retries once on new ones, and raises WorkerError, chained from the
+    EOFError or ConnectionError, if a worker is found dead again.
     """
     return _moment(q, cap)
 
@@ -396,26 +396,24 @@ def _moment(q: MomentQuery, cap: int | None) -> int:
     _check_cap(q, cap)
     count = q.count()
     args = (q.base, q.power, q.k, q.last_digit)
-    slices = count // _PARALLEL_MIN_CHUNK
-    if slices > 1:
+    most = count // _PARALLEL_MIN_CHUNK
+    if most > 1:
+        # slices end on run edges, so that no run is swept
+        width = _block_width(q.base, q.k, q.last_digit)
+        run = 1 if width is None else q.base ** (width - 1)
         with _lock:
-            workers = _ready_workers()
-            if workers:
-                slices = min(slices, len(workers) + 1)
-                # slices end on run edges, so that no run is swept
-                width = _block_width(q.base, q.k, q.last_digit)
-                run = 1 if width is None else q.base ** (width - 1)
+            for _ in range(2):
+                workers = _ready_workers()  # after a failed try, new ones
+                if not workers:
+                    break
+                slices = min(most, len(workers) + 1)
                 bounds = [i * (count // run) // slices * run for i in range(slices + 1)]
                 try:
                     return _sum_on_workers(args, bounds, workers)
-                except (EOFError, ConnectionError):  # a worker died; it was replaced
-                    pass
-                try:
-                    return _sum_on_workers(args, bounds, workers)
-                except (EOFError, ConnectionError) as exc:
-                    # not a BrokenPipeError: that would read as a closed stdout
-                    died = type(exc).__name__
-                    raise WorkerError(f"an oracle worker died twice in one call ({died})") from exc
+                except (EOFError, ConnectionError) as exc:  # a worker died; all were stopped
+                    died = exc
+            else:  # both tries failed: not a BrokenPipeError, which would read as a closed stdout
+                raise WorkerError(f"an oracle worker died twice in one call ({type(died).__name__})") from died
     return _sum_range(*args, 0, count)
 
 
@@ -427,23 +425,18 @@ def _sum_on_workers(
     i + 1.
 
     The caller sends the workers their slices, sums its own, then reads the
-    replies in order.  If it raises before reading them all, every worker
-    whose reply it did not read is replaced first, so no reply is left for a
-    later call.  An exception raised in a worker comes back as its reply and
-    is raised here once every reply has been read.
+    replies in order.  If it raises before reading them all, it stops every
+    worker first, so no reply is left for a later call.  An exception raised
+    in a worker comes back as its reply and is raised here once every reply
+    has been read.
     """
-    unread = []
-    replies = []
     try:
-        for worker, start, stop in zip(workers, bounds[1:], bounds[2:]):
-            unread.append(worker)
-            worker[1].send((*args, start, stop))
+        for (_, conn), start, stop in zip(workers, bounds[1:], bounds[2:]):
+            conn.send((*args, start, stop))
         total = _sum_range(*args, bounds[0], bounds[1])
-        while unread:
-            replies.append(unread[0][1].recv())
-            del unread[0]
+        replies = [conn.recv() for _, conn in workers[: len(bounds) - 2]]
     except BaseException:
-        _replace(unread)
+        _stop_workers()
         raise
     for reply in replies:
         if isinstance(reply, BaseException):
@@ -461,24 +454,34 @@ def available_cpus() -> int:
 
 
 def _ready_workers() -> list[tuple[int, _Channel]]:
-    """The process's workers: available_cpus() - 1 of them, forked on the
-    first call, or none where the platform cannot fork."""
+    """The process's workers: available_cpus() - 1, or as many as could be
+    forked, started when none are, or none where the platform cannot fork."""
     global _workers
     if _workers is None:
         _workers = []
         if hasattr(os, "fork"):
-            for _ in range(available_cpus() - 1):
-                _workers.append(_start_worker())
+            try:
+                for _ in range(available_cpus() - 1):
+                    _workers.append(_start_worker())
+            except OSError:  # out of processes or descriptors, say
+                pass
     return _workers
 
 
 def _start_worker() -> tuple[int, _Channel]:
     """Fork a worker on two new pipes, one to it and one back; return its pid
-    and our channel on them."""
-    to_worker, to_caller = os.pipe(), os.pipe()
-    ours = _Channel(to_caller[0], to_worker[1])
-    theirs = _Channel(to_worker[0], to_caller[1])
-    pid = os.fork()
+    and our channel on them.  Where a pipe or the fork fails, the pipes it
+    opened are closed before the error is raised."""
+    opened: list[int] = []
+    try:
+        opened += os.pipe()  # to the worker: its read end, our write end
+        opened += os.pipe()  # back: our read end, its write end
+        ours, theirs = _Channel(opened[2], opened[1]), _Channel(opened[0], opened[3])
+        pid = os.fork()
+    except BaseException:
+        for fd in opened:
+            os.close(fd)
+        raise
     if not pid:  # the worker never returns into its parent's code
         try:
             ours.close()
@@ -533,8 +536,7 @@ class _Channel:
 def _serve(conn: _Channel) -> None:
     """A worker's loop: receive the arguments of one slice's _sum_range and
     send back its sum, or the exception that summing it raised, until end of
-    file.  Interrupts are ignored: the caller replaces the workers whose
-    replies it did not read."""
+    file.  Interrupts are ignored: a call that fails stops every worker."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         try:
@@ -548,17 +550,12 @@ def _serve(conn: _Channel) -> None:
         conn.send(reply)
 
 
-def _replace(stale: list[tuple[int, _Channel]]) -> None:
-    """Stop the workers in `stale` and fork as many new ones."""
-    for worker in stale:
-        _workers.remove(worker)
-    _stop(stale)
-    for _ in stale:
-        _workers.append(_start_worker())
-
-
-def _stop(workers: list[tuple[int, _Channel]]) -> None:
-    """Close our ends of the workers' pipes, then kill and reap them."""
+def _stop_workers() -> None:
+    """Close our ends of every worker's pipes, then kill and reap it: after a
+    call that failed on them, and at exit, so that none outlives the process,
+    not even as a zombie."""
+    global _workers
+    workers, _workers = _workers or [], None
     for pid, conn in workers:
         conn.close()
         try:
@@ -566,14 +563,6 @@ def _stop(workers: list[tuple[int, _Channel]]) -> None:
             os.waitpid(pid, 0)
         except (ProcessLookupError, ChildProcessError):  # reaped elsewhere already
             pass
-
-
-def _stop_workers() -> None:
-    """Stop every worker: at exit, so that none outlives the process, not
-    even as a zombie."""
-    global _workers
-    _stop(_workers or [])
-    _workers = None
 
 
 atexit.register(_stop_workers)

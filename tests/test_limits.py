@@ -33,17 +33,28 @@ def _argv(command, values):
     return argv
 
 
-def _one_past_each_bound():
+HUGE = 10**1000  # 3322 bits: named by its size
+
+
+def _past_each_bound():
     for command, limits in cli.LIMITS.items():
         for flag, (least, greatest) in limits.items():
             yield pytest.param(
                 command, flag, least - 1, f"{flag} must be >= {least}, got {least - 1}",
                 id=f"{command} {flag}={least - 1}",
             )
+            yield pytest.param(
+                command, flag, least - HUGE, f"{flag} must be >= {least}, got a 3322-bit negative number",
+                id=f"{command} {flag}={least}-10**1000",
+            )
             if greatest is not None:
                 yield pytest.param(
                     command, flag, greatest + 1, f"{flag} {greatest + 1} is above the limit of {greatest}",
                     id=f"{command} {flag}={greatest + 1}",
+                )
+                yield pytest.param(
+                    command, flag, greatest + HUGE, f"a 3322-bit {flag} is above the limit of {greatest}",
+                    id=f"{command} {flag}={greatest}+10**1000",
                 )
 
 
@@ -67,12 +78,18 @@ def test_admitted_invocations_are_admitted_at_every_bound():
                 cli._admit(cli.build_parser().parse_args(argv))
 
 
-@pytest.mark.parametrize("command, flag, value, message", _one_past_each_bound())
+def _refused(code, captured, message):
+    """Refused with exit 2 and `message` as the one error line, of at most
+    200 bytes whatever the input's length."""
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+    assert len(captured.err.encode()) <= 200
+
+
+@pytest.mark.parametrize("command, flag, value, message", _past_each_bound())
 def test_one_past_each_bound_exits_2_before_any_work(capsys, no_work, command, flag, value, message):
     for json in ((), ("--json",)):
         code = main([*_argv(command, {**ADMITTED[command], flag: value}), *json])
-        captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+        _refused(code, capsys.readouterr(), message)
 
 
 @pytest.mark.parametrize("env, argv, message", [
@@ -100,15 +117,20 @@ def test_one_past_each_bound_exits_2_before_any_work(capsys, no_work, command, f
     # that cap at a small base allows k up to 1995, where the total is summed base by base
     (str(10**600), ["check", "--b-max", "3", "--k-max", "1000000", "--p-max", "0"],
      "the check sweep enumerates more numbers than a 1994-bit cap"),
+    # a long input is named by its size
+    pytest.param(None, ["general-form", "--power", "1", "--b-min", str(HUGE - 1), "--b-max", str(HUGE - 2)],
+                 "empty base range: a 3322-bit --b-min is above a 3322-bit --b-max", id="empty 1000-digit range"),
+    pytest.param("0" * 3000, ["check"], "RABOT_ENUM_CAP must be an integer >= 1, got a 3000-character value",
+                 id="3000 zeros as the cap"),
+    pytest.param("x" * 3000, ["check"], "RABOT_ENUM_CAP must be an integer >= 1, got a 3000-character value",
+                 id="3000 letters as the cap"),
 ])
 def test_refusals_come_before_the_work_of_an_admitted_flag(capsys, monkeypatch, no_work, env, argv, message):
     if env is None:
         monkeypatch.delenv("RABOT_ENUM_CAP", raising=False)
     else:
         monkeypatch.setenv("RABOT_ENUM_CAP", env)
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+    _refused(main(argv), capsys.readouterr(), message)
 
 
 def _around(least, greatest):
@@ -147,3 +169,4 @@ def test_inputs_around_the_bounds_exit_with_a_documented_code(command, data):
     if code == 2:
         assert out.getvalue() == "", argv
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+        assert len(err.getvalue().encode()) <= 200, argv

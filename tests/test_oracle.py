@@ -1,4 +1,5 @@
 """Brute-force moment oracle."""
+import errno
 import os
 import pickle
 import random
@@ -24,6 +25,7 @@ from rabot import (
     raboter,
 )
 from rabot import oracle
+from rabot.cli import main
 from rabot.oracle import _sum_range
 
 
@@ -105,6 +107,9 @@ needs_workers = pytest.mark.skipif(
     oracle.available_cpus() < 2 or not hasattr(os, "fork"),
     reason="every sum is in-process without a second CPU and os.fork",
 )
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers are forked")
 
 
 def _worker_pids():
@@ -256,9 +261,7 @@ def test_a_pool_that_breaks_twice_raises(monkeypatch, fresh_workers, deadline):
 
 @needs_workers
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
-def test_a_call_that_raises_in_its_own_slice_replaces_the_unread_workers(
-    monkeypatch, fresh_workers, deadline, error
-):
+def test_a_call_that_raises_in_its_own_slice_stops_the_workers(monkeypatch, fresh_workers, deadline, error):
     expected = brute_moment(OTHER)  # the workers are up
     before = _worker_pids()
     parent = os.getpid()
@@ -269,14 +272,79 @@ def test_a_call_that_raises_in_its_own_slice_replaces_the_unread_workers(
             raise error("the caller's slice")
         return real(*args)
 
-    # the replacements fork with it, but only the caller's slice raises
     monkeypatch.setattr(oracle, "_sum_range", failing_in_the_caller)
     with pytest.raises(error):
         brute_moment(POOLED)
     monkeypatch.undo()
+    # none is listed, and each was reaped: it is no longer a child of ours
+    assert oracle._workers is None
+    for pid in before:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    # the next call forks as many new ones
+    assert brute_moment(OTHER) == expected
     assert len(_worker_pids()) == len(before)
     assert not set(_worker_pids()) & set(before)
-    assert brute_moment(OTHER) == expected
+
+
+def _open_descriptors():
+    """This process's open descriptors, or None where /proc/self/fd is not
+    there to list them."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def _failing_after(monkeypatch, name, calls):
+    """Let os.`name` succeed `calls` times, then raise as it does out of
+    processes (fork) or descriptors (pipe); return the list of the calls
+    made, which counts them again once cleared."""
+    real = getattr(os, name)
+    made = []
+
+    def short(*args):
+        if len(made) == calls:
+            code = errno.EAGAIN if name == "fork" else errno.EMFILE
+            raise (BlockingIOError if name == "fork" else OSError)(code, os.strerror(code))
+        made.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(os, name, short)
+    return made
+
+
+@needs_fork
+# three workers asked for, of which `forked` start before the call fails: the
+# fork, or the second pipe of the next worker, whose first pipe is closed again
+@pytest.mark.parametrize("name", ["fork", "pipe"])
+@pytest.mark.parametrize("forked", [0, 1])
+def test_a_pool_short_of_processes_or_descriptors_sums_right(
+    monkeypatch, capsys, fresh_workers, deadline, name, forked
+):
+    monkeypatch.setattr(oracle, "available_cpus", lambda: 4)
+    before = _open_descriptors()
+    made = _failing_after(monkeypatch, name, forked if name == "fork" else 2 * forked + 1)
+    for call in range(2):  # on the CLI, then on a library call
+        oracle._stop_workers()
+        made.clear()
+        if call:
+            assert brute_moment(POOLED) == _in_process(POOLED)
+        else:
+            assert main(["sum", "--engine", "both", "--base", "2", "--power", "2", "--k", "14"]) == 0
+            captured = capsys.readouterr()
+            assert (captured.out.splitlines()[-1], captured.err) == ("agree: yes", "")
+        assert len(_worker_pids()) == forked
+    oracle._stop_workers()
+    assert _open_descriptors() == before
+
+
+@needs_workers
+def test_a_retry_that_cannot_fork_sums_in_process(monkeypatch, fresh_workers, deadline):
+    brute_moment(POOLED)
+    for pid in _worker_pids():
+        os.kill(pid, signal.SIGKILL)
+    _failing_after(monkeypatch, "fork", 0)
+    # the first try finds a worker dead and stops them all; no new one forks
+    assert brute_moment(POOLED) == _in_process(POOLED)
+    assert oracle._workers == []
 
 
 @needs_workers
@@ -325,7 +393,11 @@ def test_threads_take_turns_on_the_workers(deadline):
     assert results == [[value] * 5 for value in expected]
 
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="a channel's peer is a forked worker")
+def _stop(pid, conn):
+    """Stop a worker started outside the pool."""
+    conn.close()
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
 
 
 def _frame(obj):
@@ -348,7 +420,7 @@ def test_a_message_larger_than_a_pipe_buffer_arrives_whole(monkeypatch, deadline
         reply = conn.recv()
         assert isinstance(reply, ValueError) and reply.args == (message,)
     finally:
-        oracle._stop([(pid, conn)])
+        _stop(pid, conn)
 
 
 @needs_fork
@@ -371,7 +443,7 @@ def test_a_send_cut_short_by_a_signal_is_resumed(monkeypatch, deadline):
         assert conn.recv() == len(message)
     finally:
         signal.signal(signal.SIGUSR1, previous)
-        oracle._stop([(pid, conn)])
+        _stop(pid, conn)
     assert signals == [signal.SIGUSR1]
 
 
@@ -397,7 +469,7 @@ def test_a_message_written_in_parts_is_read_whole_or_as_end_of_file(monkeypatch,
             with pytest.raises(EOFError):
                 conn.recv()
     finally:
-        oracle._stop([(pid, conn)])
+        _stop(pid, conn)
 
 
 @needs_workers
