@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import digits, oeis
 from .closedform import ExponentialForm, closed_form, table_depth
@@ -58,6 +58,11 @@ MAX_POWER = 16
 # what MAX_K allows at b = 10 and p = 3.
 MAX_K = 3000
 
+# `eval` refuses an n of more bits, which admits every n of up to the 4300
+# digits Python parses by default.  Its time grows as their square: 0.18 s at
+# 16384 bits and 15 s at 332193 (`eval --base 2`, Python 3.11.7, 2-vCPU VM).
+MAX_EVAL_BITS = 16384
+
 # Each subcommand's bounds on its integer inputs, flag -> (least, greatest or
 # None), checked in this order before the rules across inputs in _admit.  A
 # form's proof needs p >= 1, and a sum's p = 0 is a pure count.
@@ -92,15 +97,7 @@ class OutputRecord:
     status: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "inputs": self.inputs,
-                "result": self.result,
-                "status": self.status,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "OutputRecord":
@@ -195,6 +192,8 @@ def _admit(args: argparse.Namespace) -> None:
     if args.command in ("general-form", "check") and args.b_min > args.b_max:
         empty = f"{_named('--b-min', args.b_min)} is above {_named('--b-max', args.b_max)}"
         raise ValueError(f"empty base range: {empty}")
+    if args.command == "eval" and args.n.bit_length() > MAX_EVAL_BITS:
+        raise ValueError(f"{_named('n', args.n)} is above the size limit of {MAX_EVAL_BITS} bits")
     if args.command == "sum":
         if args.last_digit is not None and args.last_digit >= args.base:
             raise ValueError(
@@ -227,13 +226,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     after = digits.shorten_runs(before)
     value = digits.to_value(after)
     result: dict = {"value": str(value)}
+    human = [str(value)]
     if args.verbose:
         result["digits_before"] = _digit_str(before)
         result["digits_after"] = _digit_str(after)
-    human = []
-    if args.verbose:
-        human.append(f"{_digit_str(before)} -> {_digit_str(after)}")
-    human.append(str(value))
+        human.insert(0, f"{_digit_str(before)} -> {_digit_str(after)}")
     _emit(args, "exact", result, human)
     return EXIT_OK
 
@@ -422,15 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    # parsing keeps Python's limit on decimal digits; exact results may be longer
+    # exact results may pass Python's digit limit, and flag values that _admit refuses by size
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        args = parser.parse_args(argv)
         # every refusal happens here, so a command runs only on admitted inputs
         try:
             _admit(args)
@@ -440,6 +434,8 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed reader raises here, not at exit
         return code
+    except SystemExit as e:  # argparse refused the arguments, or printed --help
+        return int(e.code or 0)
     except DisagreementError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DISAGREEMENT

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .digits import check_base
 from .errors import DepthError, DisagreementError, NoFitError
@@ -89,35 +89,7 @@ class ExponentialForm:
 
     def eval_at(self, k: int) -> Fraction:
         den, scaled = self._scaled
-        total = 0
-        for poly, lam in scaled:
-            coeff = 0
-            for c in reversed(poly):
-                coeff = coeff * k + c
-            total += coeff * lam**k
-        return Fraction(total, den)
-
-    def _numerators(self, n: int) -> tuple[int, list[int]]:
-        """The form at k = 1..n as one denominator and its numerators, the
-        values eval_at gives: each coefficient of P(k) * lam**k is stepped
-        from k - 1 by one multiplication by lam, rather than lam**k raised
-        afresh, and no Fraction is built.  Stepping the coefficients, not a
-        running lam**k, is what pays at wide bases: it multiplies by lam
-        where the other multiplies two large numbers.  The coefficients of
-        k**e are kept together, stepped by one map and summed at once, and
-        Horner in k combines the sums."""
-        den, scaled = self._scaled
-        degree = max((len(poly) for poly, _ in scaled), default=0)
-        coefficients = [[poly[e] for poly, _ in scaled if len(poly) > e] for e in range(degree)]
-        growth = [[lam for poly, lam in scaled if len(poly) > e] for e in range(degree)]
-        out = []
-        for k in range(1, n + 1):
-            total = 0
-            for e in reversed(range(degree)):
-                coefficients[e] = list(map(mul, coefficients[e], growth[e]))
-                total = total * k + sum(coefficients[e])
-            out.append(total)
-        return den, out
+        return Fraction(sum(sum(c * k**e for e, c in enumerate(p)) * lam**k for p, lam in scaled), den)
 
     def render(self) -> str:
         if not self.terms:
@@ -133,6 +105,23 @@ class ExponentialForm:
                 monomials.append(f"({c})" + ("" if e == 0 else "*k" if e == 1 else f"*k^{e}"))
             parts.append(f"({' + '.join(monomials)})*{lam}^k")
         return " + ".join(parts)
+
+
+def _numerators(scaled: list, n: int) -> Iterator[int]:
+    """The numerators at k = 1..n of terms (P, lam) over one denominator, as
+    ExponentialForm._scaled holds them, with no Fraction: each coefficient of
+    P(k) * lam**k is stepped from k - 1 by one multiplication by lam (cheaper
+    than lam**k at wide bases), those of k**e by one map, and Horner in k
+    combines their sums."""
+    degree = max((len(poly) for poly, _ in scaled), default=0)
+    coefficients = [[poly[e] for poly, _ in scaled if len(poly) > e] for e in range(degree)]
+    growth = [[lam for poly, lam in scaled if len(poly) > e] for e in range(degree)]
+    for k in range(1, n + 1):
+        total = 0
+        for e in reversed(range(degree)):
+            coefficients[e] = list(map(mul, coefficients[e], growth[e]))
+            total = total * k + sum(coefficients[e])
+        yield total
 
 
 @dataclass(frozen=True)
@@ -216,8 +205,8 @@ def verify(form: ExponentialForm, table: MomentTable) -> Verdict:
     if table.max_k < need:
         raise DepthError(f"table depth {table.max_k} is below {need}, the depth verify reads")
     checked = 2 * form.power
-    den, numerators = form._numerators(checked)
-    for k, num in enumerate(numerators, 1):
+    den, scaled = form._scaled
+    for k, num in enumerate(_numerators(scaled, checked), 1):
         expected = moment_value(table, form.power, k)
         if num != expected * den:
             return Verdict("refuted", checked_depth=k, witness=(k, expected, Fraction(num, den)))
@@ -282,11 +271,15 @@ def check_form_against_brute(form: ExponentialForm) -> None:
     """The form against brute_moment at k = 1..brute_check_depth(b, p), or
     DisagreementError at the first k where they differ.  Not cached: each
     form is checked where it is made."""
-    den, numerators = form._numerators(brute_check_depth(form.base, form.power))
-    for k, num in enumerate(numerators, 1):
-        actual = brute_moment(MomentQuery(form.base, form.power, k))
+    _check_against_brute(form.base, form.power, *form._scaled)
+
+
+def _check_against_brute(base: int, power: int, den: int, scaled: list) -> None:
+    """check_form_against_brute on a form at base given as _scaled (den, scaled)."""
+    for k, num in enumerate(_numerators(scaled, brute_check_depth(base, power)), 1):
+        actual = brute_moment(MomentQuery(base, power, k))
         if num != actual * den:
             raise DisagreementError(
-                f"the form at b={form.base} gives S({form.power}, {k}) = {Fraction(num, den)},"
+                f"the form at b={base} gives S({power}, {k}) = {Fraction(num, den)},"
                 f" brute force {actual}"
             )

@@ -22,10 +22,10 @@ result is a theorem, and its one premise is checked, not assumed:
 
 The proof reads the same update code as the integer tables.  So before
 guess_general_form returns a form, it checks that code against brute force
-(closedform.check_recurrence_against_brute), and the specialized form at
-each small base of the requested range (closedform.check_form_against_brute):
-checks against an engine that shares nothing with the derivation, not the
-proof.
+(closedform.check_recurrence_against_brute), and the form at each small base
+of the requested range, from its integer evaluation _at there, the values
+specialize is built from: checks against an engine that shares nothing with
+the derivation, not the proof.
 """
 from __future__ import annotations
 
@@ -38,8 +38,8 @@ from typing import Container, Iterable
 
 from .closedform import (
     ExponentialForm,
+    _check_against_brute,
     brute_check_depth,
-    check_form_against_brute,
     check_recurrence_against_brute,
     table_depth,
 )
@@ -255,11 +255,12 @@ class GeneralForm:
             raise ValueError("zero coefficients must not be stored")
         excluded = set()  # found once, for excluded_bases
         for fn, _ in self.terms:
-            den = fn.denominator
-            low = abs(next(c for c in den.numerators if c))
-            small = [d for d in range(1, isqrt(low) + 1) if low % d == 0]
+            den, nums = fn.denominator, fn.denominator.numerators  # nums[-1] > 0
+            low = abs(next(c for c in nums if c))
+            bound = 1 + max([-c for c in nums if c < 0] + [0]) // nums[-1]  # Cauchy
+            small = [d for d in range(1, min(bound, isqrt(low)) + 1) if low % d == 0]
             divisors = {*small, *(low // d for d in small)}
-            excluded.update(b for b in divisors if b >= 2 and not den.eval(b))
+            excluded.update(b for b in divisors if 2 <= b <= bound and not den.eval(b))
         object.__setattr__(self, "_excluded", frozenset(excluded))
 
     def excluded_bases(self) -> frozenset[int]:
@@ -267,8 +268,11 @@ class GeneralForm:
 
         By the rational root theorem: a denominator with integer coefficients
         is b**m * Q(b) with Q(0) = a_m, its lowest nonzero coefficient, and an
-        integer root b != 0 of Q divides a_m.  So only the divisors >= 2 of a_m
-        are evaluated, once, when the form is made."""
+        integer root b != 0 of Q divides a_m.  A positive root lies below
+        1 + A/a_n (Cauchy), a_n > 0 leading and A the largest |a_i| with
+        a_i < 0 (no sign change, no root).  So only the divisors of a_m from 2
+        to that bound are evaluated, once, when the form is made, by trial
+        division to it or to isqrt|a_m|, whichever is smaller."""
         return self._excluded
 
     def render(self) -> str:
@@ -322,10 +326,10 @@ def guess_general_form(power: int, b_range: Iterable[int]) -> GeneralForm:
 
     Every base of b_range must be an integer >= 2.  The update code of this
     power is checked against brute force (check_recurrence_against_brute),
-    and then the specialized form at each of brute_checked_bases(g, b_range)
-    in ascending order (check_form_against_brute): DisagreementError at the
-    first mismatch.  A range is never materialized, so its ends may be any
-    size.
+    and then g at each of brute_checked_bases(g, b_range) in ascending
+    order, from its integer evaluation _at there, the values specialize is
+    built from: DisagreementError at the first mismatch.  A range is never
+    materialized, so its ends may be any size.
     """
     bases = b_range if isinstance(b_range, range) else set(b_range)
     if not bases:
@@ -335,7 +339,7 @@ def guess_general_form(power: int, b_range: Iterable[int]) -> GeneralForm:
     g = _derive(power)
     check_recurrence_against_brute(power)
     for b in brute_checked_bases(g, bases):
-        check_form_against_brute(specialize(g, b))
+        _check_against_brute(b, power, *_at(g, b))
     return g
 
 
@@ -352,25 +356,32 @@ def brute_checked_bases(g: GeneralForm, b_range: Container[int]) -> list[int]:
     return bases
 
 
-def specialize(g: GeneralForm, b: int) -> ExponentialForm:
-    """Evaluate a general form at a concrete base.
-
-    Growth bases that collide numerically at b are merged by summing their
-    coefficients (so a four-family form can specialize to three terms);
-    zero coefficients are dropped.  Each coefficient's numerator and
-    denominator, integer polynomials, and each family are evaluated in
-    integers, so a term builds one Fraction.
-    """
+def _at(g: GeneralForm, b: int) -> tuple[int, list[tuple[tuple[int], int]]]:
+    """g at a concrete base in integers, laid out as ExponentialForm._scaled:
+    den > 0, the lcm of the coefficient denominators there, and each term
+    ((numerator over den,), growth base) in g's order, not merged."""
     check_base(b)
-    merged: dict[int, Fraction] = {}
+    values = []
     for fn, fam in g.terms:
         den = _horner(fn.denominator.numerators, b)
         if not den:
             raise ExcludedBaseError(f"coefficient {fn.render()} has a denominator zero at b={b}")
-        c = Fraction(_horner(fn.numerator.numerators, b), den)
         lam, rest = divmod(_horner(fam.numerators, b), fam.denominator)
         if rest or lam < 1:
             raise ValueError(f"growth base {fam.render()} is not a positive integer at b={b}")
-        merged[lam] = merged[lam] + c if lam in merged else c
-    terms = tuple(((c,), lam) for lam, c in sorted(merged.items()) if c != 0)
+        values.append((_horner(fn.numerator.numerators, b), den, lam))
+    den = lcm(*(d for _, d, _ in values))
+    return den, [((n * (den // d),), lam) for n, d, lam in values]
+
+
+def specialize(g: GeneralForm, b: int) -> ExponentialForm:
+    """Evaluate a general form at a concrete base from _at's integers: growth
+    bases that collide there are merged by summing their numerators (so a
+    four-family form can specialize to three terms), each term builds one
+    Fraction, and zero coefficients are dropped."""
+    den, terms = _at(g, b)
+    merged: dict[int, int] = {}
+    for (n,), lam in terms:
+        merged[lam] = merged.get(lam, 0) + n
+    terms = tuple(((Fraction(n, den),), lam) for lam, n in sorted(merged.items()) if n)
     return ExponentialForm(b, g.power, terms)

@@ -381,20 +381,19 @@ def test_base_runs_name_each_run_of_consecutive_bases():
 
 
 def _shifted_at_three(monkeypatch):
-    """specialize with 2 added to the first coefficient at b = 3."""
+    """generalform._at with 2 added to the coefficient of the smallest growth
+    base at b = 3, as one more term on that base."""
     import rabot.generalform as gf
-    from rabot import ExponentialForm
 
-    real_specialize = gf.specialize
+    real_at = gf._at
 
     def shifted(g, b):
-        form = real_specialize(g, b)
+        den, terms = real_at(g, b)
         if b != 3:
-            return form
-        (c, *rest), lam = form.terms[0]
-        return ExponentialForm(b, form.power, (((c + 2, *rest), lam),) + form.terms[1:])
+            return den, terms
+        return den, terms + [((2 * den,), min(lam for _, lam in terms))]
 
-    monkeypatch.setattr(gf, "specialize", shifted)
+    monkeypatch.setattr(gf, "_at", shifted)
 
 
 def test_general_form_disagreeing_with_brute_force_exits_3(capsys, monkeypatch):
@@ -773,6 +772,35 @@ def test_sum_beyond_python_digit_limit_round_trips_json(capsys):
         assert int(text) == expected
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_flag_value_beyond_python_digit_limit_is_refused_in_one_line(capsys):
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * 5000  # past the limit, so parsed only once main lifts it
+    assert len(nines) > limit > 0
+    code, out, err = run(capsys, "sum", "--base", "2", "--k", "1", "--power", nines)
+    assert (code, out) == (2, "")
+    assert err == "error: a 16610-bit --power is above the limit of 16\n"
+    assert err.count("\n") == 1 and len(err.encode()) <= 200
+    assert sys.get_int_max_str_digits() == limit
+    # a value argparse refuses leaves the limit restored too
+    assert run(capsys, "sum", "--base", "2", "--k", "1", "--power", "x")[0] == 2
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_eval_refuses_an_n_above_its_size_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        widest, over = str(2**cli.MAX_EVAL_BITS - 1), str(2**cli.MAX_EVAL_BITS)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(widest) > limit  # every n Python parses by default is admitted
+    code, out, _ = run(capsys, "eval", "--base", over, widest)
+    assert (code, out) == (0, "0\n")  # one digit, which does not survive
+    code, out, err = run(capsys, "eval", "--base", "2", over)
+    assert (code, out) == (2, "")
+    assert err == f"error: a {cli.MAX_EVAL_BITS + 1}-bit n is above the size limit of {cli.MAX_EVAL_BITS} bits\n"
 
 
 def test_k_above_limit_exits_2_before_any_work(capsys, monkeypatch):

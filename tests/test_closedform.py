@@ -20,7 +20,7 @@ from rabot import (
     state_dimension_bound,
     verify,
 )
-from rabot.closedform import table_depth
+from rabot.closedform import _numerators, table_depth
 
 F = Fraction
 
@@ -408,8 +408,8 @@ def test_fit_returns_the_drawn_terms_at_any_multiplicity(case):
 
 def _stepped(form, n):
     """The values verify reads: its stepped numerators over their denominator."""
-    den, numerators = form._numerators(n)
-    return [F(num, den) for num in numerators]
+    den, scaled = form._scaled
+    return [F(num, den) for num in _numerators(scaled, n)]
 
 
 def test_stepped_values_are_what_eval_at_gives():

@@ -1,5 +1,6 @@
 """Polynomials and rational functions of the base, and the exact general-form
 derivation."""
+import time
 from fractions import Fraction
 from hashlib import sha256
 from math import gcd
@@ -23,7 +24,7 @@ from rabot import (
     specialize,
 )
 from rabot import MomentQuery
-from rabot.generalform import _derive
+from rabot.generalform import _at, _derive
 from rabot.recurrence import _build
 
 F = Fraction
@@ -342,6 +343,33 @@ def test_excluded_bases_match_a_scan_to_the_cauchy_bound(roots, content, m, cofa
     assert {r for r in roots if r >= 2} <= excluded
 
 
+def test_excluded_bases_of_every_derived_form_are_those_of_every_divisor():
+    # the search stops at the root bound; no divisor of a_m past it is a root
+    for p in range(1, 8):
+        g = _derive(p)
+        expected = set()
+        for fn, _ in g.terms:
+            den = fn.denominator
+            low = abs(next(c for c in den.numerators if c))
+            expected |= {b for b in range(2, low + 1) if low % b == 0 and not den.eval(b)}
+        assert g.excluded_bases() == expected == (set() if p <= 2 else {2}), p
+
+
+def test_excluded_bases_search_no_divisor_past_the_root_bound():
+    # b**2 + a_m has no sign change, so no positive root: the search used to
+    # try every divisor up to isqrt(a_m), 0.93 s at a_m = 10**14 + 31
+    for low in (10**10 + 19, 10**12 + 39, 10**14 + 31):
+        start = time.perf_counter()
+        g = GeneralForm(1, ((RationalFnInB(poly(1), poly(low, 0, 1)), B),))
+        assert time.perf_counter() - start < 0.05, low
+        assert g.excluded_bases() == frozenset()
+    # (b - 10**7)(b + 1): a root above isqrt|a_m| is still found, by pairing
+    start = time.perf_counter()
+    g = GeneralForm(1, ((RationalFnInB(poly(1), poly(-(10**7), 1 - 10**7, 1)), B),))
+    assert time.perf_counter() - start < 0.05
+    assert g.excluded_bases() == {10**7}
+
+
 GOLDEN_P4 = (
         "((9*b^6 - 25*b^5 + 6*b^4 + 18*b^3 - 11*b^2 + 13*b + 2)/(30*(b^4 - 2*b^3 + b^2)))*(b - 1)^k",
         "((-9*b^9 + 13*b^8 + 3*b^7 + 7*b^6 + 3*b^5 - 8*b^4 - 14*b^3 - b^2 + 5*b + 1)/(30*(b^7 - b^6 - b^5 - b^4 + b^2 + 2*b + 1)))*(b)^k",
@@ -436,18 +464,8 @@ def test_derivation_builds_no_integer_table(monkeypatch):
 
 def test_guess_rejects_form_that_disagrees_with_proven_form(monkeypatch):
     import rabot.generalform as gf
-    from rabot import ExponentialForm
 
-    real_specialize = gf.specialize
-
-    def shifted(g, b):
-        form = real_specialize(g, b)
-        if b != 4:
-            return form
-        (c, *rest), lam = form.terms[0]
-        return ExponentialForm(b, form.power, (((c + 1, *rest), lam),) + form.terms[1:])
-
-    monkeypatch.setattr(gf, "specialize", shifted)
+    monkeypatch.setattr(gf, "_at", _shift_at(gf._at, {4}, 1))
     with pytest.raises(DisagreementError) as err:
         guess_general_form(2, range(2, 7))
     assert "b=4" in str(err.value)
@@ -473,17 +491,16 @@ def test_guess_rejects_a_faulted_recurrence(monkeypatch):
         cf.check_recurrence_against_brute.cache_clear()
 
 
-def _shift_at(real_specialize, bad):
-    """specialize with 1/1000003 added to the first coefficient at the bases
-    in bad."""
-    from rabot import ExponentialForm
+def _shift_at(real_at, bad, shift=F(1, 1000003)):
+    """_at with shift added to the coefficient of the smallest growth base at
+    the bases in bad, as one more term on that base."""
 
     def shifted(g, b):
-        form = real_specialize(g, b)
+        den, terms = real_at(g, b)
         if b not in bad:
-            return form
-        (c, *rest), lam = form.terms[0]
-        return ExponentialForm(b, form.power, (((c + F(1, 1000003), *rest), lam),) + form.terms[1:])
+            return den, terms
+        scale, lam = F(shift).denominator, min(lam for _, lam in terms)
+        return den * scale, [((n * scale,), m) for (n,), m in terms] + [((F(shift).numerator * den,), lam)]
 
     return shifted
 
@@ -491,7 +508,7 @@ def _shift_at(real_specialize, bad):
 def test_guess_names_the_smallest_failing_base(monkeypatch):
     import rabot.generalform as gf
 
-    monkeypatch.setattr(gf, "specialize", _shift_at(gf.specialize, {9, 4}))
+    monkeypatch.setattr(gf, "_at", _shift_at(gf._at, {9, 4}))
     with pytest.raises(DisagreementError) as err:
         guess_general_form(2, range(2, 13))
     # the smallest growth base at b = 4 is b - 1 = 3, so S(2, 1) is off by 3/1000003
@@ -504,14 +521,14 @@ def test_guess_checks_every_small_base_of_the_range(monkeypatch):
     # materialized, so ranges of any size are quick
     import rabot.generalform as gf
 
-    real_check, real_specialize = gf.check_form_against_brute, gf.specialize
+    real_check, real_at = gf._check_against_brute, gf._at
     checked = []
 
-    def spy(form):
-        checked.append(form.base)
-        real_check(form)
+    def spy(base, power, den, scaled):
+        checked.append(base)
+        real_check(base, power, den, scaled)
 
-    monkeypatch.setattr(gf, "check_form_against_brute", spy)
+    monkeypatch.setattr(gf, "_check_against_brute", spy)
     for p in (1, 3):
         excluded = _derive(p).excluded_bases()
         for b_range, small in (
@@ -527,7 +544,7 @@ def test_guess_checks_every_small_base_of_the_range(monkeypatch):
             assert checked == gf.brute_checked_bases(_derive(p), b_range)
     # a wrong form fails at its own base, whichever base of 3..16 it is
     for bad in range(3, 17):
-        monkeypatch.setattr(gf, "specialize", _shift_at(real_specialize, {bad, 16}))
+        monkeypatch.setattr(gf, "_at", _shift_at(real_at, {bad, 16}))
         with pytest.raises(DisagreementError, match=f"at b={bad} gives"):
             guess_general_form(3, range(2, 10**100))
 
@@ -536,20 +553,20 @@ def test_guess_judges_the_smaller_bases_before_a_specialize_error(monkeypatch):
     # the error is the one that checking base after base meets first
     import rabot.generalform as gf
 
-    shifted = _shift_at(gf.specialize, {5})
+    shifted = _shift_at(gf._at, {5})
 
     def refusing(at):
-        def specialize(g, b):
+        def _at(g, b):
             if b == at:
                 raise ValueError(f"refused at b={b}")
             return shifted(g, b)
 
-        return specialize
+        return _at
 
-    monkeypatch.setattr(gf, "specialize", refusing(7))
+    monkeypatch.setattr(gf, "_at", refusing(7))
     with pytest.raises(DisagreementError, match="at b=5 gives"):
         guess_general_form(2, range(2, 10))
-    monkeypatch.setattr(gf, "specialize", refusing(4))
+    monkeypatch.setattr(gf, "_at", refusing(4))
     with pytest.raises(ValueError, match="refused at b=4"):
         guess_general_form(2, range(2, 10))
 
@@ -697,6 +714,20 @@ def test_specialize_refuses_a_growth_base_that_is_not_a_positive_integer():
         g = GeneralForm(1, ((RationalFnInB(poly(1)), fam),))
         with pytest.raises(ValueError, match="not a positive integer"):
             specialize(g, b)
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+def test_specialize_has_the_values_of_the_integer_evaluation(p):
+    g = _derive(p)
+    for b in range(2, 17):
+        if b in g.excluded_bases():
+            continue
+        den, terms = _at(g, b)
+        assert den > 0
+        assert [lam for _, lam in terms] == [fam.eval(b) for _, fam in g.terms]  # g's order, unmerged
+        spec = specialize(g, b)
+        for k in range(1, 2 * p + 2):
+            assert spec.eval_at(k) == F(sum(n * lam**k for (n,), lam in terms), den), (b, k)
 
 
 def test_general_form_invariants():
