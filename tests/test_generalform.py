@@ -363,6 +363,8 @@ def test_excluded_bases_search_no_divisor_past_the_root_bound():
         g = GeneralForm(1, ((RationalFnInB(poly(1), poly(low, 0, 1)), B),))
         assert time.perf_counter() - start < 0.05, low
         assert g.excluded_bases() == frozenset()
+    # (2b + 1)(b - 2): the root 2 is the bound 1 + 3 // 2 itself
+    assert GeneralForm(1, ((RationalFnInB(poly(1), poly(-2, -3, 2)), B),)).excluded_bases() == {2}
     # (b - 10**7)(b + 1): a root above isqrt|a_m| is still found, by pairing
     start = time.perf_counter()
     g = GeneralForm(1, ((RationalFnInB(poly(1), poly(-(10**7), 1 - 10**7, 1)), B),))
