@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 from .digits import check_base
 from .errors import DepthError, DisagreementError, NoFitError
 from .linalg import taylor_at_roots
-from .oracle import MomentQuery, brute_moment
+from .oracle import brute_moments
 from .recurrence import (  # state_dimension_bound: perfbench/workloads.py reads it here
     MomentTable,
     _build,
@@ -48,11 +48,13 @@ from .recurrence import (  # state_dimension_bound: perfbench/workloads.py reads
 )
 
 # The brute-force checks' reach.  check_recurrence_against_brute compares
-# S(p, k) at these bases and k = 1..5: 4880 numbers, each query below the
-# 4096 at which rabot.oracle splits a query over worker processes, so every
-# one is summed in-process.  check_form_against_brute compares a form at
-# each k <= 2p whose query enumerates at most BRUTE_CHECK_NUMBERS numbers,
-# which no k does from b = 17 on.
+# S(p, k) at these bases and k = 1..5: 4880 numbers.  check_form_against_brute
+# compares a form at each k <= 2p whose query enumerates at most
+# BRUTE_CHECK_NUMBERS numbers, which no k does from b = 17 on.  Both read
+# rabot.oracle.brute_moments, one enumeration per base for all its k: each
+# of these queries is so short that brute_moment's fixed work per call would
+# take most of its time.  No level reaches the 4096 numbers at which
+# brute_moment would fork a worker, and brute_moments forks none.
 RECURRENCE_CHECK_BASES = (2, 3, 4)
 RECURRENCE_CHECK_DEPTH = 5
 BRUTE_CHECK_NUMBERS = 256
@@ -238,7 +240,7 @@ def closed_form(base: int, power: int) -> tuple[ExponentialForm, Verdict]:
 
 @lru_cache(maxsize=None)
 def check_recurrence_against_brute(power: int) -> None:
-    """S(power, k) from the recurrence against brute_moment at each base of
+    """S(power, k) from the recurrence against brute_moments at each base of
     RECURRENCE_CHECK_BASES and k = 1..RECURRENCE_CHECK_DEPTH, or
     DisagreementError at the first pair that differs.
 
@@ -249,8 +251,8 @@ def check_recurrence_against_brute(power: int) -> None:
     """
     for b in RECURRENCE_CHECK_BASES:
         table = _build(b, power, RECURRENCE_CHECK_DEPTH)
-        for k in range(1, RECURRENCE_CHECK_DEPTH + 1):
-            expected, actual = moment_value(table, power, k), brute_moment(MomentQuery(b, power, k))
+        for k, actual in enumerate(brute_moments(b, power, RECURRENCE_CHECK_DEPTH), 1):
+            expected = moment_value(table, power, k)
             if expected != actual:
                 raise DisagreementError(
                     f"the recurrence gives S({power}, {k}) = {expected} at b={b}, brute force {actual}"
@@ -268,7 +270,7 @@ def brute_check_depth(base: int, power: int) -> int:
 
 
 def check_form_against_brute(form: ExponentialForm) -> None:
-    """The form against brute_moment at k = 1..brute_check_depth(b, p), or
+    """The form against brute_moments at k = 1..brute_check_depth(b, p), or
     DisagreementError at the first k where they differ.  Not cached: each
     form is checked where it is made."""
     _check_against_brute(form.base, form.power, *form._scaled)
@@ -276,8 +278,8 @@ def check_form_against_brute(form: ExponentialForm) -> None:
 
 def _check_against_brute(base: int, power: int, den: int, scaled: list) -> None:
     """check_form_against_brute on a form at base given as _scaled (den, scaled)."""
-    for k, num in enumerate(_numerators(scaled, brute_check_depth(base, power)), 1):
-        actual = brute_moment(MomentQuery(base, power, k))
+    depth = brute_check_depth(base, power)
+    for k, (num, actual) in enumerate(zip(_numerators(scaled, depth), brute_moments(base, power, depth)), 1):
         if num != actual * den:
             raise DisagreementError(
                 f"the form at b={base} gives S({power}, {k}) = {Fraction(num, den)},"

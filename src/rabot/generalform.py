@@ -25,7 +25,10 @@ guess_general_form returns a form, it checks that code against brute force
 (closedform.check_recurrence_against_brute), and the form at each small base
 of the requested range, from its integer evaluation _at there, the values
 specialize is built from: checks against an engine that shares nothing with
-the derivation, not the proof.
+the derivation, not the proof.  Both read rabot.oracle.brute_moments, which
+enumerates a base's numbers once for all its k: a call asks for S(p, k) at
+up to 15 bases and up to 2p values of k each, queries too short for
+rabot.oracle.brute_moment's fixed work per query to pay.
 """
 from __future__ import annotations
 

@@ -32,6 +32,15 @@ in-process.  At exit the process kills and reaps its workers; if it exits
 without running its exit hooks, each worker reads end of file and exits.  A
 forked child forgets the parent's workers and forks its own, and calls from
 several threads take turns on the workers.
+
+brute_moments is a second enumeration, for the proofs' brute-force checks
+in rabot.closedform, which ask for S(p, k) at every k up to a small depth at
+one base.  It builds the numbers of each length from those one digit
+shorter, by the same rule, and sums every level in-process.  So a check
+makes one call per base rather than one brute_moment query per k, whose
+fixed work per call would take most of each short query's time.  It holds a
+whole level, so it refuses one above _LEVEL_MAX numbers: a longer query is
+brute_moment's.
 """
 from __future__ import annotations
 
@@ -383,6 +392,51 @@ def brute_moment(q: MomentQuery, cap: int | None = DEFAULT_ENUM_CAP) -> int:
     EOFError or ConnectionError, if a worker is found dead again.
     """
     return _moment(q, cap)
+
+
+# brute_moments holds one level of numbers, and none larger than a query that
+# brute_moment sums without a worker
+_LEVEL_MAX = 2 * _PARALLEL_MIN_CHUNK
+
+
+def brute_moments(base: int, power: int, kmax: int) -> list[int]:
+    """S(power, k) for k = 1..kmax from one enumeration of the numbers of
+    2..kmax + 1 digits, one length at a time; [] at kmax = 0.
+
+    A level holds the r of every number of one length, from the one-digit
+    numbers on, whose r is 0.  Its block t is the numbers that end in digit
+    t.  A number of the next level is one of them with a digit d appended,
+    whose r is r*b + d if d == t, where d survives, else r.  So the next
+    level is b copies of this one, copy d with d appended, and block d of
+    copy d grown.  Every number adds its own r**power (_power_sum), so power
+    0 counts them.  A level of more than _LEVEL_MAX numbers raises
+    EnumerationCapError before any level is built.
+    """
+    check_base(base)
+    if not isinstance(power, int) or power < 0:
+        raise ValueError(f"power must be a non-negative integer, got {power!r}")
+    if not isinstance(kmax, int) or kmax < 0:
+        raise ValueError(f"kmax must be a non-negative integer, got {kmax!r}")
+    if not kmax:  # before the b - 1 one-digit numbers, too many to hold at a wide base
+        return []
+    size = base - 1
+    for k in range(1, kmax + 1):  # stops by k = 13, even at b = 2
+        size *= base
+        if size > _LEVEL_MAX:
+            name = _sized(base, "b") or f"b={base}"
+            raise EnumerationCapError(f"the level of k = {k} at {name} has more than {_LEVEL_MAX} numbers")
+    rs = [0] * (base - 1)  # the one-digit numbers 1..b-1
+    starts = [0, *range(base)]  # block t is rs[starts[t]:starts[t + 1]]
+    sums = []
+    for _ in range(kmax):
+        n = len(rs)
+        grown = rs * base
+        for d in range(base):
+            lo, hi = starts[d], starts[d + 1]
+            grown[d * n + lo : d * n + hi] = [r * base + d for r in rs[lo:hi]]
+        rs, starts = grown, range(0, base * n + 1, n)
+        sums.append(_power_sum([(0, rs)], power))
+    return sums
 
 
 # perfbench/workloads.py still calls the oracle by this name; `partitions` is

@@ -410,17 +410,21 @@ def test_general_form_disagreeing_with_brute_force_exits_3(capsys, monkeypatch):
 def test_closed_form_disagreeing_with_brute_force_exits_3(capsys, monkeypatch):
     import rabot.closedform as cf
 
-    real_brute = cf.brute_moment
+    real_brute = cf.brute_moments
+
+    def off_at_b3_k2(base, power, kmax):
+        return [s + (base == 3 and k == 2) for k, s in enumerate(real_brute(base, power, kmax), 1)]
+
     cf.check_recurrence_against_brute.cache_clear()
-    monkeypatch.setattr(cf, "brute_moment", lambda q: real_brute(q) + (q.base == 3 and q.k == 2))
+    monkeypatch.setattr(cf, "brute_moments", off_at_b3_k2)
     try:
         # the recurrence's table at b = 3 is checked at every base
         code, out, err = run(capsys, "closed-form", "--base", "5", "--power", "2")
         assert (code, out, err) == (3, "", "error: the recurrence gives S(2, 2) = 95 at b=3, brute force 96\n")
         # with that part passed and cached, the form at b = 3 itself
-        monkeypatch.setattr(cf, "brute_moment", real_brute)
+        monkeypatch.setattr(cf, "brute_moments", real_brute)
         cf.check_recurrence_against_brute(2)
-        monkeypatch.setattr(cf, "brute_moment", lambda q: real_brute(q) + (q.base == 3 and q.k == 2))
+        monkeypatch.setattr(cf, "brute_moments", off_at_b3_k2)
         code, out, err = run(capsys, "closed-form", "--base", "3", "--power", "2", "--json")
         assert (code, out, err) == (3, "", "error: the form at b=3 gives S(2, 2) = 95, brute force 96\n")
     finally:
@@ -428,28 +432,31 @@ def test_closed_form_disagreeing_with_brute_force_exits_3(capsys, monkeypatch):
 
 
 def test_proofs_check_against_brute_force_on_the_caller_alone(capsys, monkeypatch):
-    # every query of the checks is below the 4096 numbers at which the
-    # oracle splits a query over workers, so neither command forks one
+    # every check enumerates its base in-process, one level at a time, and
+    # no level reaches the 4096 numbers at which brute_moment splits a
+    # query over workers, so neither command forks one
     import rabot.closedform as cf
 
-    counts = []
-    real_brute = cf.brute_moment
+    levels = []
+    real_brute = cf.brute_moments
 
-    def spy(q):
-        counts.append(q.count())
-        return real_brute(q)
+    def spy(base, power, kmax):
+        if kmax:
+            levels.append((base - 1) * base**kmax)
+        return real_brute(base, power, kmax)
 
     def refuse(*args):
-        raise AssertionError("a check query reached the workers")
+        raise AssertionError("a check reached the workers")
 
-    monkeypatch.setattr(cf, "brute_moment", spy)
+    monkeypatch.setattr(cf, "brute_moments", spy)
     monkeypatch.setattr(oracle, "_sum_on_workers", refuse)
+    monkeypatch.setattr(oracle, "_ready_workers", refuse)
     cf.check_recurrence_against_brute.cache_clear()
     for power in ("1", "4", "7"):
         assert run(capsys, "general-form", "--power", power, "--b-max", "40")[0] == 0
         for base in ("2", "3", "16", "1000000"):
             assert run(capsys, "closed-form", "--base", base, "--power", power)[0] == 0
-    assert counts and max(counts) < 2 * oracle._PARALLEL_MIN_CHUNK
+    assert levels and max(levels) < 2 * oracle._PARALLEL_MIN_CHUNK
     cf.check_recurrence_against_brute.cache_clear()
 
 

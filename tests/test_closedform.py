@@ -470,25 +470,34 @@ SHORT_QUERY_DEPTH = {2: 8, 3: 4, 4: 3, 5: 2, 6: 2, **{b: 1 for b in range(7, 17)
 
 @pytest.mark.parametrize("p", [1, 2, 4, 7])
 def test_form_check_queries_every_k_up_to_its_depth(p, monkeypatch):
+    # one enumeration per base, to brute_check_depth, and none from b = 17 on
     import rabot.closedform as cf
+    from rabot import oracle
 
-    real_brute = cf.brute_moment
-    queries = []
+    real_brute, real_sum = cf.brute_moments, oracle._power_sum
+    calls, levels = [], []
 
-    def spy(q):
-        queries.append(q)
-        return real_brute(q)
+    def spy(base, power, kmax):
+        calls.append((base, power, kmax))
+        return real_brute(base, power, kmax)
 
-    monkeypatch.setattr(cf, "brute_moment", spy)
+    def level(segments, power):
+        levels.append(sum(len(values) for _, values in segments))
+        return real_sum(segments, power)
+
+    monkeypatch.setattr(cf, "brute_moments", spy)
+    monkeypatch.setattr(oracle, "_power_sum", level)
     for b in (*range(2, 19), 10**6):
         form, verdict = closed_form(b, p)
         assert verdict.status == "proven"
-        queries.clear()
+        calls.clear()
+        levels.clear()
         cf.check_form_against_brute(form)
         depth = min(2 * p, SHORT_QUERY_DEPTH.get(b, 0))
         assert cf.brute_check_depth(b, p) == depth, b
-        assert [(q.base, q.power, q.k, q.last_digit) for q in queries] == [(b, p, k, None) for k in range(1, depth + 1)]
-        assert all(q.count() <= 256 for q in queries)
+        assert calls == [(b, p, depth)]
+        assert (b - 1) * b**depth <= 256 if depth else b >= 17
+        assert levels == [(b - 1) * b**k for k in range(1, depth + 1)]
 
 
 def test_closed_form_checks_against_brute_force_only_what_it_proves(monkeypatch):

@@ -594,6 +594,65 @@ def test_query_validation():
         MomentQuery(2, 1, 1, last_digit=2)
 
 
+def _level_limit(b):
+    """The largest kmax at which brute_moments holds its last level."""
+    k = 0
+    while (b - 1) * b ** (k + 1) <= 2 * oracle._PARALLEL_MIN_CHUNK:
+        k += 1
+    return k
+
+
+@st.composite
+def level_queries(draw):
+    b = draw(st.integers(2, 20))
+    return b, draw(st.integers(0, 6)), draw(st.integers(0, _level_limit(b)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(level_queries())
+@example((2, 2, 12))  # a last level of 4096 numbers, the most one may have
+@example((3, 0, 6))  # a count
+@example((20, 6, 1))
+@example((5, 3, 0))
+def test_brute_moments_is_brute_moment_at_every_k(case):
+    b, p, kmax = case
+    sums = oracle.brute_moments(b, p, kmax)
+    assert sums == [brute_moment(MomentQuery(b, p, k)) for k in range(1, kmax + 1)]
+    assert sums == [sum(raboter(b, n) ** p for n in range(b**k, b ** (k + 1))) for k in range(1, kmax + 1)]
+
+
+def test_brute_moments_at_kmax_zero_builds_nothing():
+    # not even the b - 1 one-digit numbers, which do not fit in memory here
+    start = time.perf_counter()
+    assert oracle.brute_moments(10**1000, 3, 0) == []
+    assert time.perf_counter() - start < 0.05
+
+
+def test_brute_moments_refuses_a_level_above_its_limit():
+    assert _level_limit(2) == 12 and _level_limit(3) == 6 and _level_limit(64) == 1 and _level_limit(65) == 0
+    with pytest.raises(EnumerationCapError, match=r"^the level of k = 13 at b=2 has more than 4096 numbers$"):
+        oracle.brute_moments(2, 1, 13)
+    with pytest.raises(EnumerationCapError, match=r"^the level of k = 7 at b=3 "):
+        oracle.brute_moments(3, 1, 10**100)
+    with pytest.raises(EnumerationCapError, match=r"^the level of k = 1 at a 3322-bit b has"):
+        oracle.brute_moments(10**1000, 1, 1)
+    assert len(oracle.brute_moments(64, 1, 1)) == 1
+    with pytest.raises(EnumerationCapError):
+        oracle.brute_moments(65, 1, 1)
+
+
+def test_brute_moments_validates_its_arguments():
+    for base in (1, 0, -2, 2.0, "3", None):
+        with pytest.raises(InvalidBaseError):
+            oracle.brute_moments(base, 1, 1)
+    for power in (-1, 1.0, None):
+        with pytest.raises(ValueError, match="power"):
+            oracle.brute_moments(2, power, 1)
+    for kmax in (-1, 1.0, None):
+        with pytest.raises(ValueError, match="kmax"):
+            oracle.brute_moments(2, 1, kmax)
+
+
 @st.composite
 def queries(draw):
     b = draw(st.integers(2, 9))

@@ -309,28 +309,28 @@ def test_table_is_the_update_rule_entry_by_entry(b, p, k, mid):
 
 @pytest.mark.parametrize("p", [1, 2, 7, 16])
 def test_recurrence_check_queries_are_summed_in_process(p, monkeypatch):
-    # b = 2..4 and k = 1..5: 4880 numbers, each query below the 4096 at which
-    # the oracle splits a query over workers; then cached for the power
-    queries = []
-    real = closedform.brute_moment
+    # b = 2..4 and k = 1..5, one enumeration per base: 4880 numbers, no level
+    # at the 4096 at which the oracle splits a query over workers; then
+    # cached for the power
+    calls = []
+    real = closedform.brute_moments
 
-    def spy(q, *args, **kwargs):
-        queries.append(q)
-        return real(q, *args, **kwargs)
+    def spy(base, power, kmax):
+        calls.append((base, power, kmax))
+        return real(base, power, kmax)
 
     def refuse(*args):
         raise AssertionError("a check query reached the workers")
 
-    monkeypatch.setattr(closedform, "brute_moment", spy)
+    monkeypatch.setattr(closedform, "brute_moments", spy)
     monkeypatch.setattr(oracle, "_sum_on_workers", refuse)
+    monkeypatch.setattr(oracle, "_ready_workers", refuse)
     closedform.check_recurrence_against_brute.cache_clear()
     closedform.check_recurrence_against_brute(p)
     closedform.check_recurrence_against_brute(p)
-    assert [(q.base, q.power, q.k, q.last_digit) for q in queries] == [
-        (b, p, k, None) for b in (2, 3, 4) for k in range(1, 6)
-    ]
-    assert sum(q.count() for q in queries) == 4880
-    assert max(q.count() for q in queries) < 2 * oracle._PARALLEL_MIN_CHUNK
+    assert calls == [(b, p, 5) for b in (2, 3, 4)]
+    assert sum((b - 1) * b**k for b, _, kmax in calls for k in range(1, kmax + 1)) == 4880
+    assert max((b - 1) * b**kmax for b, _, kmax in calls) < 2 * oracle._PARALLEL_MIN_CHUNK
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
