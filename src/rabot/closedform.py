@@ -21,8 +21,10 @@ unless it leaves the diagonal without 2p entries (NoFitError).  closed_form
 therefore checks a proven result against rabot.oracle, which shares no
 derivation with the recurrence, in two parts: the recurrence's own tables at
 a few small bases (check_recurrence_against_brute, once per power), and the
-form at the small k whose queries are short (check_form_against_brute).  A
-mismatch raises DisagreementError.
+form at the small k whose queries are short (check_form_against_brute, from
+the form's integers over one denominator, stepped by _numerators).  A
+mismatch raises DisagreementError.  rabot.generalform runs the first part
+too, and its own second part, from a general form's generating function.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ from typing import Iterator, Sequence
 
 from .digits import check_base
 from .errors import DepthError, DisagreementError, NoFitError
-from .linalg import taylor_at_roots
+from .linalg import pole_product, series_numerator, taylor_at_roots
 from .oracle import brute_moments
 from .recurrence import (  # state_dimension_bound: perfbench/workloads.py reads it here
     MomentTable,
@@ -50,11 +52,13 @@ from .recurrence import (  # state_dimension_bound: perfbench/workloads.py reads
 # The brute-force checks' reach.  check_recurrence_against_brute compares
 # S(p, k) at these bases and k = 1..5: 4880 numbers.  check_form_against_brute
 # compares a form at each k <= 2p whose query enumerates at most
-# BRUTE_CHECK_NUMBERS numbers, which no k does from b = 17 on.  Both read
-# rabot.oracle.brute_moments, one enumeration per base for all its k: each
-# of these queries is so short that brute_moment's fixed work per call would
-# take most of its time.  No level reaches the 4096 numbers at which
-# brute_moment would fork a worker, and brute_moments forks none.
+# BRUTE_CHECK_NUMBERS numbers, which no k does from b = 17 on; brute_check_depth
+# gives that reach to rabot.generalform's per-base check of a general form's
+# generating function too.  All read rabot.oracle.brute_moments, one
+# enumeration per base for all its k: each of these queries is so short that
+# brute_moment's fixed work per call would take most of its time.  No level
+# reaches the 4096 numbers at which brute_moment would fork a worker, and
+# brute_moments forks none.
 RECURRENCE_CHECK_BASES = (2, 3, 4)
 RECURRENCE_CHECK_DEPTH = 5
 BRUTE_CHECK_NUMBERS = 256
@@ -161,7 +165,8 @@ def fit_closed_form(
     if len(values) < t:
         raise ValueError(f"need at least {t} values to fit {t} bases, got {len(values)}")
     terms = []
-    for lam, (num, den) in sorted(taylor_at_roots(values, bases).items()):
+    numerator = series_numerator(values, pole_product(bases))
+    for lam, (num, den) in sorted(taylor_at_roots(numerator, bases).items()):
         h: list[Fraction] = []  # the series quotient num/den
         for a in num:
             h.append(Fraction(a - sum(d * x for d, x in zip(den[1:], reversed(h))), den[0]))
@@ -273,15 +278,12 @@ def check_form_against_brute(form: ExponentialForm) -> None:
     """The form against brute_moments at k = 1..brute_check_depth(b, p), or
     DisagreementError at the first k where they differ.  Not cached: each
     form is checked where it is made."""
-    _check_against_brute(form.base, form.power, *form._scaled)
-
-
-def _check_against_brute(base: int, power: int, den: int, scaled: list) -> None:
-    """check_form_against_brute on a form at base given as _scaled (den, scaled)."""
-    depth = brute_check_depth(base, power)
-    for k, (num, actual) in enumerate(zip(_numerators(scaled, depth), brute_moments(base, power, depth)), 1):
+    depth = brute_check_depth(form.base, form.power)
+    den, scaled = form._scaled
+    actuals = brute_moments(form.base, form.power, depth)
+    for k, (num, actual) in enumerate(zip(_numerators(scaled, depth), actuals), 1):
         if num != actual * den:
             raise DisagreementError(
-                f"the form at b={base} gives S({power}, {k}) = {Fraction(num, den)},"
+                f"the form at b={form.base} gives S({form.power}, {k}) = {Fraction(num, den)},"
                 f" brute force {actual}"
             )

@@ -23,12 +23,24 @@ result is a theorem, and its one premise is checked, not assumed:
 The proof reads the same update code as the integer tables.  So before
 guess_general_form returns a form, it checks that code against brute force
 (closedform.check_recurrence_against_brute), and the form at each small base
-of the requested range, from its integer evaluation _at there, the values
-specialize is built from: checks against an engine that shares nothing with
-the derivation, not the proof.  Both read rabot.oracle.brute_moments, which
-enumerates a base's numbers once for all its k: a call asks for S(p, k) at
-up to 15 bases and up to 2p values of k each, queries too short for
-rabot.oracle.brute_moment's fixed work per query to pay.
+of the requested range: checks against an engine that shares nothing with
+the derivation, not the proof.  The form is checked there through the
+generating function N(x)/prod_f (1 - lam_f x) it was read from, in two
+links:
+
+- Once per power, _derive compares the form's integer evaluation _at, the
+  values specialize is built from, with N's series (_series) at k = 1..2p
+  and every base b = 2..16 it does not exclude, the only bases a call can
+  check against brute force, and caches the form only if they agree.
+- Per call, _check_base compares N's series at each small base of the range
+  with rabot.oracle.brute_moments, which enumerates a base's numbers once
+  for all its k.  N's coefficients are integer polynomials in b over one
+  denominator, so the series is stepped in integers, with no Fraction and
+  no per-term powers.
+
+A call asks for S(p, k) at up to 15 bases and up to 2p values of k each,
+queries too short for rabot.oracle.brute_moment's fixed work per query to
+pay.
 """
 from __future__ import annotations
 
@@ -37,18 +49,20 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Container, Iterable
 
 from .closedform import (
     ExponentialForm,
-    _check_against_brute,
+    _numerators,
     brute_check_depth,
     check_recurrence_against_brute,
     table_depth,
 )
 from .digits import check_base
-from .errors import ExcludedBaseError, NoFitError
-from .linalg import taylor_at_roots
+from .errors import DisagreementError, ExcludedBaseError, NoFitError
+from .linalg import pole_product, series_numerator, taylor_at_roots
+from .oracle import brute_moments
 from .recurrence import _build, _spectrum, annihilates, moment_value
 
 
@@ -245,7 +259,9 @@ class RationalFnInB:
 @dataclass(frozen=True)
 class GeneralForm:
     """A sum of (rational function of b) * (polynomial in b)**k terms equal
-    to S(power, k) for every k >= 1 and every b >= 2 outside excluded_bases()."""
+    to S(power, k) for every k >= 1 and every b >= 2 outside excluded_bases().
+    _derive keeps the generating function it read the terms from with the
+    form, as the private attribute _gf that _series steps."""
 
     power: int
     terms: tuple[tuple[RationalFnInB, PolyInB], ...]
@@ -304,6 +320,11 @@ def _derive(power: int) -> GeneralForm:
     it fails.  Then G(x) = sum_{k>=1} S(power, k) x**k is
     N(x)/prod_f (1 - lam_f x), each pole is simple, and
     c_f = rev(N)(lam_f)/(lam_f prod_{g != f}(lam_f - lam_g)) (rabot.linalg).
+    N and the pole product are kept with the form, as _series steps them, and
+    the form is checked against them: at each base any call can check against
+    brute force (brute_checked_bases, b = 2..16) and k = 1..2p, _at's values
+    must equal N's series, or DisagreementError names the first base and k
+    where they differ.
     """
     families = base_families(power)
     t = len(families)
@@ -314,12 +335,26 @@ def _derive(power: int) -> GeneralForm:
             " the moment state over Q(b)"
         )
     sums = [moment_value(table, power, k) for k in range(1, t + 1)]
+    q = pole_product(families)
+    numerator = series_numerator(sums, q)
     terms = []
-    for fam, ([value], [den]) in taylor_at_roots(sums, families).items():
+    for fam, ([value], [den]) in taylor_at_roots(numerator, families).items():
         fn = RationalFnInB(value, fam * den)
         if fn:
             terms.append((fn, fam))
-    return GeneralForm(power, tuple(terms))
+    g = GeneralForm(power, tuple(terms))
+    common = lcm(*(c.denominator for c in (*numerator, *q)))
+    ints = [tuple(n * (common // c.denominator) for n in c.numerators) for c in (*numerator, *q[1:])]
+    object.__setattr__(g, "_gf", (common, ints[:t], ints[t:]))
+    for b in brute_checked_bases(g, range(2, 17)):  # no base from 17 on has a brute-force depth
+        den, scaled = _at(g, b)
+        for k, (num, value) in enumerate(zip(_numerators(scaled, t), _series(g, b, t)), 1):
+            if num != value * den:
+                raise DisagreementError(
+                    f"the form at b={b} gives S({power}, {k}) = {Fraction(num, den)},"
+                    f" its generating function {value}"
+                )
+    return g
 
 
 def guess_general_form(power: int, b_range: Iterable[int]) -> GeneralForm:
@@ -329,10 +364,10 @@ def guess_general_form(power: int, b_range: Iterable[int]) -> GeneralForm:
 
     Every base of b_range must be an integer >= 2.  The update code of this
     power is checked against brute force (check_recurrence_against_brute),
-    and then g at each of brute_checked_bases(g, b_range) in ascending
-    order, from its integer evaluation _at there, the values specialize is
-    built from: DisagreementError at the first mismatch.  A range is never
-    materialized, so its ends may be any size.
+    and then the generating function's numerator N, which _derive checked g
+    against once per power, at each of brute_checked_bases(g, b_range) in
+    ascending order (_check_base): DisagreementError at the first mismatch.
+    A range is never materialized, so its ends may be any size.
     """
     bases = b_range if isinstance(b_range, range) else set(b_range)
     if not bases:
@@ -342,13 +377,49 @@ def guess_general_form(power: int, b_range: Iterable[int]) -> GeneralForm:
     g = _derive(power)
     check_recurrence_against_brute(power)
     for b in brute_checked_bases(g, bases):
-        _check_against_brute(b, power, *_at(g, b))
+        _check_base(g, b)
     return g
+
+
+def _series(g: GeneralForm, b: int, n: int) -> list[int]:
+    """S(g.power, k) at k = 1..n from the generating function _derive kept
+    with g, at base b, in integers.  With N_k and e_i the coefficients of x**k
+    in N and of x**i in prod_f (1 - lam_f x), as integer polynomials A_k and
+    B_i over one denominator d, each step is
+    S_k = (A_k(b) - sum_{1<=i<k} B_i(b) S_{k-i})/d, A_k = 0 past k = 2p.  The
+    division is exact at every b, as S_k, N_k(b) and e_i(b) are integers
+    there; a remainder raises DisagreementError."""
+    den, numerator, pole = g._gf
+    a = [_horner(c, b) for c in numerator[:n]]
+    e = [_horner(c, b) for c in pole[: n - 1]]
+    values: list[int] = []
+    for k in range(1, n + 1):
+        total = (a[k - 1] if k <= len(a) else 0) - sum(map(mul, e, reversed(values)))
+        value, rest = divmod(total, den)
+        if rest:
+            raise DisagreementError(
+                f"the generating function at b={b} gives S({g.power}, {k}) = {Fraction(total, den)},"
+                " not an integer"
+            )
+        values.append(value)
+    return values
+
+
+def _check_base(g: GeneralForm, b: int) -> None:
+    """_series at b against brute_moments at k = 1..brute_check_depth(b, p),
+    or DisagreementError at the first k where they differ."""
+    depth = brute_check_depth(b, g.power)
+    for k, (value, actual) in enumerate(zip(_series(g, b, depth), brute_moments(b, g.power, depth)), 1):
+        if value != actual:
+            raise DisagreementError(
+                f"the generating function at b={b} gives S({g.power}, {k}) = {value}, brute force {actual}"
+            )
 
 
 def brute_checked_bases(g: GeneralForm, b_range: Container[int]) -> list[int]:
     """The bases of b_range, ascending, where guess_general_form checks g's
-    specialization against brute force: those outside excluded_bases() with
+    generating function against brute force, and so g, which _derive checked
+    against it there: those outside excluded_bases() with
     a brute_check_depth of at least 1.  That depth falls as b grows and is 0
     from b = 17 on, so only b = 2..16 are looked up in b_range."""
     excluded, bases, b = g.excluded_bases(), [], 2

@@ -10,6 +10,8 @@ R_lam(y) = prod_{g != lam} (y - g) (Stanley, Enumerative Combinatorics I,
 nowhere, so it is exact over int, Fraction and PolyInB alike.  The
 denominator prod_g (1 - g x) is written once, in pole_product; read
 backwards it is prod_g (x - g), the annihilator rabot.recurrence checks.
+The numerator N is written once too, in series_numerator, which the fits
+call before taylor_at_roots, so that rabot.generalform can keep N.
 
 The module keeps the name linalg because perfbench/spans.py traces
 rabot.linalg as a layer (LAYERS) and fails without it; the rename waits
@@ -31,18 +33,23 @@ def pole_product(roots: Sequence) -> list:
     return q
 
 
-def taylor_at_roots(values: Sequence, roots: Sequence) -> dict:
+def series_numerator(values: Sequence, q: Sequence) -> list:
+    """The coefficients N_1..N_t of x**1..x**t in N = q * sum_k values[k-1] x**k
+    mod x**(t+1), t = len(q) - 1, with q = pole_product(roots); N has no
+    constant term.  Listed from N_1 on, they are rev(N)'s coefficients from
+    that of y**(t-1) down."""
+    return [sum(q[m - k] * values[k - 1] for k in range(1, m + 1)) for m in range(1, len(q))]
+
+
+def taylor_at_roots(numerator: Sequence, roots: Sequence) -> dict:
     """Map each distinct root lam of multiplicity m, in order of first
     appearance, to the first m Taylor coefficients at lam of rev(N) and of
-    R_lam, as a pair of lists, constant term first; N is read from
-    values[:t], t = len(roots)."""
-    q = pole_product(roots)
-    t = len(roots)
-    rev_n = [sum(q[m - k] * values[k - 1] for k in range(1, m + 1)) for m in range(1, t + 1)]
+    R_lam, as a pair of lists, constant term first; numerator is N_1..N_t,
+    t = len(roots), as series_numerator gives it."""
     out = {}
     for lam, m in Counter(roots).items():
         num = [0] * m  # Horner in u = y - lam, truncated after u**(m-1)
-        for c in rev_n:  # the coefficient of y**(t-1) first
+        for c in numerator:  # the coefficient of y**(t-1) first
             num = [num[0] * lam + c] + [a * lam + b for a, b in zip(num[1:], num)]
         den = [1] + [0] * (m - 1)  # prod_{g != lam} ((lam - g) + u), truncated
         for g in roots:

@@ -397,14 +397,32 @@ def _shifted_at_three(monkeypatch):
 
 
 def test_general_form_disagreeing_with_brute_force_exits_3(capsys, monkeypatch):
-    _shifted_at_three(monkeypatch)
-    # at b = 3 the smallest growth base of S(1, .) is b = 3, so S(1, 1) = 3 is off by 2*3
+    import rabot.generalform as gf
+
+    # the generating function's series at b = 3 off by 2*3 at every k, with
+    # the clean form cached, so that only the per-call check reads it
+    gf._derive(1)
+    real_series = gf._series
+    monkeypatch.setattr(gf, "_series", lambda g, b, n: [s + 6 * (b == 3) for s in real_series(g, b, n)])
     for json_flag in ((), ("--json",)):
         code, out, err = run(capsys, "general-form", "--power", "1", *json_flag)
         assert (code, out) == (3, "")
-        assert err == "error: the form at b=3 gives S(1, 1) = 9, brute force 3\n"
+        assert err == "error: the generating function at b=3 gives S(1, 1) = 9, brute force 3\n"
     # a range without b = 3 does not check there
     assert run(capsys, "general-form", "--power", "1", "--b-min", "4")[0] == 0
+    # a form that disagrees with its generating function at b = 3 fails where
+    # it is derived, whatever the range
+    monkeypatch.setattr(gf, "_series", real_series)
+    _shifted_at_three(monkeypatch)
+    gf._derive.cache_clear()
+    try:
+        # at b = 3 the smallest growth base of S(1, .) is b = 3, so S(1, 1) = 3 is off by 2*3
+        for args in ((), ("--b-min", "4")):
+            code, out, err = run(capsys, "general-form", "--power", "1", *args)
+            assert (code, out) == (3, "")
+            assert err == "error: the form at b=3 gives S(1, 1) = 9, its generating function 3\n"
+    finally:
+        gf._derive.cache_clear()
 
 
 def test_closed_form_disagreeing_with_brute_force_exits_3(capsys, monkeypatch):
@@ -436,6 +454,7 @@ def test_proofs_check_against_brute_force_on_the_caller_alone(capsys, monkeypatc
     # no level reaches the 4096 numbers at which brute_moment splits a
     # query over workers, so neither command forks one
     import rabot.closedform as cf
+    import rabot.generalform as gf
 
     levels = []
     real_brute = cf.brute_moments
@@ -449,6 +468,7 @@ def test_proofs_check_against_brute_force_on_the_caller_alone(capsys, monkeypatc
         raise AssertionError("a check reached the workers")
 
     monkeypatch.setattr(cf, "brute_moments", spy)
+    monkeypatch.setattr(gf, "brute_moments", spy)
     monkeypatch.setattr(oracle, "_sum_on_workers", refuse)
     monkeypatch.setattr(oracle, "_ready_workers", refuse)
     cf.check_recurrence_against_brute.cache_clear()

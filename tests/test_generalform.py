@@ -6,7 +6,7 @@ from hashlib import sha256
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rabot import (
@@ -21,10 +21,11 @@ from rabot import (
     brute_moment,
     closed_form,
     guess_general_form,
+    moment_value,
     specialize,
 )
 from rabot import MomentQuery
-from rabot.generalform import _at, _derive
+from rabot.generalform import _at, _derive, _series
 from rabot.recurrence import _build
 
 F = Fraction
@@ -465,12 +466,18 @@ def test_derivation_builds_no_integer_table(monkeypatch):
 
 
 def test_guess_rejects_form_that_disagrees_with_proven_form(monkeypatch):
+    # the form is checked against its generating function where it is
+    # derived, so the cache is cleared for the fault to be seen
     import rabot.generalform as gf
 
     monkeypatch.setattr(gf, "_at", _shift_at(gf._at, {4}, 1))
-    with pytest.raises(DisagreementError) as err:
-        guess_general_form(2, range(2, 7))
-    assert "b=4" in str(err.value)
+    gf._derive.cache_clear()
+    try:
+        with pytest.raises(DisagreementError) as err:
+            guess_general_form(2, range(2, 7))
+        assert "b=4" in str(err.value)
+    finally:
+        gf._derive.cache_clear()
 
 
 def test_guess_rejects_a_faulted_recurrence(monkeypatch):
@@ -507,15 +514,37 @@ def _shift_at(real_at, bad, shift=F(1, 1000003)):
     return shifted
 
 
+def _shift_series(real_series, bad, shift=1):
+    """_series with shift added to every value at the bases in bad."""
+
+    def shifted(g, b, n):
+        return [s + shift * (b in bad) for s in real_series(g, b, n)]
+
+    return shifted
+
+
 def test_guess_names_the_smallest_failing_base(monkeypatch):
     import rabot.generalform as gf
 
+    value = brute_moment(MomentQuery(4, 2, 1))
+    real_series = gf._series
+    # a wrong form, where it is derived against its generating function
     monkeypatch.setattr(gf, "_at", _shift_at(gf._at, {9, 4}))
+    gf._derive.cache_clear()
+    try:
+        with pytest.raises(DisagreementError) as err:
+            guess_general_form(2, range(2, 13))
+    finally:
+        gf._derive.cache_clear()
+    # the smallest growth base at b = 4 is b - 1 = 3, so S(2, 1) is off by 3/1000003
+    assert str(err.value) == f"the form at b=4 gives S(2, 1) = {value + F(3, 1000003)}, its generating function {value}"
+    # a wrong generating function, per call against brute force
+    monkeypatch.undo()
+    gf._derive(2)
+    monkeypatch.setattr(gf, "_series", _shift_series(real_series, {9, 4}))
     with pytest.raises(DisagreementError) as err:
         guess_general_form(2, range(2, 13))
-    # the smallest growth base at b = 4 is b - 1 = 3, so S(2, 1) is off by 3/1000003
-    value = brute_moment(MomentQuery(4, 2, 1))
-    assert str(err.value) == f"the form at b=4 gives S(2, 1) = {value + F(3, 1000003)}, brute force {value}"
+    assert str(err.value) == f"the generating function at b=4 gives S(2, 1) = {value + 1}, brute force {value}"
 
 
 def test_guess_checks_every_small_base_of_the_range(monkeypatch):
@@ -523,14 +552,14 @@ def test_guess_checks_every_small_base_of_the_range(monkeypatch):
     # materialized, so ranges of any size are quick
     import rabot.generalform as gf
 
-    real_check, real_at = gf._check_against_brute, gf._at
+    real_check, real_at, real_series = gf._check_base, gf._at, gf._series
     checked = []
 
-    def spy(base, power, den, scaled):
-        checked.append(base)
-        real_check(base, power, den, scaled)
+    def spy(g, b):
+        checked.append(b)
+        real_check(g, b)
 
-    monkeypatch.setattr(gf, "_check_against_brute", spy)
+    monkeypatch.setattr(gf, "_check_base", spy)
     for p in (1, 3):
         excluded = _derive(p).excluded_bases()
         for b_range, small in (
@@ -544,15 +573,27 @@ def test_guess_checks_every_small_base_of_the_range(monkeypatch):
             assert guess_general_form(p, b_range) == _derive(p)
             assert checked == [b for b in small if b not in excluded], (p, b_range)
             assert checked == gf.brute_checked_bases(_derive(p), b_range)
-    # a wrong form fails at its own base, whichever base of 3..16 it is
+    # a wrong generating function fails at its own base, whichever base of
+    # 3..16 it is; _derive(3) is cached, so only the per-call check reads it
     for bad in range(3, 17):
-        monkeypatch.setattr(gf, "_at", _shift_at(real_at, {bad, 16}))
+        monkeypatch.setattr(gf, "_series", _shift_series(real_series, {bad, 16}))
         with pytest.raises(DisagreementError, match=f"at b={bad} gives"):
             guess_general_form(3, range(2, 10**100))
+    # and a wrong form at its own base, where it is derived
+    monkeypatch.setattr(gf, "_series", real_series)
+    try:
+        for bad in range(3, 17):
+            monkeypatch.setattr(gf, "_at", _shift_at(real_at, {bad, 16}))
+            gf._derive.cache_clear()
+            with pytest.raises(DisagreementError, match=f"the form at b={bad} gives"):
+                guess_general_form(3, range(2, 10**100))
+    finally:
+        gf._derive.cache_clear()
 
 
 def test_guess_judges_the_smaller_bases_before_a_specialize_error(monkeypatch):
-    # the error is the one that checking base after base meets first
+    # the error is the one that checking base after base meets first, where
+    # the form is derived, so the cache is cleared for each fault
     import rabot.generalform as gf
 
     shifted = _shift_at(gf._at, {5})
@@ -565,12 +606,17 @@ def test_guess_judges_the_smaller_bases_before_a_specialize_error(monkeypatch):
 
         return _at
 
-    monkeypatch.setattr(gf, "_at", refusing(7))
-    with pytest.raises(DisagreementError, match="at b=5 gives"):
-        guess_general_form(2, range(2, 10))
-    monkeypatch.setattr(gf, "_at", refusing(4))
-    with pytest.raises(ValueError, match="refused at b=4"):
-        guess_general_form(2, range(2, 10))
+    try:
+        monkeypatch.setattr(gf, "_at", refusing(7))
+        gf._derive.cache_clear()
+        with pytest.raises(DisagreementError, match="at b=5 gives"):
+            guess_general_form(2, range(2, 10))
+        monkeypatch.setattr(gf, "_at", refusing(4))
+        gf._derive.cache_clear()
+        with pytest.raises(ValueError, match="refused at b=4"):
+            guess_general_form(2, range(2, 10))
+    finally:
+        gf._derive.cache_clear()
 
 
 def test_guess_does_not_refit_per_base(monkeypatch):
@@ -676,6 +722,40 @@ def test_specialize_equals_the_fraction_route(p):
         assert spec.terms == expected, b
         assert all(type(c) is F for (c,), _ in spec.terms)
     assert excluded == (1 if p >= 3 else 0)  # b = 2, from p = 3 on
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+def test_generating_function_series_is_the_integer_table(p):
+    # N's series stepped by the pole product's coefficients, past the 2p
+    # values it was read from, at every small base, b = 2 included where the
+    # form excludes it (p >= 3), and at a wide base
+    g, depth = _derive(p), 3 * p + 4
+    for b in (*range(2, 17), 10**6):
+        table = build_table(b, p, depth)
+        assert _series(g, b, depth) == [moment_value(table, p, k) for k in range(1, depth + 1)], b
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.integers(2, 10**6))
+def test_form_equals_its_generating_function(p, b):
+    # beyond b = 2..16, where _derive checks it
+    g = _derive(p)
+    assume(b not in g.excluded_bases())
+    spec, depth = specialize(g, b), 2 * p + 2
+    assert [spec.eval_at(k) for k in range(1, depth + 1)] == _series(g, b, depth)
+
+
+def test_generating_function_refuses_a_numerator_it_does_not_divide():
+    # N_1's constant term off by 1/den: the values are no longer integers
+    g = _derive(2)
+    den, (first, *numerator), pole = g._gf
+    assert den > 1
+    faulted = GeneralForm(g.power, g.terms)
+    object.__setattr__(faulted, "_gf", (den, [(first[0] + 1, *first[1:]), *numerator], pole))
+    value = brute_moment(MomentQuery(3, 2, 1))
+    with pytest.raises(DisagreementError) as err:
+        _series(faulted, 3, 4)
+    assert str(err.value) == f"the generating function at b=3 gives S(2, 1) = {value + F(1, den)}, not an integer"
 
 
 def test_specialize_merges_colliding_bases():

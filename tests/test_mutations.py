@@ -6,14 +6,16 @@ Each row's fault must change its engine's output on the row's input, so that
 no row passes without its fault taking effect, and must make every command
 the row lists fail with the row's exit code: 3 when the recurrence and the
 oracle disagree, which `sum --engine both` and `check` find and so do the
-brute-force checks of `closed-form` and `general-form`, and 4 when a form is
-not proven.  Never 0.
+brute-force checks of `closed-form` and `general-form`, or when the general
+form and its generating function disagree, and 4 when a form is not proven.
+Never 0.
 
 The oracle faults are made in this process only, and a patch does not reach
 workers forked earlier, so every oracle query here has fewer than
 2 * oracle._PARALLEL_MIN_CHUNK numbers and is summed in-process.
 """
 import inspect
+from functools import lru_cache
 
 import pytest
 
@@ -27,9 +29,10 @@ from rabot import (
     guess_general_form,
     moment_value,
 )
-from rabot import closedform, generalform, oracle, recurrence
+from rabot import closedform, generalform, linalg, oracle, recurrence
 from rabot.cli import OutputRecord, main
 from rabot.closedform import ExponentialForm
+from rabot.generalform import GeneralForm
 
 SUM = ("sum", "--engine", "both", "--base", "3", "--power", "2", "--k", "4")
 SUM_POWER_ZERO = ("sum", "--engine", "both", "--base", "3", "--power", "0", "--k", "4")
@@ -104,13 +107,45 @@ def sweep_last_digit(monkeypatch):
 
 def level_sums(monkeypatch):
     # S(p, 2) at b = 3 one too large in the proofs' enumeration, where
-    # closedform imported it by name
+    # closedform and generalform imported it by name
     real = oracle.brute_moments
 
     def moments(base, power, kmax):
         return [s + (base == 3 and k == 2) for k, s in enumerate(real(base, power, kmax), 1)]
 
     monkeypatch.setattr(closedform, "brute_moments", moments)
+    monkeypatch.setattr(generalform, "brute_moments", moments)
+
+
+def numerator_coefficient(monkeypatch):
+    # N_1's constant term one larger in the generating function kept with
+    # the form, after _derive checked the form against it: a copy of the
+    # form, from a stand-in for the cached _derive that leaves its cache alone
+    real = generalform._derive.__wrapped__
+
+    @lru_cache(maxsize=8)
+    def derive(power):
+        g = real(power)
+        den, (first, *numerator), pole = g._gf
+        faulted = GeneralForm(g.power, g.terms)
+        object.__setattr__(faulted, "_gf", (den, [(first[0] + den, *first[1:]), *numerator], pole))
+        return faulted
+
+    monkeypatch.setattr(generalform, "_derive", derive)
+
+
+def form_coefficient(monkeypatch):
+    # rev(N) at the first family one larger, read after N: the form's
+    # coefficient on that family is off, and N is not
+    real = generalform.taylor_at_roots
+
+    def read(numerator, roots):
+        out = real(numerator, roots)
+        first = next(iter(out))
+        [value], den = out[first]
+        return {**out, first: ([value + 1], den)}
+
+    monkeypatch.setattr(generalform, "taylor_at_roots", read)
 
 
 def eigenvalue_family(monkeypatch):
@@ -164,6 +199,18 @@ def fitted_form():
     return closed_form(3, 2)[0]
 
 
+def numerator_series():
+    return generalform._series(generalform._derive(2), 3, 4)
+
+
+def partial_fractions():
+    # the symbolic read of S(2, .)'s generating function, as _derive makes it
+    families = generalform.base_families(2)
+    table = recurrence._build(generalform._B, 2, 4)
+    sums = [moment_value(table, 2, k) for k in range(1, 5)]
+    return generalform.taylor_at_roots(linalg.series_numerator(sums, linalg.pole_product(families)), families)
+
+
 # row -> (fault, the faulted engine's output on the row's input, commands)
 ROWS = {
     "F1": (power_sum_f1_plus_b, recurrence_value, (SUM, CHECK, CLOSED_FORM, GENERAL_FORM)),
@@ -176,11 +223,15 @@ ROWS = {
     "level-sums": (level_sums, level_values, (CLOSED_FORM, GENERAL_FORM)),
     "eigenvalue-family": (eigenvalue_family, fitted_form, (CLOSED_FORM, GENERAL_FORM)),
     "fit-coefficient": (fit_coefficient, fitted_form, (CLOSED_FORM,)),
+    "numerator-coefficient": (numerator_coefficient, numerator_series, (GENERAL_FORM,)),
+    "form-coefficient": (form_coefficient, partial_fractions, (GENERAL_FORM,)),
 }
 
 # row -> the exit code of every command it lists: the recurrence faults keep
 # the update's spectrum, so the proofs' brute-force checks, not their
-# verdicts, refuse them
+# verdicts, refuse them; a wrong generating function fails general-form's
+# check against brute force, and a form read wrong from a right one fails
+# _derive's check of the form against it
 EXIT = {row: 3 for row in ROWS} | {"eigenvalue-family": 4, "fit-coefficient": 4}
 
 
